@@ -23,13 +23,13 @@ from .programs import (Infinite, MultiplicityClass, NEG_INF, POS_INF,
 from .series import (CoefficientStream, FactorialGaps, GeometricGaps,
                      PeriodicCoefficients, SeriesDVR, SeriesTrace,
                      StreamError, parse_stream, series_value)
-from .analysis import (AnalysisSession, LimitTrace, MembershipVerdict,
-                       ShannonClass, classify_shannon)
+from .analysis import AnalysisSession, LimitTrace, MembershipVerdict
 from .pullback import (CompositeValue, CoordinatePrime, LiftedTrace,
-                       PullbackVerdict, composite_value,
-                       induced_quotient_program, in_prime, lift_along,
-                       member_RP, member_pullback, quotient_value, residue)
-from .registry import Example, ExampleRegistryEntry, example_names, get_example
+                       PullbackVerdict, ShannonClass, classify_shannon,
+                       composite_value, induced_quotient_program, in_prime,
+                       lift_along, member_RP, member_pullback, quotient_value,
+                       residue)
+from .registry import Example, example_names, get_example
 from .config import ConfigError, load_config_file, load_config_text
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "CoordinatePrime",
     "Directive",
     "Example",
-    "ExampleRegistryEntry",
     "FactorialGaps",
     "GeometricGaps",
     "Infinite",

@@ -25,9 +25,7 @@ from typing import Protocol
 from .charts import Directive
 from .polynomials import Polynomial, _strip_monomial
 from .functions import RationalFunction
-from .programs import (Infinite, MultiplicityClass, ValuationProgram,
-                       classify_multiplicity)
-from .series import SeriesTrace
+from .programs import Infinite
 
 DEFAULT_BUDGET = 24
 STABLE_WINDOW = 5
@@ -167,9 +165,6 @@ class AnalysisSession:
             self._steps.append(images)
             self._pivots.append(directive.pivot)
 
-    def directive_at(self, n: int) -> Directive:
-        return self.source.directive_at(n)
-
     def advance_state(self, state: ElementState, n: int) -> ElementState:
         """State at stage n from the state at stage n-1."""
         self._prepare_step(n)
@@ -283,71 +278,3 @@ class AnalysisSession:
                 e[self._pivots[n]] -= o
                 state = ElementState(tuple(e), state.num, state.den)
         return LimitTrace("e", start, approx)
-
-
-class ShannonClass:
-    """Classification of the union ring, with a short reason.
-
-    kind is "ValuationRing", "ArchimedeanNonValuation" or "Unknown"; witness
-    names a coordinate when one drives the verdict.
-    """
-
-    __slots__ = ("kind", "reason", "witness")
-
-    def __init__(self, kind: str, reason: str, witness: str | None = None):
-        self.kind = kind
-        self.reason = reason
-        self.witness = witness
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShannonClass):
-            return NotImplemented
-        return (self.kind, self.witness) == (other.kind, other.witness)
-
-    def __repr__(self) -> str:
-        return f"ShannonClass({self.kind}, witness={self.witness})"
-
-
-def classify_shannon(source: DirectiveSource,
-                     max_passes: int = 8) -> ShannonClass:
-    """Classify the union ring of a directive source.
-
-    A divergent multiplicity sum forces the union to be a valuation ring.  A
-    convergent sum with a coordinate that stays away from every pivot keeps
-    that coordinate's transforms at a positive value bound, so the union is
-    archimedean but not a valuation ring.  Anything subtler stays Unknown.
-    """
-    if isinstance(source, SeriesTrace):
-        return ShannonClass(
-            "ValuationRing",
-            "every stage has multiplicity 1, so the multiplicity sum "
-            "diverges and the union is the series valuation ring")
-    if not isinstance(source, ValuationProgram):
-        raise TypeError(f"cannot classify {type(source).__name__}")
-    outcome = classify_multiplicity(source, max_passes)
-    if outcome.kind == "Divergent":
-        return ShannonClass(
-            "ValuationRing",
-            f"the multiplicity sum diverges ({outcome.detail})")
-    if outcome.kind == "Convergent":
-        spared = _never_pivoted(source, outcome)
-        if spared is not None:
-            return ShannonClass(
-                "ArchimedeanNonValuation",
-                f"the multiplicity sum converges to {outcome.limit} while "
-                f"{spared} is never a pivot, so its transforms keep a "
-                f"positive limiting value",
-                witness=spared)
-        return ShannonClass(
-            "Unknown",
-            f"the multiplicity sum converges to {outcome.limit} and every "
-            f"coordinate pivots; no implemented criterion applies")
-    return ShannonClass("Unknown", outcome.detail)
-
-
-def _never_pivoted(program: ValuationProgram,
-                   outcome: MultiplicityClass) -> str | None:
-    for j in outcome.nonscaling:
-        if all(step.pivot != j for step in program.period):
-            return program.bases[j]
-    return None

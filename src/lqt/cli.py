@@ -17,16 +17,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .analysis import (DEFAULT_BUDGET, LimitTrace, MembershipVerdict,
-                       classify_shannon)
+from .analysis import DEFAULT_BUDGET, LimitTrace, MembershipVerdict
 from .config import ConfigError, load_config_file
 from .parsing import ParseError, parse_expr
 from .programs import (Infinite, ProgramConsistencyError, ProgramError,
-                       ValuationProgram, classify_multiplicity,
-                       multiplicity_sequence)
-from .pullback import composite_value, member_pullback, member_RP, residue
+                       ValuationProgram, multiplicity_sequence)
+from .pullback import (classify_shannon, composite_value, member_pullback,
+                       member_RP, residue)
 from .registry import Example, get_example
-from .series import DEFAULT_PRECISION, SeriesTrace, StreamError
+from .series import DEFAULT_PRECISION, StreamError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -167,57 +166,15 @@ def _agreement(union: MembershipVerdict, pull) -> str:
 
 
 def cmd_classify(example: Example, args, rep: Reporter) -> None:
-    line: dict = {"schema": "classify", "example": example.name,
-                  "kind": example.kind}
-    if example.kind == "program":
-        outcome = classify_multiplicity(example.program)
-        shannon = classify_shannon(example.program)
-        line["multiplicity"] = _mult_dict(outcome)
-        line["shannon"] = _shannon_dict(shannon)
-        if outcome.kind == "Undecided" or shannon.kind == "Unknown":
-            rep.undecided += 1
-    elif example.kind == "series":
-        shannon = classify_shannon(SeriesTrace(example.series))
-        line["multiplicity"] = {"kind": "Divergent",
-                                "detail": "every stage has multiplicity 1"}
-        line["shannon"] = _shannon_dict(shannon)
-    else:
-        line.update(_classify_pullback(example, rep))
-    rep.emit(line)
-
-
-def _classify_pullback(example: Example, rep: Reporter) -> dict:
-    prime_text = ", ".join(example.prime.generators)
-    if isinstance(example.quotient, ValuationProgram):
-        outcome = classify_multiplicity(example.quotient)
-        mult = _mult_dict(outcome)
-        divergent = outcome.kind == "Divergent"
-        undecided = outcome.kind == "Undecided"
-    else:
-        mult = {"kind": "Divergent",
-                "detail": "every quotient stage has multiplicity 1"}
-        divergent = True
-        undecided = False
-    if divergent:
-        shannon = {
-            "kind": "NonArchimedean",
-            "reason": f"the quotient multiplicity sum diverges, so the union "
-                      f"is the full pullback along ({prime_text}) and powers "
-                      f"of the prime stay below every unit multiple",
-            "union_is_pullback": True,
-        }
-    else:
-        shannon = {
-            "kind": "Unknown",
-            "reason": f"the quotient multiplicity sum does not diverge, so "
-                      f"the union may be smaller than the pullback along "
-                      f"({prime_text})",
-            "union_is_pullback": False,
-        }
+    shannon = classify_shannon(example.source)
+    outcome = shannon.multiplicity
+    key = ("quotient_multiplicity" if example.kind == "pullback"
+           else "multiplicity")
+    rep.emit({"schema": "classify", "example": example.name,
+              "kind": example.kind, key: _mult_dict(outcome),
+              "shannon": _shannon_dict(shannon)})
+    if outcome.kind == "Undecided" or shannon.kind == "Unknown":
         rep.undecided += 1
-    if undecided:
-        rep.undecided += 1
-    return {"quotient_multiplicity": mult, "shannon": shannon}
 
 
 def _mult_dict(outcome) -> dict:
@@ -231,22 +188,18 @@ def _shannon_dict(shannon) -> dict:
     d = {"kind": shannon.kind, "reason": shannon.reason}
     if shannon.witness is not None:
         d["witness"] = shannon.witness
+    if shannon.union_is_pullback is not None:
+        d["union_is_pullback"] = shannon.union_is_pullback
     return d
 
 
 def cmd_multiplicity(example: Example, args, rep: Reporter) -> None:
-    entries = _multiplicities(example, args.steps)
+    entries = multiplicity_sequence(example.source, args.steps)
     line = {"schema": "multiplicity", "example": example.name,
             "steps": args.steps, "entries": [enc(m) for m in entries]}
     if args.sum:
         line["sum"] = enc(sum(entries, Fraction(0)))
     rep.emit(line)
-
-
-def _multiplicities(example: Example, steps: int) -> list[Fraction]:
-    if example.kind == "program":
-        return multiplicity_sequence(example.program, steps)
-    return example.source.multiplicity_sequence(steps)
 
 
 def cmd_value(example: Example, args, rep: Reporter) -> None:

@@ -18,9 +18,10 @@ import re
 
 from .programs import (ProgramFormatError, program_from_sections,
                        split_sections)
-from .pullback import CoordinatePrime, lift_along
-from .registry import Example, make_program_example, make_series_example
-from .series import SeriesDVR, SeriesTrace, StreamError, parse_stream
+from .pullback import CoordinatePrime
+from .registry import (Example, make_program_example, make_pullback_example,
+                       make_series_example)
+from .series import SeriesDVR, StreamError, parse_stream
 
 _PROGRAM_SECTIONS = {"vars", "values", "preperiod", "period"}
 
@@ -56,7 +57,8 @@ def load_config_text(text: str, name: str) -> Example:
             return _pullback_example(sections, ambient, name)
         if "series" in sections:
             return _series_example(sections, ambient, name)
-        return _program_example(sections, name)
+        return make_program_example(name, f"program from config {name}",
+                                    program_from_sections(sections))
     except (ProgramFormatError, StreamError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -68,12 +70,6 @@ def load_config_file(path: str) -> Example:
         text = handle.read()
     name = os.path.splitext(os.path.basename(path))[0]
     return load_config_text(text, name)
-
-
-def _program_example(sections, name: str) -> Example:
-    program = program_from_sections(sections)
-    return Example(name, f"program from config {name}", "program", program,
-                   program=program)
 
 
 def _series_example(sections, ambient, name: str) -> Example:
@@ -116,18 +112,16 @@ def _pullback_example(sections, ambient, name: str) -> Example:
 
     if series_line is not None:
         quotient = _parse_series(series_line, prime.residue_bases)
-        lifted = lift_along(SeriesTrace(quotient), prime)
     elif has_program:
         quotient_sections = dict(sections)
         quotient_sections.pop("pullback")
         quotient_sections["vars"] = [(0, " ".join(prime.residue_bases))]
         quotient = program_from_sections(quotient_sections)
-        lifted = lift_along(quotient, prime)
     else:
         raise ConfigError("a pullback config needs a quotient: a series line "
                           "or program sections over the residue variables")
-    return Example(name, f"pullback from config {name}", "pullback", lifted,
-                   prime=prime, quotient=quotient)
+    return make_pullback_example(name, f"pullback from config {name}", prime,
+                                 quotient)
 
 
 def _parse_series(line_info, bases) -> SeriesDVR:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .polynomials import Exponents, Polynomial, exact_div, poly_gcd
+from .polynomials import Exponents, Polynomial, _exact, poly_gcd
 
 
 class RationalFunction:
@@ -212,12 +212,6 @@ def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
         inv = Fraction(1) / lead
         num, den = num.scale(inv), den.scale(inv)
     return num, den
-
-
-def _exact(a: Polynomial, b: Polynomial) -> Polynomial:
-    q = exact_div(a, b)
-    assert q is not None, "expected exact divisibility"
-    return q
 
 
 def ord_at_origin(f: RationalFunction) -> int:

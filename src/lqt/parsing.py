@@ -9,7 +9,9 @@ Grammar (whitespace insignificant):
 
 Exponents are integers, possibly negative.  Identifiers must name variables
 of the target ring.  Printing a value and reparsing it in the same ring gives
-the same value back.
+the same value back.  A factor may sit inside at most MAX_NESTING
+parentheses and unary minus signs, which keeps the recursive descent well
+inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
+
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]|\S")
 
@@ -47,6 +51,7 @@ class _Parser:
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.variables = variables
         self.one = RationalFunction.from_polynomial(Polynomial.one(variables))
 
@@ -97,17 +102,24 @@ class _Parser:
         return value
 
     def factor(self) -> RationalFunction:
+        # depth counts the '(' and unary '-' around this factor; every
+        # recursion of the parser passes through here
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.pos())
+        self.depth += 1
         if self.peek() == "-":
             self.advance()
-            return -self.factor()
-        value = self.base()
-        if self.peek() == "^":
-            self.advance()
-            pos = self.pos()
-            n = self.exponent()
-            if n < 0 and value.is_zero():
-                raise ParseError("zero raised to a negative power", pos)
-            value = value ** n
+            value = -self.factor()
+        else:
+            value = self.base()
+            if self.peek() == "^":
+                self.advance()
+                pos = self.pos()
+                n = self.exponent()
+                if n < 0 and value.is_zero():
+                    raise ParseError("zero raised to a negative power", pos)
+                value = value ** n
+        self.depth -= 1
         return value
 
     def exponent(self) -> int:

@@ -380,10 +380,6 @@ def _integerize(p: Polynomial) -> Polynomial:
                             {e: Fraction(v) for e, v in ints.items()})
 
 
-def _monomial_gcd_vector(p: Polynomial) -> Exponents:
-    return p.min_exponents()
-
-
 def _strip_monomial(p: Polynomial) -> tuple[Exponents, Polynomial]:
     """Factor out the largest monomial dividing every term."""
     m = p.min_exponents()

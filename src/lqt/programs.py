@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .charts import Directive
 
@@ -209,7 +209,12 @@ ValueVector = tuple[Fraction, ...]
 
 
 class ValuationProgram:
-    __slots__ = ("bases", "initial_values", "preperiod", "period")
+    """An eventually periodic step list with initial coordinate values.
+
+    `_vectors` keeps the stage value vectors computed so far, so reaching
+    stage n costs n steps in all, however often it is asked for."""
+
+    __slots__ = ("bases", "initial_values", "preperiod", "period", "_vectors")
 
     def __init__(self, bases: Iterable[str],
                  initial_values: Iterable[Fraction],
@@ -237,6 +242,7 @@ class ValuationProgram:
         object.__setattr__(self, "initial_values", vals)
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
+        object.__setattr__(self, "_vectors", [vals])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ValuationProgram is immutable")
@@ -257,23 +263,16 @@ class ValuationProgram:
     def directive_at(self, n: int) -> Directive:
         return self.step_at(n).directive
 
-    def value_vectors(self) -> Iterator[ValueVector]:
-        """Yield the value vector at stage 0, 1, 2, ... (never stops)."""
-        values = self.initial_values
-        yield values
-        n = 1
-        while True:
-            values = self.step_at(n).next_values(values, n, self.bases)
-            yield values
-            n += 1
-
     def value_vector_at(self, n: int) -> ValueVector:
+        """The value vector at stage n, extending the kept stages to n."""
         if n < 0:
             raise ValueError(f"stage {n} out of range")
-        for stage, values in enumerate(self.value_vectors()):
-            if stage == n:
-                return values
-        raise AssertionError("unreachable")
+        vectors = self._vectors
+        while len(vectors) <= n:
+            k = len(vectors)
+            vectors.append(
+                self.step_at(k).next_values(vectors[-1], k, self.bases))
+        return vectors[n]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ValuationProgram):
@@ -289,18 +288,16 @@ class ValuationProgram:
                 f"period={len(self.period)} steps)")
 
 
-def multiplicity_sequence(program: ValuationProgram,
-                          count: int) -> list[Fraction]:
-    """The first `count` stage multiplicities: min coordinate value at each
-    stage, starting from stage 0."""
+def multiplicity_sequence(source, count: int) -> list[Fraction]:
+    """The first `count` stage multiplicities of a directive source: the
+    minimum of the value vector at each stage, starting from stage 0.
+
+    Any source with `value_vector_at` works: a ValuationProgram, a
+    SeriesTrace, or a LiftedTrace, whose infinite prime coordinates never
+    reach the minimum."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    out: list[Fraction] = []
-    for values in program.value_vectors():
-        if len(out) == count:
-            break
-        out.append(min(values))
-    return out
+    return [min(source.value_vector_at(n)) for n in range(count)]
 
 
 class MultiplicityClass:
@@ -346,15 +343,14 @@ def classify_multiplicity(program: ValuationProgram,
     """
     p = len(program.preperiod)
     length = len(program.period)
-    stages = iter(program.value_vectors())
+    at = program.value_vector_at
 
-    head_sum = Fraction(0)
-    for _ in range(p):
-        head_sum += min(next(stages))
-    prev = next(stages)
+    head_sum = sum((min(at(n)) for n in range(p)), Fraction(0))
+    prev = at(p)
 
     for k in range(1, max_passes + 1):
-        vectors = [next(stages) for _ in range(length)]
+        start = p + (k - 1) * length
+        vectors = [at(start + i) for i in range(1, length + 1)]
         end = vectors[-1]
         pass_sum = min(prev) + sum(min(v) for v in vectors[:-1])
 

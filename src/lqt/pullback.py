@@ -10,6 +10,9 @@ rank-two value, a lexicographic pair (prime order, residue value).
 A transform sequence of the residue field lifts along the prime: the prime
 coordinates are never pivoted or translated, and they carry an infinite
 value in every stage vector.
+
+classify_shannon sits here because it needs all three kinds of walk,
+lifted ones included.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .analysis import DEFAULT_BUDGET, AnalysisSession
 from .charts import Directive
 from .functions import RationalFunction
 from .polynomials import Polynomial
-from .programs import (POS_INF, Infinite, ProgramError, ProgramStep,
-                       ValuationProgram, multiplicity_sequence)
+from .programs import (POS_INF, Infinite, MultiplicityClass, ProgramError,
+                       ProgramStep, ValuationProgram, classify_multiplicity)
 from .series import DEFAULT_PRECISION, SeriesDVR, SeriesTrace, series_value
 
 QuotientValuation = Union[ValuationProgram, SeriesDVR]
@@ -312,13 +315,6 @@ class LiftedTrace:
             out[i] = v
         return tuple(out)
 
-    def multiplicity_sequence(self, count: int) -> list[Fraction]:
-        """Finite stage multiplicities: the prime coordinates never achieve
-        the minimum."""
-        if isinstance(self.quotient, SeriesTrace):
-            return self.quotient.multiplicity_sequence(count)
-        return multiplicity_sequence(self.quotient, count)
-
     def __repr__(self) -> str:
         return f"LiftedTrace({self.quotient!r} along {self.prime!r})"
 
@@ -326,3 +322,114 @@ class LiftedTrace:
 def lift_along(quotient: ValuationProgram | SeriesTrace,
                prime: CoordinatePrime) -> LiftedTrace:
     return LiftedTrace(quotient, prime)
+
+
+# -- classification of the union ring -----------------------------------------
+
+class ShannonClass:
+    """Classification of the union ring, with a short reason.
+
+    kind is "ValuationRing", "ArchimedeanNonValuation", "NonArchimedean" or
+    "Unknown"; witness names a coordinate when one drives the verdict.
+    multiplicity is the multiplicity class the verdict was read from (of the
+    quotient walk for a lifted trace), and union_is_pullback says, for a
+    lifted trace only, whether the union is the whole pullback.
+    """
+
+    __slots__ = ("kind", "reason", "witness", "multiplicity",
+                 "union_is_pullback")
+
+    def __init__(self, kind: str, reason: str, witness: str | None = None,
+                 multiplicity: MultiplicityClass | None = None,
+                 union_is_pullback: bool | None = None):
+        self.kind = kind
+        self.reason = reason
+        self.witness = witness
+        self.multiplicity = multiplicity
+        self.union_is_pullback = union_is_pullback
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShannonClass):
+            return NotImplemented
+        return (self.kind, self.witness) == (other.kind, other.witness)
+
+    def __repr__(self) -> str:
+        return f"ShannonClass({self.kind}, witness={self.witness})"
+
+
+def classify_shannon(source, max_passes: int = 8) -> ShannonClass:
+    """Classify the union ring of a ValuationProgram, a SeriesTrace or a
+    LiftedTrace.
+
+    A divergent multiplicity sum forces the union to be a valuation ring.  A
+    convergent sum with a coordinate that stays away from every pivot keeps
+    that coordinate's transforms at a positive value bound, so the union is
+    archimedean but not a valuation ring.  Along a lifted trace, a divergent
+    quotient sum makes the union the full pullback, which is not archimedean.
+    Anything subtler stays Unknown.
+    """
+    if isinstance(source, LiftedTrace):
+        return _classify_lifted(source, max_passes)
+    outcome = _sum_class(source, max_passes, "stage")
+    if isinstance(source, SeriesTrace):
+        return ShannonClass(
+            "ValuationRing",
+            "every stage has multiplicity 1, so the multiplicity sum "
+            "diverges and the union is the series valuation ring",
+            multiplicity=outcome)
+    if outcome.kind == "Divergent":
+        return ShannonClass(
+            "ValuationRing",
+            f"the multiplicity sum diverges ({outcome.detail})",
+            multiplicity=outcome)
+    if outcome.kind == "Convergent":
+        spared = _never_pivoted(source, outcome)
+        if spared is not None:
+            return ShannonClass(
+                "ArchimedeanNonValuation",
+                f"the multiplicity sum converges to {outcome.limit} while "
+                f"{spared} is never a pivot, so its transforms keep a "
+                f"positive limiting value",
+                witness=spared, multiplicity=outcome)
+        return ShannonClass(
+            "Unknown",
+            f"the multiplicity sum converges to {outcome.limit} and every "
+            f"coordinate pivots; no implemented criterion applies",
+            multiplicity=outcome)
+    return ShannonClass("Unknown", outcome.detail, multiplicity=outcome)
+
+
+def _classify_lifted(source: LiftedTrace, max_passes: int) -> ShannonClass:
+    outcome = _sum_class(source.quotient, max_passes, "quotient stage")
+    prime = ", ".join(source.prime.generators)
+    if outcome.kind == "Divergent":
+        return ShannonClass(
+            "NonArchimedean",
+            f"the quotient multiplicity sum diverges, so the union is the "
+            f"full pullback along ({prime}) and powers of the prime stay "
+            f"below every unit multiple",
+            multiplicity=outcome, union_is_pullback=True)
+    return ShannonClass(
+        "Unknown",
+        f"the quotient multiplicity sum does not diverge, so the union may "
+        f"be smaller than the pullback along ({prime})",
+        multiplicity=outcome, union_is_pullback=False)
+
+
+def _sum_class(source, max_passes: int, stage: str) -> MultiplicityClass:
+    """The multiplicity class of an unlifted walk; `stage` names its stages
+    in the detail of a series walk, whose multiplicities are all 1."""
+    if isinstance(source, SeriesTrace):
+        return MultiplicityClass(
+            "Divergent", detail=f"every {stage} has multiplicity 1")
+    if isinstance(source, ValuationProgram):
+        return classify_multiplicity(source, max_passes)
+    raise TypeError(f"cannot classify {type(source).__name__}")
+
+
+def _never_pivoted(program: ValuationProgram,
+                   outcome: MultiplicityClass) -> str | None:
+    for j in outcome.nonscaling:
+        if all(step.pivot != j for step in program.period):
+            return program.bases[j]
+    return None

@@ -1,9 +1,9 @@
 """Built-in examples and the runtime bundle the CLI works with.
 
 An Example ties together everything a command needs: the ambient variables,
-the directive source driving the union ring, and, where applicable, the
-program carrying values, the series valuation, or the prime/quotient pair of
-a pullback construction.
+the directive source driving the union ring (a ValuationProgram, a
+SeriesTrace or a LiftedTrace), and, for a pullback construction, the
+prime/quotient pair.
 """
 
 from __future__ import annotations
@@ -20,20 +20,15 @@ class Example:
     """A named, fully materialized analysis target."""
 
     __slots__ = ("name", "description", "kind", "ambient", "source",
-                 "program", "series", "prime", "quotient", "_session")
+                 "prime", "quotient", "_session")
 
-    def __init__(self, name: str, description: str, kind: str,
-                 source, program: ValuationProgram | None = None,
-                 series: SeriesDVR | None = None,
-                 prime: CoordinatePrime | None = None,
-                 quotient=None):
+    def __init__(self, name: str, description: str, kind: str, source,
+                 prime: CoordinatePrime | None = None, quotient=None):
         self.name = name
         self.description = description
         self.kind = kind
         self.ambient = tuple(source.bases)
         self.source = source
-        self.program = program
-        self.series = series
         self.prime = prime
         self.quotient = quotient
         self._session: AnalysisSession | None = None
@@ -52,25 +47,14 @@ class Example:
         return f"Example({self.name}, kind={self.kind})"
 
 
-class ExampleRegistryEntry:
-    __slots__ = ("name", "description", "build")
-
-    def __init__(self, name: str, description: str,
-                 build: Callable[[], Example]):
-        self.name = name
-        self.description = description
-        self.build = build
-
-
 def make_program_example(name: str, description: str,
-                         text: str) -> Example:
-    program = parse_program(text)
-    return Example(name, description, "program", program, program=program)
+                         program: ValuationProgram) -> Example:
+    return Example(name, description, "program", program)
 
 
 def make_series_example(name: str, description: str,
                         dvr: SeriesDVR) -> Example:
-    return Example(name, description, "series", SeriesTrace(dvr), series=dvr)
+    return Example(name, description, "series", SeriesTrace(dvr))
 
 
 def make_pullback_example(name: str, description: str,
@@ -120,14 +104,14 @@ def _build_ex37_2d() -> Example:
     return make_program_example(
         "ex3.7-2d",
         "two coordinates, alternating pivot with halving assigned values",
-        _TWO_VAR)
+        parse_program(_TWO_VAR))
 
 
 def _build_ex37_3d() -> Example:
     return make_program_example(
         "ex3.7-3d",
         "the alternating pair plus a third coordinate that never pivots",
-        _THREE_VAR)
+        parse_program(_THREE_VAR))
 
 
 def _build_ex53_shape() -> Example:
@@ -156,32 +140,25 @@ def _build_dvr_curve() -> Example:
         dvr)
 
 
-_ENTRIES = [
-    ExampleRegistryEntry("ex3.7-2d", "two coordinates, alternating pivot "
-                         "with halving assigned values", _build_ex37_2d),
-    ExampleRegistryEntry("ex3.7-3d", "the alternating pair plus a third "
-                         "coordinate that never pivots", _build_ex37_3d),
-    ExampleRegistryEntry("ex5.3-shape", "series valuation with doubling "
-                         "exponent gaps, lifted along (z)", _build_ex53_shape),
-    ExampleRegistryEntry("nonarch2d", "the x-adic valuation lifted along "
-                         "(y); y is divided out forever", _build_nonarch2d),
-    ExampleRegistryEntry("dvr-curve", "series valuation with factorial "
-                         "exponent gaps, followed directly", _build_dvr_curve),
-]
-
-REGISTRY: dict[str, ExampleRegistryEntry] = {e.name: e for e in _ENTRIES}
+REGISTRY: dict[str, Callable[[], Example]] = {
+    "ex3.7-2d": _build_ex37_2d,
+    "ex3.7-3d": _build_ex37_3d,
+    "ex5.3-shape": _build_ex53_shape,
+    "nonarch2d": _build_nonarch2d,
+    "dvr-curve": _build_dvr_curve,
+}
 
 ALIASES = {"ex3.7": "ex3.7-3d"}
 
 
 def example_names() -> list[str]:
-    return [e.name for e in _ENTRIES]
+    return list(REGISTRY)
 
 
 def get_example(name: str) -> Example:
     target = ALIASES.get(name, name)
-    entry = REGISTRY.get(target)
-    if entry is None:
+    build = REGISTRY.get(target)
+    if build is None:
         known = ", ".join(example_names())
         raise KeyError(f"unknown example {name!r} (available: {known})")
-    return entry.build()
+    return build()

@@ -299,10 +299,5 @@ class SeriesTrace:
             raise ValueError(f"stage {n} out of range")
         return Fraction(1), Fraction(self.dvr.stream.next_nonzero(n) - n)
 
-    def multiplicity_sequence(self, count: int) -> list[Fraction]:
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        return [Fraction(1)] * count
-
     def __repr__(self) -> str:
         return f"SeriesTrace({self.dvr!r})"

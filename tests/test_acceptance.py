@@ -63,16 +63,16 @@ def test_01_multiplicity_sequence_and_convergent_sum():
     start = time.monotonic()
     two = get_example("ex3.7-2d")
     three = get_example("ex3.7-3d")
-    seq = multiplicity_sequence(two.program, 100)
-    outcome = classify_multiplicity(two.program)
+    seq = multiplicity_sequence(two.source, 100)
+    outcome = classify_multiplicity(two.source)
     elapsed = time.monotonic() - start
 
     expected = [F(1), F(1, 2), F(1, 2), F(1, 4), F(1, 4), F(1, 8), F(1, 8)]
     assert seq[:7] == expected
     assert len(seq) == 100
     assert outcome.kind == "Convergent" and outcome.limit == F(3)
-    assert multiplicity_sequence(three.program, 7) == expected
-    three_outcome = classify_multiplicity(three.program)
+    assert multiplicity_sequence(three.source, 7) == expected
+    three_outcome = classify_multiplicity(three.source)
     assert three_outcome.kind == "Convergent" and three_outcome.limit == F(3)
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
@@ -82,14 +82,14 @@ def test_02_assigned_value_vectors_along_both_programs():
     alternating programs, including the third coordinate reaching 5/2."""
     two = get_example("ex3.7-2d")
     three = get_example("ex3.7-3d")
-    assert [two.program.value_vector_at(n) for n in range(5)] == [
+    assert [two.source.value_vector_at(n) for n in range(5)] == [
         (F(1), F(1)),
         (F(1), F(1, 2)),
         (F(1, 2), F(1, 2)),
         (F(1, 2), F(1, 4)),
         (F(1, 4), F(1, 4)),
     ]
-    vectors = [three.program.value_vector_at(n) for n in range(5)]
+    vectors = [three.source.value_vector_at(n) for n in range(5)]
     assert vectors == [
         (F(1), F(1), F(4)),
         (F(1), F(1, 2), F(3)),

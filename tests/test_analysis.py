@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from lqt import (LimitTrace, MembershipVerdict, POS_INF, ShannonClass,
-                 SeriesTrace, classify_shannon, get_example, ord_n,
-                 parse_program)
+from lqt import (CoordinatePrime, LimitTrace, MembershipVerdict, POS_INF,
+                 ShannonClass, SeriesTrace, classify_shannon, get_example,
+                 lift_along, ord_n, parse_program)
 from conftest import el
 
 F = Fraction
@@ -192,6 +192,9 @@ def test_classify_idle_coordinate_witnesses_nonvaluation(three_var):
     assert outcome.witness == "z"
     assert "converges to 3" in outcome.reason
     assert "never a pivot" in outcome.reason
+    assert outcome.multiplicity.kind == "Convergent"
+    assert outcome.multiplicity.limit == 3
+    assert outcome.union_is_pullback is None
 
 
 def test_classify_divergent_program_is_a_valuation_ring(nonarch):
@@ -218,6 +221,28 @@ def test_classify_needs_enough_passes(two_var):
     roomy = classify_shannon(program, max_passes=12)
     assert roomy.kind == "ArchimedeanNonValuation"
     assert roomy.witness == "z"
+
+
+@pytest.mark.parametrize("name, prime", [("nonarch2d", "(y)"),
+                                         ("ex5.3-shape", "(z)")])
+def test_classify_lifted_divergent_walk_is_the_full_pullback(name, prime):
+    outcome = classify_shannon(get_example(name).source)
+    assert outcome.kind == "NonArchimedean"
+    assert outcome.union_is_pullback is True
+    assert outcome.multiplicity.kind == "Divergent"
+    assert f"the full pullback along {prime}" in outcome.reason
+
+
+def test_classify_lifted_convergent_walk_is_unknown():
+    quotient = parse_program(
+        "[vars]\nx y\n[values]\nx = 1\ny = 1\n"
+        "[period]\npivot=x translate y:1->1/2\npivot=y\n")
+    lifted = lift_along(quotient, CoordinatePrime(("x", "y", "z"), ("z",)))
+    outcome = classify_shannon(lifted)
+    assert outcome.kind == "Unknown"
+    assert outcome.union_is_pullback is False
+    assert outcome.multiplicity.limit == 3
+    assert "may be smaller than the pullback along (z)" in outcome.reason
 
 
 def test_classify_rejects_other_sources():

@@ -8,6 +8,7 @@ import pytest
 
 from lqt.cli import Reporter, _agreement, main
 from lqt.analysis import MembershipVerdict
+from lqt.programs import ProgramStep
 from lqt.pullback import PullbackVerdict
 from golden_cases import GOLDEN_CASES
 
@@ -92,6 +93,17 @@ def test_usage_errors(capsys, argv, fragment):
     assert fragment in err
 
 
+def test_deep_nesting_is_a_one_line_usage_error(capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code, out, err = run_cli(capsys, "value", "--example", "ex3.7-2d",
+                             "-e", deep)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: bad element")
+    assert "nested too deeply" in err
+
+
 def test_bad_config_reports_the_path(capsys, tmp_path):
     path = tmp_path / "broken.vp"
     path.write_text("[vars]\nx\n[period]\npivot=x\n", encoding="utf-8")
@@ -122,6 +134,24 @@ def test_inconsistent_program_stops_with_exit_3(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", "--config", str(path),
                              "--steps", "1")
     assert code == 0
+
+
+# -- the walk primitive --------------------------------------------------------------
+
+def test_run_takes_one_program_step_per_stage(capsys, monkeypatch):
+    calls = []
+    next_values = ProgramStep.next_values
+
+    def counted(self, *args):
+        calls.append(args[1])
+        return next_values(self, *args)
+
+    monkeypatch.setattr(ProgramStep, "next_values", counted)
+    code, out, err = run_cli(capsys, "run", "--example", "ex3.7-2d",
+                             "--steps", "300")
+    assert code == 0
+    assert len(out.splitlines()) == 302
+    assert calls == list(range(1, 301))
 
 
 # -- undecided under --strict (exit 4) ------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lqt import ParseError, Polynomial, RationalFunction, parse_expr
+from lqt.parsing import MAX_NESTING
 from helpers import XY
 
 
@@ -93,3 +94,21 @@ def test_division_by_zero_reported_with_position():
 
 def test_stray_character():
     expect_error("x + $", "unexpected character '$'", 4)
+
+
+def test_nesting_is_capped_before_the_recursion_limit():
+    # the position is that of the first factor nested one level too deep
+    expect_error("(" * 3000 + "x" + ")" * 3000, "nested too deeply",
+                 MAX_NESTING + 1)
+    expect_error("-" * 3000 + "x", "nested too deeply", MAX_NESTING + 1)
+    expect_error("-(" * 3000 + "x" + ")" * 3000, "nested too deeply",
+                 MAX_NESTING + 1)
+
+
+def test_nesting_up_to_the_cap_parses():
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert f_of(deep) == f_of("x")
+    assert f_of("-" * MAX_NESTING + "x") == f_of("x")
+    half = MAX_NESTING // 2
+    assert f_of("(" * half + "x" + ")" * half + " + " + "(" * half + "y"
+                + ")" * half) == f_of("x + y")

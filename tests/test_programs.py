@@ -176,6 +176,22 @@ def test_three_var_extra_coordinate_drains():
     assert program.value_vector_at(20)[2] > F(1)
 
 
+def test_value_vectors_are_kept_and_failures_repeat():
+    program = two_var_program()
+    far = program.value_vector_at(6)
+    assert program.value_vector_at(3) == two_var_program().value_vector_at(3)
+    assert program.value_vector_at(6) is far
+    drifting = ValuationProgram(("u", "v"), [F(1), F(3, 2)], (),
+                                (ProgramStep(0),))
+    assert drifting.value_vector_at(1) == (F(1), F(1, 2))
+    for _ in range(2):
+        with pytest.raises(ProgramConsistencyError,
+                           match="^stage 2, coordinate u: pivot value 1 is "
+                                 "not minimal"):
+            drifting.value_vector_at(5)
+    assert drifting.value_vector_at(1) == (F(1), F(1, 2))
+
+
 def test_multiplicity_sequence_hand_values():
     program = two_var_program()
     assert multiplicity_sequence(program, 7) == [

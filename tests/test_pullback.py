@@ -9,8 +9,8 @@ from lqt import (AnalysisSession, CompositeValue, CoordinatePrime, Directive,
                  FactorialGaps, GeometricGaps, POS_INF, ProgramError,
                  PullbackVerdict, SeriesDVR, SeriesTrace, composite_value,
                  get_example, induced_quotient_program, in_prime, lift_along,
-                 member_RP, member_pullback, parse_program, quotient_value,
-                 residue)
+                 member_RP, member_pullback, multiplicity_sequence,
+                 parse_program, quotient_value, residue)
 from helpers import XY, XYZ
 from conftest import el_on
 
@@ -236,7 +236,7 @@ def test_lifted_trace_carries_infinite_values():
     assert source.value_vector_at(0) == (F(1), POS_INF)
     assert source.value_vector_at(7) == (F(1), POS_INF)
     assert source.directive_at(1) == Directive(0)
-    assert source.multiplicity_sequence(4) == [F(1)] * 4
+    assert multiplicity_sequence(source, 4) == [F(1)] * 4
 
 
 def test_lifted_trace_reindexes_directives():
@@ -255,7 +255,7 @@ def test_lifted_series_trace(prime_z):
     lifted = lift_along(SeriesTrace(SeriesDVR(XY, FactorialGaps())), prime_z)
     assert lifted.directive_at(1) == Directive(0, [(1, F(1))])
     assert lifted.value_vector_at(2) == (F(1), F(4), POS_INF)
-    assert lifted.multiplicity_sequence(3) == [F(1)] * 3
+    assert multiplicity_sequence(lifted, 3) == [F(1)] * 3
 
 
 def test_lift_checks_the_residue_field():

@@ -1,6 +1,7 @@
 """Tests for the built-in example registry and user config loading."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +33,7 @@ def test_builtin_shapes():
     two = get_example("ex3.7-2d")
     assert two.kind == "program"
     assert two.ambient == ("x", "y")
-    assert two.program is two.source
+    assert isinstance(two.source, ValuationProgram)
     assert not two.has_pullback
 
     shape = get_example("ex5.3-shape")
@@ -44,7 +45,7 @@ def test_builtin_shapes():
 
     curve = get_example("dvr-curve")
     assert curve.kind == "series"
-    assert curve.series == SeriesDVR(("x", "y"), FactorialGaps())
+    assert curve.source.dvr == SeriesDVR(("x", "y"), FactorialGaps())
     assert curve.prime is None
 
     nonarch = get_example("nonarch2d")
@@ -90,10 +91,10 @@ def test_series_config():
     example = load_config_text(
         "[vars]\nx y\n[series]\ny = geometric(3)\n", "geo")
     assert example.kind == "series"
-    assert example.series == SeriesDVR(("x", "y"), GeometricGaps(3))
+    assert example.source.dvr == SeriesDVR(("x", "y"), GeometricGaps(3))
     prefixed = load_config_text(
         "[vars]\nx y\n[series]\nseries y = factorial\n", "fac")
-    assert prefixed.series == SeriesDVR(("x", "y"), FactorialGaps())
+    assert prefixed.source.dvr == SeriesDVR(("x", "y"), FactorialGaps())
 
 
 def test_pullback_config_with_series_quotient():
@@ -151,6 +152,14 @@ def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as info:
         load_config_text(text, "bad")
     assert fragment in str(info.value)
+
+
+def test_readme_config_blocks_load():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    blocks = [b for b in readme.split("```")[1::2] if "[vars]" in b]
+    kinds = [load_config_text(text, "readme").kind for text in blocks]
+    assert kinds == ["program", "series", "pullback"]
 
 
 def test_config_error_is_a_value_error():

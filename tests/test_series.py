@@ -7,7 +7,7 @@ import pytest
 
 from lqt import (Directive, FactorialGaps, GeometricGaps,
                  PeriodicCoefficients, SeriesDVR, SeriesTrace, StreamError,
-                 parse_stream, series_value)
+                 multiplicity_sequence, parse_stream, series_value)
 from helpers import XY
 from conftest import el_on
 
@@ -186,10 +186,10 @@ def test_trace_value_vectors_carry_the_gap():
 
 def test_trace_multiplicities_are_all_one():
     trace = SeriesTrace(factorial_dvr())
-    assert trace.multiplicity_sequence(5) == [F(1)] * 5
-    assert trace.multiplicity_sequence(0) == []
+    assert multiplicity_sequence(trace, 5) == [F(1)] * 5
+    assert multiplicity_sequence(trace, 0) == []
     with pytest.raises(ValueError, match="nonnegative"):
-        trace.multiplicity_sequence(-2)
+        multiplicity_sequence(trace, -2)
 
 
 def test_trace_shape():
