@@ -139,37 +139,23 @@ class AnalysisSession:
     def __init__(self, source: DirectiveSource):
         self.source = source
         self.bases = tuple(source.bases)
-        self._steps: list[dict[str, Polynomial]] = []
-        self._pivots: list[int] = []
+        # (directive, substitution map) of step n at index n - 1
+        self._steps: list[tuple[Directive, dict[str, Polynomial]]] = []
         self._states: dict[RationalFunction, list[ElementState]] = {}
 
     # -- step bookkeeping --------------------------------------------------
 
-    def _prepare_step(self, n: int) -> None:
-        """Ensure the substitution map of step n (stage n-1 -> n) is cached."""
+    def _step(self, n: int) -> tuple[Directive, dict[str, Polynomial]]:
+        """The directive and substitution map of step n, cached."""
         while len(self._steps) < n:
             directive = self.source.directive_at(len(self._steps) + 1)
-            directive.check_dimension(len(self.bases))
-            pivot = Polynomial.variable(self.bases[directive.pivot],
-                                        self.bases)
-            images: dict[str, Polynomial] = {}
-            for j, name in enumerate(self.bases):
-                if j == directive.pivot:
-                    images[name] = pivot
-                    continue
-                img = Polynomial.variable(name, self.bases)
-                c = directive.translation_of(j)
-                if c:
-                    img = img + Polynomial.constant(c, self.bases)
-                images[name] = pivot * img
-            self._steps.append(images)
-            self._pivots.append(directive.pivot)
+            images = directive.images(self.bases)
+            self._steps.append((directive, dict(zip(self.bases, images))))
+        return self._steps[n - 1]
 
     def advance_state(self, state: ElementState, n: int) -> ElementState:
         """State at stage n from the state at stage n-1."""
-        self._prepare_step(n)
-        images = self._steps[n - 1]
-        directive = self.source.directive_at(n)
+        directive, images = self._step(n)
         p = directive.pivot
         translated = {j for j, _ in directive.translations}
         e = [0] * len(self.bases)
@@ -275,6 +261,6 @@ class AnalysisSession:
             state = self.advance_state(state, n + 1)
             if o:
                 e = list(state.exponents)
-                e[self._pivots[n]] -= o
+                e[self._step(n + 1)[0].pivot] -= o
                 state = ElementState(tuple(e), state.num, state.den)
         return LimitTrace("e", start, approx)

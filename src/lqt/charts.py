@@ -64,6 +64,17 @@ class Directive:
                 return c
         return Fraction(0)
 
+    def images(self, names: tuple[str, ...]) -> tuple[Polynomial, ...]:
+        """Images of the step's coordinates, by position, over `names`:
+        x_p for the pivot and x_p * (x_j + c_j) for every other j."""
+        self.check_dimension(len(names))
+        pivot = Polynomial.variable(names[self.pivot], names)
+        return tuple(
+            pivot if j == self.pivot else
+            pivot * (Polynomial.variable(name, names)
+                     + Polynomial.constant(self.translation_of(j), names))
+            for j, name in enumerate(names))
+
     def describe(self, bases: tuple[str, ...]) -> str:
         parts = [f"pivot={bases[self.pivot]}"]
         for j, c in self.translations:
@@ -103,29 +114,14 @@ class Chart:
         subst = {b: Polynomial.variable(b, bs) for b in bs}
         return cls(0, bs, bs, subst)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.bases)
-
     def __repr__(self) -> str:
         return f"Chart(stage={self.stage}, coords={self.coords})"
 
 
 def apply_directive(chart: Chart, directive: Directive) -> Chart:
-    directive.check_dimension(chart.dimension)
     next_stage = chart.stage + 1
     new_coords = tuple(f"{b}_{next_stage}" for b in chart.bases)
-    pivot_poly = Polynomial.variable(new_coords[directive.pivot], new_coords)
-    step: dict[str, Polynomial] = {}
-    for j, old in enumerate(chart.coords):
-        if j == directive.pivot:
-            step[old] = pivot_poly
-            continue
-        img = Polynomial.variable(new_coords[j], new_coords)
-        c = directive.translation_of(j)
-        if c:
-            img = img + Polynomial.constant(c, new_coords)
-        step[old] = pivot_poly * img
+    step = dict(zip(chart.coords, directive.images(new_coords)))
     inverse = {b: p.substitute(step) for b, p in chart.inverse_subst.items()}
     return Chart(next_stage, chart.bases, new_coords, inverse)
 
@@ -139,7 +135,9 @@ def express_in_chart(f: RationalFunction, chart: Chart) -> RationalFunction:
         return f
     cached = chart._cache.get(f)
     if cached is None:
-        cached = f.substitute_polys(chart.inverse_subst)
+        cached = RationalFunction(
+            f.numerator.substitute(chart.inverse_subst),
+            f.denominator.substitute(chart.inverse_subst))
         chart._cache[f] = cached
     return cached
 

@@ -25,12 +25,18 @@ from .programs import (Infinite, ProgramConsistencyError, ProgramError,
 from .pullback import (classify_shannon, composite_value, member_pullback,
                        member_RP, residue)
 from .registry import Example, get_example
-from .series import DEFAULT_PRECISION, StreamError
+from .series import DEFAULT_PRECISION, MAX_PRECISION, StreamError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 EXIT_UNDECIDED = 4
+
+# Caps far above any walk the examples need, so every command ends.
+MAX_STEPS = 5000
+MAX_BUDGET = 1000
+# Longest prefix of a bad element that an error message echoes.
+ECHO_LIMIT = 60
 
 
 class CLIError(Exception):
@@ -305,6 +311,8 @@ def _parse_element(expr: str, example: Example):
     try:
         f = parse_expr(expr, example.ambient)
     except ParseError as exc:
+        if len(expr) > ECHO_LIMIT:
+            expr = expr[:ECHO_LIMIT] + "..."
         raise CLIError(f"bad element {expr!r}: {exc}") from None
     return f
 
@@ -402,12 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_args(args) -> None:
-    if args.budget < 0:
-        raise CLIError("--budget must be nonnegative")
-    if args.precision < 1:
-        raise CLIError("--precision must be positive")
-    if getattr(args, "steps", 0) < 0:
-        raise CLIError("--steps must be nonnegative")
+    for flag, value, low, cap in (
+            ("--budget", args.budget, 0, MAX_BUDGET),
+            ("--precision", args.precision, 1, MAX_PRECISION),
+            ("--steps", getattr(args, "steps", 0), 0, MAX_STEPS)):
+        if value < low:
+            raise CLIError(f"{flag} must be "
+                           f"{'positive' if low else 'nonnegative'}")
+        if value > cap:
+            raise CLIError(f"{flag} must be at most {cap}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,6 +3,12 @@
 A RationalFunction is a reduced fraction of Polynomials: numerator and
 denominator are coprime and the denominator is monic under graded lex.  That
 makes equality structural, so values can be compared and hashed directly.
+
+Reduce once: every operation that can create a common factor (sum, product,
+quotient, substitution) builds one unreduced polynomial fraction and hands it
+to the constructor, whose `_reduce` takes the single `poly_gcd` and scales
+the denominator monic.  Operations that cannot create one (negation, powers,
+inverses, scaling) keep the reduced parts as they are and take no gcd.
 """
 
 from __future__ import annotations
@@ -10,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .polynomials import Exponents, Polynomial, _exact, poly_gcd
+from .polynomials import (Exponents, Polynomial, _exact, poly_gcd,
+                          substitute_terms)
 
 
 class RationalFunction:
@@ -61,9 +68,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.denominator.is_one()
-
     def is_unit_at_origin(self) -> bool:
         return (not self.is_zero()
                 and self.numerator.is_unit_at_origin()
@@ -74,12 +78,7 @@ class RationalFunction:
     def __add__(self, other: RationalFunction) -> RationalFunction:
         a, b = self.numerator, self.denominator
         c, d = other.numerator, other.denominator
-        g = poly_gcd(b, d)
-        if g.is_one():
-            return RationalFunction(a * d + c * b, b * d)
-        b1 = _exact(b, g)
-        d1 = _exact(d, g)
-        return RationalFunction(a * d1 + c * b1, g * b1 * d1)
+        return RationalFunction(a * d + c * b, b * d)
 
     def __sub__(self, other: RationalFunction) -> RationalFunction:
         return self + (-other)
@@ -88,18 +87,8 @@ class RationalFunction:
         return RationalFunction._make(-self.numerator, self.denominator)
 
     def __mul__(self, other: RationalFunction) -> RationalFunction:
-        a, b = self.numerator, self.denominator
-        c, d = other.numerator, other.denominator
-        if a.is_zero() or c.is_zero():
-            return RationalFunction._make(Polynomial.zero(a.variables),
-                                          Polynomial.one(a.variables))
-        g1 = poly_gcd(a, d)
-        if not g1.is_one():
-            a, d = _exact(a, g1), _exact(d, g1)
-        g2 = poly_gcd(c, b)
-        if not g2.is_one():
-            c, b = _exact(c, g2), _exact(b, g2)
-        return RationalFunction(a * c, b * d)
+        return RationalFunction(self.numerator * other.numerator,
+                                self.denominator * other.denominator)
 
     def __truediv__(self, other: RationalFunction) -> RationalFunction:
         return self * other.inverse()
@@ -107,7 +96,8 @@ class RationalFunction:
     def inverse(self) -> RationalFunction:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.denominator, self.numerator)
+        return RationalFunction._make(
+            *_monic_denominator(self.denominator, self.numerator))
 
     def __pow__(self, n: int) -> RationalFunction:
         if n < 0:
@@ -123,15 +113,26 @@ class RationalFunction:
         return RationalFunction._make(self.numerator.scale(c), self.denominator)
 
     def substitute(self, images: Mapping[str, RationalFunction]) -> RationalFunction:
-        """Substitute rational functions for all variables (field embedding)."""
-        num = _substitute_poly(self.numerator, images)
-        den = _substitute_poly(self.denominator, images)
-        return num / den
+        """Substitute rational functions a_v/b_v for all variables (the
+        field embedding of a birational step).
 
-    def substitute_polys(self, images: Mapping[str, Polynomial]) -> RationalFunction:
-        """Substitute polynomials for all variables."""
-        return RationalFunction(self.numerator.substitute(images),
-                                self.denominator.substitute(images))
+        Numerator and denominator are both multiplied by the product of
+        b_v^top_v, top_v the highest power of v in either, so both stay
+        polynomials; the quotient is then reduced once.  A denominator that
+        maps to zero raises ZeroDivisionError.
+        """
+        imgs = [images[v] for v in self.variables]
+        target = imgs[0].variables if imgs else self.variables
+        num, den = self.numerator, self.denominator
+        tops = [max(num.degree_in(i), den.degree_in(i))
+                for i in range(len(imgs))]
+        # exponents (e_i, top_i - e_i): powers of the a_i, then of the b_i
+        num, den = substitute_terms(
+            [[(e + tuple(t - k for t, k in zip(tops, e)), c)
+              for e, c in p.terms.items()] for p in (num, den)],
+            [g.numerator for g in imgs] + [g.denominator for g in imgs],
+            target)
+        return RationalFunction(num, den)
 
     # -- comparison ----------------------------------------------------------
 
@@ -180,33 +181,18 @@ def _safe_as_divisor(p: Polynomial) -> bool:
     return c == 1 and len(nonzero) == 1
 
 
-def _substitute_poly(p: Polynomial,
-                     images: Mapping[str, RationalFunction]) -> RationalFunction:
-    target = next(iter(images.values())).variables
-    total = RationalFunction.constant(0, target)
-    powers: dict[str, dict[int, RationalFunction]] = {}
-
-    def power(v: str, n: int) -> RationalFunction:
-        cache = powers.setdefault(v, {0: RationalFunction.constant(1, target)})
-        if n not in cache:
-            cache[n] = power(v, n - 1) * images[v]
-        return cache[n]
-
-    for e, c in p.terms.items():
-        term = RationalFunction.constant(c, target)
-        for v, k in zip(p.variables, e):
-            if k:
-                term = term * power(v, k)
-        total = total + term
-    return total
-
-
 def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """The one canonicalisation: cancel the gcd, then make den monic."""
     if num.is_zero():
         return num, Polynomial.one(num.variables)
     g = poly_gcd(num, den)
     if not g.is_one():
         num, den = _exact(num, g), _exact(den, g)
+    return _monic_denominator(num, den)
+
+
+def _monic_denominator(num: Polynomial,
+                       den: Polynomial) -> tuple[Polynomial, Polynomial]:
     _, lead = den.leading()
     if lead != 1:
         inv = Fraction(1) / lead

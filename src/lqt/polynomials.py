@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -218,34 +218,11 @@ class Polynomial:
         return result
 
     def substitute(self, images: Mapping[str, Polynomial]) -> Polynomial:
-        """Substitute polynomials for variables.
-
-        Every image must share one variable list (the target ring); variables
-        without an image are not allowed, since charts always substitute all
-        coordinates at once.
-        """
-        if not self.terms:
-            targets = next(iter(images.values())).variables if images else self.variables
-            return Polynomial.zero(targets)
+        """Substitute polynomials for all variables at once; every image
+        must live over one variable list (the target ring)."""
         imgs = [images[v] for v in self.variables]
-        target = imgs[0].variables
-        # cache powers of each image
-        powers: list[dict[int, Polynomial]] = [{0: Polynomial.one(target)} for _ in imgs]
-
-        def power(i: int, n: int) -> Polynomial:
-            cache = powers[i]
-            if n not in cache:
-                cache[n] = power(i, n - 1) * imgs[i]
-            return cache[n]
-
-        total = Polynomial.zero(target)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(c, target)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            total = total + term
-        return total
+        target = imgs[0].variables if imgs else self.variables
+        return substitute_terms([self.terms.items()], imgs, target)[0]
 
     def rename(self, variables: Iterable[str]) -> Polynomial:
         """Reinterpret over a same-length variable list (e.g. next chart)."""
@@ -326,6 +303,41 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
+
+
+def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Fraction]]],
+                     images: Sequence[Polynomial],
+                     target: tuple[str, ...]) -> list[Polynomial]:
+    """Evaluate term sets at images given by position.
+
+    Entry i of a term's exponent tuple is the power of images[i]; images
+    equal to one are skipped.  The powers are built once and shared by all
+    term sets, and each result is a polynomial over `target`.
+    """
+    if any(img.variables != target for img in images):
+        raise ValueError(f"images do not all live in the ring over {target}")
+    powers = [[Polynomial.one(target), img] for img in images]
+    skip = [img.is_one() for img in images]
+    results = []
+    for terms in termsets:
+        res: dict[Exponents, Fraction] = {}
+        for e, c in terms:
+            prod = None
+            for i, k in enumerate(e):
+                if k and not skip[i]:
+                    cache = powers[i]
+                    while len(cache) <= k:
+                        cache.append(cache[-1] * images[i])
+                    prod = cache[k] if prod is None else prod * cache[k]
+            for f, d in (prod.terms.items() if prod is not None
+                         else (((0,) * len(target), 1),)):
+                s = res.get(f, 0) + c * d
+                if s:
+                    res[f] = s
+                else:
+                    del res[f]
+        results.append(Polynomial._make(target, res))
+    return results
 
 
 # -- division and gcd ------------------------------------------------------

@@ -161,6 +161,25 @@ def test_e_approx_passes_through_failed_membership(two_var):
     assert not outcome.decided
 
 
+def test_session_reads_each_directive_once():
+    from lqt import AnalysisSession
+    source = get_example("ex3.7-2d").source
+    calls = []
+
+    class Counted:
+        bases = source.bases
+        value_vector_at = source.value_vector_at
+
+        def directive_at(self, n):
+            calls.append(n)
+            return source.directive_at(n)
+
+    session = AnalysisSession(Counted())
+    for text in ["y - x", "y/x^2", "(y - x)/x^2"]:
+        session.e_approx(el(text, session), budget=6)
+    assert calls == [1, 2, 3, 4, 5, 6]
+
+
 # -- agreement with explicit charts ---------------------------------------------------
 
 def test_session_orders_match_chart_orders(two_var):

@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from lqt import (Chart, Directive, RationalFunction, apply_directive,
-                 express_in_chart, get_example, in_ring, monomial_unit_split,
-                 ord_n, parse_expr)
+from lqt import (Chart, Directive, Polynomial, RationalFunction,
+                 apply_directive, express_in_chart, get_example, in_ring,
+                 monomial_unit_split, ord_n, parse_expr)
 from helpers import XY, random_rf
 
 
@@ -72,6 +72,16 @@ def test_directive_dimension_check():
     with pytest.raises(ValueError):
         d.check_dimension(2)
     d.check_dimension(3)
+
+
+def test_directive_images():
+    u, v = (Polynomial.variable(name, ("u", "v")) for name in ("u", "v"))
+    two = Polynomial.constant(2, ("u", "v"))
+    assert Directive(0).images(("u", "v")) == (u, u * v)
+    assert Directive(1, ((0, Fraction(2)),)).images(("u", "v")) == (
+        v * (u + two), v)
+    with pytest.raises(ValueError):
+        Directive(2).images(("u", "v"))
 
 
 def test_directive_describe():

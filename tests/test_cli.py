@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from lqt.cli import Reporter, _agreement, main
+from lqt.cli import MAX_BUDGET, MAX_STEPS, Reporter, _agreement, main
+from lqt.series import MAX_PRECISION
 from lqt.analysis import MembershipVerdict
 from lqt.programs import ProgramStep
 from lqt.pullback import PullbackVerdict
@@ -102,6 +103,29 @@ def test_deep_nesting_is_a_one_line_usage_error(capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: bad element")
     assert "nested too deeply" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("argv, flag, cap", [
+    (["run", "--example", "ex3.7-2d"], "--steps", MAX_STEPS),
+    (["value", "--example", "ex3.7-2d", "-e", "y - x"], "--budget",
+     MAX_BUDGET),
+    (["composite", "--example", "ex5.3-shape", "-e", "(y - x)/z"],
+     "--precision", MAX_PRECISION),
+])
+def test_walk_flags_are_capped(capsys, argv, flag, cap):
+    code, out, err = run_cli(capsys, *argv, flag, str(cap))
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    if flag == "--steps":
+        assert len(lines) == cap + 2
+    else:
+        assert json.loads(lines[0])["decided"] is True
+    code, out, err = run_cli(capsys, *argv, flag, str(cap + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at most {cap}\n"
 
 
 def test_bad_config_reports_the_path(capsys, tmp_path):

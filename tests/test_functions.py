@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from lqt import (Polynomial, RationalFunction, monomial_unit_parts,
+from lqt import (Polynomial, RationalFunction, functions, monomial_unit_parts,
                  ord_at_origin, parse_expr, poly_gcd)
-from helpers import XY, XYZ, random_rf, to_sympy_rf
+from helpers import XY, XYZ, random_rf, to_sympy, to_sympy_rf
 
 
 def f_of(text: str, variables=XY) -> RationalFunction:
@@ -94,6 +94,61 @@ def test_substitute_with_rational_images():
     f = f_of("y/x")
     g = f.substitute({"x": f_of("x"), "y": f_of("y/x")})
     assert g == f_of("y/x^2")
+
+
+def test_substitute_matches_sympy_with_rational_images():
+    rng = random.Random(909)
+    syms = sp.symbols(XY)
+    checked = 0
+    for _ in range(25):
+        f = random_rf(rng, max_terms=3, max_exp=2)
+        images = {v: random_rf(rng, max_terms=2, max_exp=2) for v in XY}
+        subs = {s: to_sympy_rf(images[v]) for s, v in zip(syms, XY)}
+        den = sp.cancel(to_sympy(f.denominator).subs(subs, simultaneous=True))
+        if den == 0:
+            with pytest.raises(ZeroDivisionError):
+                f.substitute(images)
+            continue
+        want = to_sympy_rf(f).subs(subs, simultaneous=True)
+        assert sp.cancel(to_sympy_rf(f.substitute(images)) - want) == 0
+        if not all(g.denominator.is_constant() for g in images.values()):
+            checked += 1
+    assert checked >= 20
+
+
+def test_substitute_raises_when_the_denominator_maps_to_zero():
+    f = f_of("x/(x^2 - y)")
+    images = {"x": f_of("1/(x + 1)"), "y": f_of("1/(x^2 + 2*x + 1)")}
+    with pytest.raises(ZeroDivisionError):
+        f.substitute(images)
+    with pytest.raises(ZeroDivisionError):
+        f_of("1/(x - y)").substitute({"x": f_of("y/(x + 1)"),
+                                      "y": f_of("y/(x + 1)")})
+
+
+def test_each_operation_reduces_once(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(functions, "poly_gcd", counted)
+    f = f_of("(x + y)/(x - 2*y)")
+    g = f_of("(x^2 + 1)/(x*y + 3)")
+    images = {"x": f_of("x/(y + 1)"), "y": f_of("(x - y)/(x + 2)")}
+    once = [lambda: f + g, lambda: f - g, lambda: f * g, lambda: f / g,
+            lambda: f.substitute(images)]
+    for op in once:
+        calls.clear()
+        op()
+        assert len(calls) == 1
+    never = [lambda: -f, lambda: f.inverse(), lambda: f ** 3,
+             lambda: f ** -2, lambda: f.scale(3)]
+    for op in never:
+        calls.clear()
+        op()
+        assert calls == []
 
 
 # -- order and monomial-times-unit shape ----------------------------------------
