@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Protocol
 
 from .charts import Directive
-from .polynomials import Polynomial, _strip_monomial
+from .polynomials import Polynomial, _strip_monomial, substitute_terms
 from .functions import RationalFunction
 from .programs import Infinite
 
@@ -125,10 +125,11 @@ def _normalized(exponents: tuple[int, ...], num: Polynomial,
     md, den = _strip_monomial(den)
     for j in range(len(e)):
         e[j] += mn[j] - md[j]
+    # every unit, one included, becomes the one shared constant
     one = Polynomial.one(num.variables)
-    if num.is_unit_at_origin() and not num.is_one():
+    if num.is_unit_at_origin():
         num = one
-    if den.is_unit_at_origin() and not den.is_one():
+    if den.is_unit_at_origin():
         den = one
     return ElementState(tuple(e), num, den)
 
@@ -139,18 +140,17 @@ class AnalysisSession:
     def __init__(self, source: DirectiveSource):
         self.source = source
         self.bases = tuple(source.bases)
-        # (directive, substitution map) of step n at index n - 1
-        self._steps: list[tuple[Directive, dict[str, Polynomial]]] = []
+        # (directive, images by position) of step n at index n - 1
+        self._steps: list[tuple[Directive, tuple[Polynomial, ...]]] = []
         self._states: dict[RationalFunction, list[ElementState]] = {}
 
     # -- step bookkeeping --------------------------------------------------
 
-    def _step(self, n: int) -> tuple[Directive, dict[str, Polynomial]]:
-        """The directive and substitution map of step n, cached."""
+    def _step(self, n: int) -> tuple[Directive, tuple[Polynomial, ...]]:
+        """The directive and coordinate images of step n, cached."""
         while len(self._steps) < n:
             directive = self.source.directive_at(len(self._steps) + 1)
-            images = directive.images(self.bases)
-            self._steps.append((directive, dict(zip(self.bases, images))))
+            self._steps.append((directive, directive.images(self.bases)))
         return self._steps[n - 1]
 
     def advance_state(self, state: ElementState, n: int) -> ElementState:
@@ -163,8 +163,10 @@ class AnalysisSession:
         for j, ej in enumerate(state.exponents):
             if j != p and j not in translated:
                 e[j] = ej
-        num = state.num if state.num.is_one() else state.num.substitute(images)
-        den = state.den if state.den.is_one() else state.den.substitute(images)
+        # one call, so numerator and denominator share the power cache
+        num, den = substitute_terms(
+            [state.num.terms.items(), state.den.terms.items()],
+            images, self.bases)
         return _normalized(tuple(e), num, den)
 
     # -- element states ----------------------------------------------------

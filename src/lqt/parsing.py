@@ -12,12 +12,20 @@ of the target ring.  Printing a value and reparsing it in the same ring gives
 the same value back.  A factor may sit inside at most MAX_NESTING
 parentheses and unary minus signs, which keeps the recursive descent well
 inside Python's recursion limit.
+
+Expression size is capped so that every parse ends in bounded time.  No
+value may have a numerator or denominator of more than MAX_TERMS terms.  A
+power of a base whose numerator or denominator has several terms may have
+an exponent of at most MAX_POWER in absolute value, and is refused before
+it is computed when the multinomial count of its terms could pass
+MAX_TERMS.  Powers of monomials are not limited.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 from typing import Iterable
 
 from .functions import RationalFunction
@@ -31,6 +39,8 @@ class ParseError(ValueError):
 
 
 MAX_NESTING = 100
+MAX_POWER = 64
+MAX_TERMS = 1000
 
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]|\S")
 
@@ -83,8 +93,9 @@ class _Parser:
         value = self.term()
         while self.peek() in ("+", "-"):
             op = self.advance()
+            pos = self.pos()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = _sized(value + rhs if op == "+" else value - rhs, pos)
         return value
 
     def term(self) -> RationalFunction:
@@ -99,6 +110,7 @@ class _Parser:
                 if rhs.is_zero():
                     raise ParseError("division by zero", pos)
                 value = value / rhs
+            value = _sized(value, pos)
         return value
 
     def factor(self) -> RationalFunction:
@@ -118,7 +130,7 @@ class _Parser:
                 n = self.exponent()
                 if n < 0 and value.is_zero():
                     raise ParseError("zero raised to a negative power", pos)
-                value = value ** n
+                value = _power(value, n, pos)
         self.depth -= 1
         return value
 
@@ -154,6 +166,33 @@ class _Parser:
             return RationalFunction.variable(tok, self.variables)
         found = tok or "end of input"
         raise ParseError(f"expected a value, found {found!r}", self.pos())
+
+
+def _terms(value: RationalFunction) -> int:
+    return max(len(value.numerator.terms), len(value.denominator.terms))
+
+
+def _sized(value: RationalFunction, pos: int) -> RationalFunction:
+    if _terms(value) > MAX_TERMS:
+        raise ParseError(f"expression has more than {MAX_TERMS} terms", pos)
+    return value
+
+
+def _power(value: RationalFunction, n: int, pos: int) -> RationalFunction:
+    """value ** n, refused before it is computed when it could be too large.
+
+    A sum of t terms raised to k has at most comb(k + t - 1, t - 1) terms,
+    so that bound keeps the result within MAX_TERMS.
+    """
+    t, k = _terms(value), abs(n)
+    if t > 1:
+        if k > MAX_POWER:
+            raise ParseError(f"exponent {n} is too large for a base of "
+                             f"several terms (at most {MAX_POWER})", pos)
+        if comb(k + t - 1, t - 1) > MAX_TERMS:
+            raise ParseError(f"power could have more than {MAX_TERMS} terms",
+                             pos)
+    return value ** n
 
 
 def parse_expr(text: str, variables: Iterable[str]) -> RationalFunction:

@@ -4,12 +4,20 @@ Terms are stored as a map from exponent tuples to nonzero Fractions, over a
 fixed ordered variable list.  The graded lexicographic order on exponent
 tuples is used for canonical printing and leading-term normalization only;
 it carries no semantic weight.
+
+Substitution (`substitute_terms`, behind both `Polynomial.substitute` and
+`RationalFunction.substitute`) splits every image into a monomial and a
+cofactor: the monomials become exponent shifts, constant cofactors become
+coefficient factors, and only the powers of non-constant cofactors are
+multiplied out, once per distinct combination of powers rather than once
+per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -17,6 +25,9 @@ Exponents = tuple[int, ...]
 
 def _grlex(e: Exponents) -> tuple[int, Exponents]:
     return (sum(e), e)
+
+
+_ONES: dict[tuple[str, ...], Polynomial] = {}
 
 
 class Polynomial:
@@ -63,8 +74,12 @@ class Polynomial:
 
     @classmethod
     def one(cls, variables: Iterable[str]) -> Polynomial:
+        # instances are immutable, so one shared constant per variable tuple
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): Fraction(1)})
+        p = _ONES.get(vs)
+        if p is None:
+            p = _ONES[vs] = cls._make(vs, {(0,) * len(vs): Fraction(1)})
+        return p
 
     @classmethod
     def constant(cls, value: Fraction | int, variables: Iterable[str]) -> Polynomial:
@@ -90,8 +105,10 @@ class Polynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        n = len(self.variables)
-        return self.terms == {(0,) * n: Fraction(1)}
+        if len(self.terms) != 1:
+            return False
+        (e, c), = self.terms.items()
+        return c == 1 and not any(e)
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -310,32 +327,89 @@ def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Fraction]]],
                      target: tuple[str, ...]) -> list[Polynomial]:
     """Evaluate term sets at images given by position.
 
-    Entry i of a term's exponent tuple is the power of images[i]; images
-    equal to one are skipped.  The powers are built once and shared by all
-    term sets, and each result is a polynomial over `target`.
+    Entry i of a term's exponent tuple is the power of images[i].  Each
+    image is split as monomial m_i times cofactor r_i, and no polynomial
+    product is built per term:
+
+    - a zero image kills every term that uses it;
+    - a constant cofactor c folds into the term's coefficient as c^k;
+    - a term prod x_i^k_i adds the exponent shift sum k_i*m_i;
+    - terms are grouped by their powers of the non-constant cofactors, and
+      each group's product prod r_i^k_i is built once from a power cache,
+      then spread over the group's shifted coefficients.
+
+    The power cache and the group products are shared by all term sets, so
+    passing a numerator and a denominator together builds each once.  Each
+    result is a polynomial over `target`.
     """
     if any(img.variables != target for img in images):
         raise ValueError(f"images do not all live in the ring over {target}")
-    powers = [[Polynomial.one(target), img] for img in images]
-    skip = [img.is_one() for img in images]
+    # per image: the monomial as sparse (index, exponent) pairs, or None for
+    # a zero image, and the constant cofactor, or None when it is not constant
+    monos: list[list[tuple[int, int]] | None] = []
+    scalars: list[Fraction | None] = []
+    powers: dict[int, list[Polynomial]] = {}
+    for i, img in enumerate(images):
+        if img.is_zero():
+            monos.append(None)
+            scalars.append(None)
+            continue
+        if img.is_monomial():
+            (m, c), = img.terms.items()
+            scalars.append(c)
+        else:
+            # several terms stay several after the monomial is stripped
+            m, r = _strip_monomial(img)
+            scalars.append(None)
+            powers[i] = [Polynomial.one(target), r]
+        monos.append([(j, k) for j, k in enumerate(m) if k])
+    products: dict[tuple[tuple[int, int], ...], Polynomial] = {}
     results = []
     for terms in termsets:
-        res: dict[Exponents, Fraction] = {}
+        groups: dict[tuple[tuple[int, int], ...], dict[Exponents, Fraction]] = {}
         for e, c in terms:
-            prod = None
+            shift = [0] * len(target)
+            key = []
             for i, k in enumerate(e):
-                if k and not skip[i]:
+                if not k:
+                    continue
+                mono = monos[i]
+                if mono is None:
+                    break
+                for j, mj in mono:
+                    shift[j] += k * mj
+                r = scalars[i]
+                if r is None:
+                    key.append((i, k))
+                elif r != 1:
+                    c = c * r ** k
+            else:
+                group = groups.setdefault(tuple(key), {})
+                t = tuple(shift)
+                s = group.get(t, 0) + c
+                if s:
+                    group[t] = s
+                else:
+                    del group[t]
+        res = groups.pop((), {})
+        for key, group in groups.items():
+            prod = products.get(key)
+            if prod is None:
+                for i, k in key:
                     cache = powers[i]
                     while len(cache) <= k:
-                        cache.append(cache[-1] * images[i])
+                        cache.append(cache[-1] * cache[1])
                     prod = cache[k] if prod is None else prod * cache[k]
-            for f, d in (prod.terms.items() if prod is not None
-                         else (((0,) * len(target), 1),)):
-                s = res.get(f, 0) + c * d
-                if s:
-                    res[f] = s
-                else:
-                    del res[f]
+                products[key] = prod
+            spread = prod.terms.items()
+            for t, c in group.items():
+                for f, d in spread:
+                    u = tuple(map(add, t, f))
+                    s = res.get(u, 0) + c * d
+                    if s:
+                        res[u] = s
+                    else:
+                        del res[u]
         results.append(Polynomial._make(target, res))
     return results
 
@@ -397,9 +471,9 @@ def _strip_monomial(p: Polynomial) -> tuple[Exponents, Polynomial]:
     m = p.min_exponents()
     if not any(m):
         return m, p
-    stripped = Polynomial(p.variables,
-                          {tuple(i - j for i, j in zip(e, m)): c
-                           for e, c in p.terms.items()})
+    stripped = Polynomial._make(p.variables,
+                                {tuple(i - j for i, j in zip(e, m)): c
+                                 for e, c in p.terms.items()})
     return m, stripped
 
 
@@ -420,7 +494,7 @@ def _as_univar(p: Polynomial, main: int) -> dict[int, Polynomial]:
         rest = list(e)
         rest[main] = 0
         coeffs.setdefault(d, {})[tuple(rest)] = c
-    return {d: Polynomial(p.variables, t) for d, t in coeffs.items()}
+    return {d: Polynomial._make(p.variables, t) for d, t in coeffs.items()}
 
 
 def _from_univar(coeffs: Mapping[int, Polynomial], main: int,
@@ -431,7 +505,7 @@ def _from_univar(coeffs: Mapping[int, Polynomial], main: int,
             ee = list(e)
             ee[main] += d
             terms[tuple(ee)] = c
-    return Polynomial(variables, terms)
+    return Polynomial._make(variables, terms)
 
 
 class _UPoly:

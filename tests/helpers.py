@@ -1,4 +1,5 @@
-"""Shared test helpers: sympy conversion and seeded random generators."""
+"""Shared test helpers: sympy conversion, seeded random generators and a
+call recorder."""
 
 from __future__ import annotations
 
@@ -43,3 +44,17 @@ def random_rf(rng: random.Random, variables: tuple[str, ...] = XY,
               max_terms: int = 4, max_exp: int = 3) -> RationalFunction:
     return RationalFunction(random_poly(rng, variables, max_terms, max_exp),
                             random_poly(rng, variables, max_terms, max_exp))
+
+
+def record_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Patch owner.name (a module function or a method) with a wrapper that
+    records the arguments of every call; returns the list they go into."""
+    calls: list[tuple] = []
+    original = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls

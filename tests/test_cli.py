@@ -3,6 +3,7 @@ table format, and config handling."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from lqt.analysis import MembershipVerdict
 from lqt.programs import ProgramStep
 from lqt.pullback import PullbackVerdict
 from golden_cases import GOLDEN_CASES
+from helpers import record_calls
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -106,6 +108,17 @@ def test_deep_nesting_is_a_one_line_usage_error(capsys):
     assert len(err) < 200
 
 
+def test_oversized_power_is_a_prompt_one_line_usage_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "value", "--example", "ex3.7-2d",
+                             "-e", "(1+x+y)^3000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "too large" in err
+
+
 @pytest.mark.parametrize("argv, flag, cap", [
     (["run", "--example", "ex3.7-2d"], "--steps", MAX_STEPS),
     (["value", "--example", "ex3.7-2d", "-e", "y - x"], "--budget",
@@ -163,19 +176,13 @@ def test_inconsistent_program_stops_with_exit_3(capsys, tmp_path):
 # -- the walk primitive --------------------------------------------------------------
 
 def test_run_takes_one_program_step_per_stage(capsys, monkeypatch):
-    calls = []
-    next_values = ProgramStep.next_values
-
-    def counted(self, *args):
-        calls.append(args[1])
-        return next_values(self, *args)
-
-    monkeypatch.setattr(ProgramStep, "next_values", counted)
+    calls = record_calls(monkeypatch, ProgramStep, "next_values")
     code, out, err = run_cli(capsys, "run", "--example", "ex3.7-2d",
                              "--steps", "300")
     assert code == 0
     assert len(out.splitlines()) == 302
-    assert calls == list(range(1, 301))
+    # next_values(self, values, stage, bases)
+    assert [args[2] for args in calls] == list(range(1, 301))
 
 
 # -- undecided under --strict (exit 4) ------------------------------------------------

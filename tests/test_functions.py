@@ -15,7 +15,7 @@ import sympy as sp
 
 from lqt import (Polynomial, RationalFunction, functions, monomial_unit_parts,
                  ord_at_origin, parse_expr, poly_gcd)
-from helpers import XY, XYZ, random_rf, to_sympy, to_sympy_rf
+from helpers import XY, XYZ, random_rf, record_calls, to_sympy, to_sympy_rf
 
 
 def f_of(text: str, variables=XY) -> RationalFunction:
@@ -127,13 +127,7 @@ def test_substitute_raises_when_the_denominator_maps_to_zero():
 
 
 def test_each_operation_reduces_once(monkeypatch):
-    calls = []
-
-    def counted(a, b):
-        calls.append((a, b))
-        return poly_gcd(a, b)
-
-    monkeypatch.setattr(functions, "poly_gcd", counted)
+    calls = record_calls(monkeypatch, functions, "poly_gcd")
     f = f_of("(x + y)/(x - 2*y)")
     g = f_of("(x^2 + 1)/(x*y + 3)")
     images = {"x": f_of("x/(y + 1)"), "y": f_of("(x - y)/(x + 2)")}

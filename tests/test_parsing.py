@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lqt import ParseError, Polynomial, RationalFunction, parse_expr
-from lqt.parsing import MAX_NESTING
+from lqt.parsing import MAX_NESTING, MAX_POWER, MAX_TERMS
 from helpers import XY
 
 
@@ -112,3 +112,28 @@ def test_nesting_up_to_the_cap_parses():
     half = MAX_NESTING // 2
     assert f_of("(" * half + "x" + ")" * half + " + " + "(" * half + "y"
                 + ")" * half) == f_of("x + y")
+
+
+def test_powers_of_sums_are_refused_before_they_are_computed():
+    expect_error("(1 + x + y)^3000", "too large for a base of several terms",
+                 12)
+    expect_error("(1 + x)^-3000", "too large")
+    expect_error(f"((x + y)/x)^{MAX_POWER + 1}", "too large")
+    # (1 + x + y)^9 has 55 terms, so its square could have 1540
+    expect_error("((1 + x + y)^9)^2", f"could have more than {MAX_TERMS}")
+    assert len(f_of(f"(1 + x)^{MAX_POWER}").numerator.terms) == MAX_POWER + 1
+
+
+def test_monomial_powers_are_not_capped():
+    assert f_of("x^3000").numerator.terms == {(3000, 0): 1}
+    assert f_of("(2*x/y)^-500") == f_of("y^500/x^500") / f_of("2^500")
+    assert f_of("(x*y)^5000") == f_of("x^5000*y^5000")
+
+
+def test_values_with_too_many_terms_are_refused():
+    expect_error("(1 + x)^40*(1 + y)^40", f"more than {MAX_TERMS} terms", 11)
+    expect_error("1/((1 + x)^40*(1 + y)^40)", f"more than {MAX_TERMS} terms")
+    # 861 + 205 terms: each summand is within the cap, the sum is not
+    big = "(1 + x)^40*(1 + y)^20"
+    expect_error(f"{big} + y^21*(1 + x)^40*(1 + y)^4",
+                 f"more than {MAX_TERMS} terms", len(big) + 3)

@@ -13,8 +13,10 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from lqt import Polynomial, divides, exact_div, poly_gcd
-from helpers import XY, XYZ, random_poly, to_sympy
+from lqt import Polynomial, RationalFunction, divides, exact_div, poly_gcd
+from lqt.charts import Directive
+from helpers import (XY, XYZ, random_poly, record_calls, to_sympy,
+                     to_sympy_rf)
 
 
 # -- construction and normalization -----------------------------------------
@@ -110,6 +112,99 @@ def test_substitute_matches_sympy():
         want = sp.expand(to_sympy(p).subs({sx: to_sympy(gx), sy: to_sympy(gy)},
                                           simultaneous=True))
         assert to_sympy(got) == want
+
+
+def _walk_step_images(rng: random.Random) -> list[tuple[Polynomial, ...]]:
+    """Directive.images for every pivot over XYZ, each non-pivot coordinate
+    translated or not: monomial and monomial-times-binomial images."""
+    out = []
+    for pivot in range(3):
+        others = [j for j in range(3) if j != pivot]
+        for chosen in ([], others[:1], others[1:], others):
+            trans = [(j, Fraction(rng.choice([-2, -1, 1, 3]),
+                                  rng.randint(1, 2))) for j in chosen]
+            out.append(Directive(pivot, trans).images(XYZ))
+    return out
+
+
+def _image_of_each_shape(rng: random.Random) -> list[Polynomial]:
+    c = Fraction(rng.choice([-3, -2, 2, 3]), rng.randint(1, 2))
+    return [
+        Polynomial.monomial(tuple(rng.randint(0, 2) for _ in XYZ), XYZ, c),
+        Polynomial.constant(c, XYZ),
+        Polynomial.one(XYZ),
+        Polynomial.zero(XYZ),
+        # a binomial with a monomial factor, and a general polynomial
+        Polynomial(XYZ, {(1, 1, 0): c, (2, 0, 1): 1}),
+        random_poly(rng, XYZ, max_terms=3, max_exp=2),
+    ]
+
+
+def _sympy_subs(p: Polynomial, images) -> sp.Expr:
+    syms = sp.symbols(XYZ)
+    return to_sympy(p).subs(dict(zip(syms, images)), simultaneous=True)
+
+
+def test_substitute_matches_sympy_for_every_image_shape():
+    rng = random.Random(212)
+    # nine terms sharing y^2: one cofactor power spread over a whole group
+    shared = Polynomial(XYZ, {(i, 2, k): i + k + 1
+                              for i in range(3) for k in range(3)})
+    polys = [shared] + [random_poly(rng, XYZ, max_terms=8, max_exp=4)
+                        for _ in range(12)]
+    cases = _walk_step_images(rng)
+    for _ in range(40):
+        shapes = _image_of_each_shape(rng)
+        cases.append(tuple(rng.choice(shapes) for _ in XYZ))
+    for images in cases:
+        for p in (shared, rng.choice(polys)):
+            got = p.substitute(dict(zip(XYZ, images)))
+            want = sp.expand(_sympy_subs(p, [to_sympy(g) for g in images]))
+            assert to_sympy(got) == want
+
+
+def test_rational_substitute_matches_sympy_for_every_image_shape():
+    rng = random.Random(213)
+    fs = [RationalFunction(random_poly(rng, XYZ, max_terms=4, max_exp=2),
+                           random_poly(rng, XYZ, max_terms=3, max_exp=2))
+          for _ in range(6)]
+    cases = [tuple(RationalFunction.from_polynomial(g) for g in images)
+             for images in _walk_step_images(rng)]
+    for _ in range(30):
+        shapes = _image_of_each_shape(rng)
+        cases.append(tuple(
+            RationalFunction(rng.choice(shapes),
+                             rng.choice([g for g in shapes if not g.is_zero()]))
+            for _ in XYZ))
+    raised = 0
+    for images in cases:
+        f = rng.choice(fs)
+        want_num = _sympy_subs(f.numerator, [to_sympy_rf(g) for g in images])
+        want_den = _sympy_subs(f.denominator, [to_sympy_rf(g) for g in images])
+        if sp.cancel(want_den) == 0:
+            raised += 1
+            with pytest.raises(ZeroDivisionError):
+                f.substitute(dict(zip(XYZ, images)))
+            continue
+        got = f.substitute(dict(zip(XYZ, images)))
+        assert sp.cancel(to_sympy_rf(got) - want_num / want_den) == 0
+    assert 0 < raised < len(cases)
+
+
+def test_walk_step_substitution_takes_no_product_per_term(monkeypatch):
+    # a 50-term polynomial through x -> x, y -> x*(y + 1), z -> x*z: only
+    # the powers of the one binomial cofactor need polynomial products
+    rng = random.Random(214)
+    terms = {}
+    while len(terms) < 50:
+        terms[tuple(rng.randint(0, 6) for _ in XYZ)] = rng.randint(1, 9)
+    p = Polynomial(XYZ, terms)
+    images = dict(zip(XYZ, Directive(0, [(1, Fraction(1))]).images(XYZ)))
+    want = sp.expand(_sympy_subs(p, [to_sympy(g) for g in images.values()]))
+    calls = record_calls(monkeypatch, Polynomial, "__mul__")
+    got = p.substitute(images)
+    assert len(calls) <= p.degree_in(1)
+    assert to_sympy(got) == want
 
 
 def test_rename_restrict_set_zero():
