@@ -14,11 +14,14 @@ parentheses and unary minus signs, which keeps the recursive descent well
 inside Python's recursion limit.
 
 Expression size is capped so that every parse ends in bounded time.  No
-value may have a numerator or denominator of more than MAX_TERMS terms.  A
-power of a base whose numerator or denominator has several terms may have
-an exponent of at most MAX_POWER in absolute value, and is refused before
-it is computed when the multinomial count of its terms could pass
-MAX_TERMS.  Powers of monomials are not limited.
+value may have a numerator or denominator of more than MAX_TERMS terms, or
+a coefficient of more than MAX_BITS bits (the bits of its numerator and
+denominator together; 1 and -1 count as zero bits).  A power of a base
+whose numerator or denominator has several terms may have an exponent of
+at most MAX_POWER in absolute value, and is refused before it is computed
+when the multinomial count of its terms could pass MAX_TERMS.  Any power is
+refused before it is computed when its coefficients could pass MAX_BITS,
+so powers of monomials with coefficients 1 and -1 are not limited.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ class ParseError(ValueError):
 MAX_NESTING = 100
 MAX_POWER = 64
 MAX_TERMS = 1000
+MAX_BITS = 4096
 
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]|\S")
 
@@ -52,6 +56,12 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         if not (tok.isdigit() or tok[0].isalpha() or tok[0] == "_"
                 or tok in "+-*/^()"):
             raise ParseError(f"unexpected character {tok!r}", m.start())
+        # leading zeros aside, more than MAX_BITS // 3 digits make more
+        # than MAX_BITS bits; such a literal is refused before int()
+        # converts it (past 4300 digits int() raises a plain ValueError)
+        if tok.isdigit() and len(tok) > MAX_BITS // 3:
+            raise ParseError(f"integer literal of more than {MAX_BITS // 3} "
+                             f"digits", m.start())
         tokens.append((tok, m.start()))
     tokens.append(("", len(text)))
     return tokens
@@ -155,8 +165,9 @@ class _Parser:
             self.expect(")")
             return value
         if tok.isdigit():
+            pos = self.pos()
             self.advance()
-            return self.one.scale(Fraction(int(tok)))
+            return _sized(self.one.scale(Fraction(int(tok))), pos)
         if tok and (tok[0].isalpha() or tok[0] == "_"):
             if tok not in self.variables:
                 raise ParseError(
@@ -172,9 +183,21 @@ def _terms(value: RationalFunction) -> int:
     return max(len(value.numerator.terms), len(value.denominator.terms))
 
 
+def _bits(value: RationalFunction) -> int:
+    """The size of the largest coefficient: the bit lengths of its
+    numerator and denominator, each counting zero when it is 1."""
+    return max(sum(k.bit_length() for k in (abs(c.numerator), c.denominator)
+                   if k > 1)
+               for p in (value.numerator, value.denominator)
+               for c in p.terms.values())
+
+
 def _sized(value: RationalFunction, pos: int) -> RationalFunction:
     if _terms(value) > MAX_TERMS:
         raise ParseError(f"expression has more than {MAX_TERMS} terms", pos)
+    if _bits(value) > MAX_BITS:
+        raise ParseError(f"expression has a coefficient of more than "
+                         f"{MAX_BITS} bits", pos)
     return value
 
 
@@ -182,7 +205,9 @@ def _power(value: RationalFunction, n: int, pos: int) -> RationalFunction:
     """value ** n, refused before it is computed when it could be too large.
 
     A sum of t terms raised to k has at most comb(k + t - 1, t - 1) terms,
-    so that bound keeps the result within MAX_TERMS.
+    so that bound keeps the result within MAX_TERMS.  An integer of b bits
+    raised to k has at most b*k bits, so that bound keeps the coefficients
+    of a monomial's power within MAX_BITS.
     """
     t, k = _terms(value), abs(n)
     if t > 1:
@@ -192,7 +217,10 @@ def _power(value: RationalFunction, n: int, pos: int) -> RationalFunction:
         if comb(k + t - 1, t - 1) > MAX_TERMS:
             raise ParseError(f"power could have more than {MAX_TERMS} terms",
                              pos)
-    return value ** n
+    if _bits(value) * k > MAX_BITS:
+        raise ParseError(f"power could have a coefficient of more than "
+                         f"{MAX_BITS} bits", pos)
+    return _sized(value ** n, pos)
 
 
 def parse_expr(text: str, variables: Iterable[str]) -> RationalFunction:

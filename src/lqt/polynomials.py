@@ -11,12 +11,18 @@ cofactor: the monomials become exponent shifts, constant cofactors become
 coefficient factors, and only the powers of non-constant cofactors are
 multiplied out, once per distinct combination of powers rather than once
 per term.
+
+The gcd (`poly_gcd`) is one subresultant pseudo-remainder sequence for every
+number of variables.  Its inputs are scaled to integer coefficients and
+nested over the n variables that occur: level 0 is an int and level k a dict
+from exponents of the k-th variable to nonzero level k-1 values (zero is 0 or
+{}).  `_gcd` at level k takes contents with itself at level k-1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -446,26 +452,6 @@ def _monic(p: Polynomial) -> Polynomial:
     return p.scale(Fraction(1) / c)
 
 
-def _integerize(p: Polynomial) -> Polynomial:
-    """Scale to integer coefficients with trivial common factor.
-
-    Any constant rescaling leaves divisibility and gcds unchanged; integer
-    coefficients keep the remainder sequences far cheaper than rationals
-    with growing denominators.
-    """
-    mult = 1
-    for c in p.terms.values():
-        mult = mult * c.denominator // gcd(mult, c.denominator)
-    ints = {e: int(c * mult) for e, c in p.terms.items()}
-    cont = 0
-    for v in ints.values():
-        cont = gcd(cont, v)
-    if cont > 1:
-        ints = {e: v // cont for e, v in ints.items()}
-    return Polynomial._make(p.variables,
-                            {e: Fraction(v) for e, v in ints.items()})
-
-
 def _strip_monomial(p: Polynomial) -> tuple[Exponents, Polynomial]:
     """Factor out the largest monomial dividing every term."""
     m = p.min_exponents()
@@ -477,171 +463,171 @@ def _strip_monomial(p: Polynomial) -> tuple[Exponents, Polynomial]:
     return m, stripped
 
 
-def _occurring(p: Polynomial) -> set[int]:
-    occ: set[int] = set()
-    for e in p.terms:
-        for i, k in enumerate(e):
-            if k:
-                occ.add(i)
-    return occ
+def _one(k: int):
+    c = 1
+    for _ in range(k):
+        c = {0: c}
+    return c
 
 
-def _as_univar(p: Polynomial, main: int) -> dict[int, Polynomial]:
-    """View p as univariate in the main variable with polynomial coefficients."""
-    coeffs: dict[int, dict[Exponents, Fraction]] = {}
-    for e, c in p.terms.items():
-        d = e[main]
-        rest = list(e)
-        rest[main] = 0
-        coeffs.setdefault(d, {})[tuple(rest)] = c
-    return {d: Polynomial._make(p.variables, t) for d, t in coeffs.items()}
+def _acc(r: dict, d: int, c, k: int) -> None:
+    """r[d] += c in place, for r at level k and c at level k-1."""
+    s = _add(r[d], c, k - 1) if d in r else c
+    if s:
+        r[d] = s
+    else:
+        del r[d]
 
 
-def _from_univar(coeffs: Mapping[int, Polynomial], main: int,
-                 variables: tuple[str, ...]) -> Polynomial:
-    terms: dict[Exponents, Fraction] = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            ee = list(e)
-            ee[main] += d
-            terms[tuple(ee)] = c
-    return Polynomial._make(variables, terms)
-
-
-class _UPoly:
-    """Dense-in-main-variable view used by the subresultant remainder loop."""
-
-    __slots__ = ("coeffs", "main", "variables")
-
-    def __init__(self, coeffs: dict[int, Polynomial], main: int,
-                 variables: tuple[str, ...]):
-        self.coeffs = {d: c for d, c in coeffs.items() if not c.is_zero()}
-        self.main = main
-        self.variables = variables
-
-    @property
-    def deg(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
-    def lc(self) -> Polynomial:
-        return self.coeffs[self.deg]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def mul_coeff(self, k: Polynomial) -> _UPoly:
-        return _UPoly({d: c * k for d, c in self.coeffs.items()},
-                      self.main, self.variables)
-
-    def shift(self, n: int) -> _UPoly:
-        return _UPoly({d + n: c for d, c in self.coeffs.items()},
-                      self.main, self.variables)
-
-    def sub(self, other: _UPoly) -> _UPoly:
-        res = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            s = res.get(d, Polynomial.zero(self.variables)) - c
-            if s.is_zero():
-                res.pop(d, None)
-            else:
-                res[d] = s
-        return _UPoly(res, self.main, self.variables)
-
-    def div_coeff_exact(self, k: Polynomial) -> _UPoly:
-        out: dict[int, Polynomial] = {}
-        for d, c in self.coeffs.items():
-            q = exact_div(c, k)
-            assert q is not None, "subresultant division was not exact"
-            out[d] = q
-        return _UPoly(out, self.main, self.variables)
-
-
-def _pseudo_rem(a: _UPoly, b: _UPoly) -> _UPoly:
-    """Pseudo-remainder of a by b in the main variable: prem(a, b)."""
-    lb = b.lc()
-    n = a.deg - b.deg + 1
-    r = a
-    while not r.is_zero() and r.deg >= b.deg:
-        t = r.lc()
-        r = r.mul_coeff(lb).sub(b.mul_coeff(t).shift(r.deg - b.deg))
-        n -= 1
-    if n > 0:
-        r = r.mul_coeff(lb ** n)
+def _add(a, b, k: int):
+    if not k:
+        return a + b
+    r = dict(a)
+    for d, c in b.items():
+        _acc(r, d, c, k)
     return r
 
 
-def _univar_content(coeffs: dict[int, Polynomial]) -> Polynomial:
-    g = None
-    for c in coeffs.values():
-        g = c if g is None else poly_gcd(g, c)
-        if g.is_one():
+def _neg(a, k: int):
+    return {d: _neg(c, k - 1) for d, c in a.items()} if k else -a
+
+
+def _mul(a, b, k: int):
+    if not k:
+        return a * b
+    r: dict = {}
+    for d, c in a.items():
+        for e, f in b.items():
+            _acc(r, d + e, _mul(c, f, k - 1), k)
+    return r
+
+
+def _pow(a, n: int, k: int):
+    r = _one(k)
+    for _ in range(n):
+        r = _mul(r, a, k)
+    return r
+
+
+def _quo(a, b, k: int):
+    """Exact quotient a/b at level k."""
+    if not k:
+        q, r = divmod(a, b)
+        assert not r, "nested division was not exact"
+        return q
+    db = max(b)
+    lb = b[db]
+    r, q = dict(a), {}
+    while r:
+        dr = max(r)
+        assert dr >= db, "nested division was not exact"
+        q[dr - db] = t = _quo(r.pop(dr), lb, k - 1)
+        t = _neg(t, k - 1)
+        for d, c in b.items():
+            if d != db:
+                _acc(r, d + dr - db, _mul(t, c, k - 1), k)
+    return q
+
+
+def _prem(a: dict, b: dict, k: int) -> dict:
+    """Full pseudo-remainder of a by b in the level-k variable:
+    lc(b)^(deg a - deg b + 1) * a reduced modulo b."""
+    db = max(b)
+    lb = b[db]
+    r = a
+    n = max(a) - db + 1
+    while r and max(r) >= db:
+        dr = max(r)
+        t = _neg(r[dr], k - 1)
+        r = _mul(r, {0: lb}, k)
+        del r[dr]
+        for d, c in b.items():
+            if d != db:
+                _acc(r, d + dr - db, _mul(t, c, k - 1), k)
+        n -= 1
+    return _mul(r, {0: _pow(lb, n, k - 1)}, k) if n > 0 and r else r
+
+
+def _primitive(a: dict, k: int) -> tuple:
+    """The content of a (the gcd of its level k-1 coefficients) and its
+    primitive part."""
+    one = _one(k - 1)
+    values = iter(a.values())
+    c = next(values)
+    for x in values:
+        if c == one:
             break
-    assert g is not None
-    return g
+        c = _gcd(c, x, k - 1)
+    return c, _div_coeffs(a, c, k)
 
 
-def _gcd_univar_rational(a: Polynomial, b: Polynomial, main: int) -> Polynomial:
-    """Primitive remainder sequence over the integers, one variable."""
-    def as_ints(p: Polynomial) -> dict[int, int]:
-        q = _integerize(p)
-        return {e[main]: int(c) for e, c in q.terms.items()}
+def _div_coeffs(a: dict, c, k: int) -> dict:
+    """a with every coefficient divided exactly by c (level k-1)."""
+    if c == _one(k - 1):
+        return a
+    return {d: _quo(x, c, k - 1) for d, x in a.items()}
 
-    def primitive(u: dict[int, int]) -> dict[int, int]:
-        g = 0
-        for c in u.values():
-            g = gcd(g, c)
-        return u if g == 1 else {d: c // g for d, c in u.items()}
 
-    def prem(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
-        x = dict(x)
-        dy = max(y)
-        ly = y[dy]
-        while x and max(x) >= dy:
-            dx = max(x)
-            lx = x[dx]
-            shift = dx - dy
-            for d in list(x):
-                x[d] *= ly
-            for d, c in y.items():
-                nd = d + shift
-                s = x.get(nd, 0) - lx * c
-                if s:
-                    x[nd] = s
-                else:
-                    x.pop(nd, None)
-        return x
+def _gcd(a, b, k: int):
+    """gcd of nonzero a and b at level k, up to sign: the gcd of the
+    contents times the primitive part of the last nonzero subresultant."""
+    if not k:
+        return gcd(a, b)
+    ca, a = _primitive(a, k)
+    cb, b = _primitive(b, k)
+    cont = _gcd(ca, cb, k - 1)
+    if max(a) < max(b):
+        a, b = b, a
+    g = h = _one(k - 1)
+    while max(b):
+        delta = max(a) - max(b)
+        r = _prem(a, b, k)
+        if not r:
+            return _mul(_primitive(b, k)[1], {0: cont}, k)
+        a, b = b, _div_coeffs(r, _mul(g, _pow(h, delta, k - 1), k - 1), k)
+        g = a[max(a)]
+        if delta == 1:
+            h = g
+        elif delta:
+            h = _quo(_pow(g, delta, k - 1), _pow(h, delta - 1, k - 1), k - 1)
+    # a remainder constant in the level-k variable: the primitive gcd is one
+    return {0: cont}
 
-    ua, ub = primitive(as_ints(a)), primitive(as_ints(b))
-    while ub:
-        ua, ub = ub, primitive(prem(ua, ub))
-    lead = ua[max(ua)]
-    terms: dict[Exponents, Fraction] = {}
-    n = len(a.variables)
-    for d, c in ua.items():
-        e = [0] * n
-        e[main] = d
-        terms[tuple(e)] = Fraction(c, lead)
-    return Polynomial(a.variables, terms)
+
+def _nest(p: Polynomial, order: Sequence[int]) -> dict:
+    """p scaled to integer coefficients, nested over the variables at the
+    indices in order (innermost first)."""
+    mult = 1
+    for c in p.terms.values():
+        mult = lcm(mult, c.denominator)
+    outer = order[:0:-1]
+    root: dict = {}
+    for e, c in p.terms.items():
+        node = root
+        for i in outer:
+            node = node.setdefault(e[i], {})
+        node[e[order[0]]] = c.numerator * (mult // c.denominator)
+    return root
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Greatest common divisor, monic under graded lex.
 
-    Subresultant pseudo-remainder sequence on primitive parts, recursing on
-    the coefficient ring through content extraction.  Monomial and univariate
-    inputs take direct fast paths.
+    Zero, constant, equal and monomial inputs are answered directly, and
+    the common monomial factor is split off.  Otherwise both remaining
+    parts are scaled to integers and nested over their n occurring
+    variables, and one subresultant pseudo-remainder sequence (`_gcd` at
+    level n) runs for every arity, taking contents with itself one level
+    down.
     """
     a._check(b)
-    if a.is_zero() and b.is_zero():
-        return a
     if a.is_zero():
-        return _monic(b)
-    if b.is_zero():
-        return _monic(a)
+        a, b = b, a
+    if b.is_zero() or a == b:
+        # gcd(a, 0) = gcd(a, a) = a, made monic; gcd(0, 0) = 0
+        return _monic(a) if a.terms else a
     if a.is_constant() or b.is_constant():
         return Polynomial.one(a.variables)
-    if a == b:
-        return _monic(a)
 
     ma, pa = _strip_monomial(a)
     mb, pb = _strip_monomial(b)
@@ -650,45 +636,15 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         # the stripped parts contribute nothing beyond the common monomial
         return Polynomial.monomial(common, a.variables)
 
-    occ = _occurring(pa) | _occurring(pb)
-    mono_part = Polynomial.monomial(common, a.variables)
-    if len(occ) == 1:
-        core = _gcd_univar_rational(pa, pb, occ.pop())
-        return mono_part * core if any(common) else core
-
-    main = min(occ)
-    pa, pb = _integerize(pa), _integerize(pb)
-    ua, ub = _as_univar(pa, main), _as_univar(pb, main)
-    ca, cb = _univar_content(ua), _univar_content(ub)
-    cont = poly_gcd(ca, cb)
-    ppa = _UPoly({d: _exact(c, ca) for d, c in ua.items()}, main, a.variables)
-    ppb = _UPoly({d: _exact(c, cb) for d, c in ub.items()}, main, a.variables)
-    if ppa.deg < ppb.deg:
-        ppa, ppb = ppb, ppa
-
-    g = Polynomial.one(a.variables)
-    h = Polynomial.one(a.variables)
-    while True:
-        delta = ppa.deg - ppb.deg
-        r = _pseudo_rem(ppa, ppb)
-        if r.is_zero():
-            break
-        if r.deg == 0:
-            # constant-in-main remainder: the primitive gcd is trivial
-            ppb = _UPoly({0: Polynomial.one(a.variables)}, main, a.variables)
-            break
-        divisor = g * h ** delta
-        ppa, ppb = ppb, r.div_coeff_exact(divisor)
-        g = ppa.lc()
-        if delta >= 1:
-            hq = exact_div(g ** delta, h ** (delta - 1))
-            assert hq is not None
-            h = hq
-    core = _from_univar(ppb.coeffs, main, a.variables)
-    core_cont = _univar_content(_as_univar(core, main))
-    core = _exact(core, core_cont)
-    result = _monic(cont * core)
-    return mono_part * result if any(common) else result
+    order = sorted({i for p in (pa, pb) for e in p.terms
+                    for i, k in enumerate(e) if k})
+    terms = [(common, _gcd(_nest(pa, order), _nest(pb, order), len(order)))]
+    for i in reversed(order):
+        terms = [(e[:i] + (e[i] + d,) + e[i + 1:], x)
+                 for e, c in terms for d, x in c.items()]
+    _, lead = max(terms, key=lambda t: _grlex(t[0]))
+    return Polynomial._make(a.variables,
+                            {e: Fraction(c, lead) for e, c in terms})
 
 
 def _exact(a: Polynomial, b: Polynomial) -> Polynomial:

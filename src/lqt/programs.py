@@ -247,10 +247,6 @@ class ValuationProgram:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ValuationProgram is immutable")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.bases)
-
     def step_at(self, n: int) -> ProgramStep:
         """The step taking stage n-1 to stage n (n >= 1)."""
         if n < 1:

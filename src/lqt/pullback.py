@@ -298,10 +298,6 @@ class LiftedTrace:
         self._ambient_index = tuple(prime.bases.index(b)
                                     for b in quotient.bases)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.bases)
-
     def directive_at(self, n: int) -> Directive:
         qd = self.quotient.directive_at(n)
         amb = self._ambient_index

@@ -280,10 +280,6 @@ class SeriesTrace:
     def bases(self) -> tuple[str, ...]:
         return self.dvr.bases
 
-    @property
-    def dimension(self) -> int:
-        return 2
-
     def directive_at(self, n: int) -> Directive:
         if n < 1:
             raise ValueError(f"step index {n} out of range")

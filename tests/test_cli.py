@@ -119,6 +119,17 @@ def test_oversized_power_is_a_prompt_one_line_usage_error(capsys):
     assert "too large" in err
 
 
+def test_huge_constant_power_is_a_prompt_one_line_usage_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "value", "--example", "ex3.7-2d",
+                             "-e", "3^100000000*x")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "bits" in err
+
+
 @pytest.mark.parametrize("argv, flag, cap", [
     (["run", "--example", "ex3.7-2d"], "--steps", MAX_STEPS),
     (["value", "--example", "ex3.7-2d", "-e", "y - x"], "--budget",

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from lqt import ParseError, Polynomial, RationalFunction, parse_expr
-from lqt.parsing import MAX_NESTING, MAX_POWER, MAX_TERMS
+from lqt.parsing import MAX_BITS, MAX_NESTING, MAX_POWER, MAX_TERMS
 from helpers import XY
 
 
@@ -137,3 +138,37 @@ def test_values_with_too_many_terms_are_refused():
     big = "(1 + x)^40*(1 + y)^20"
     expect_error(f"{big} + y^21*(1 + x)^40*(1 + y)^4",
                  f"more than {MAX_TERMS} terms", len(big) + 3)
+
+
+def test_constant_powers_are_refused_before_they_are_computed():
+    start = time.perf_counter()
+    expect_error("3^100000000*x", f"more than {MAX_BITS} bits", 2)
+    expect_error("x*(2/3)^-100000000", f"more than {MAX_BITS} bits", 8)
+    assert time.perf_counter() - start < 1
+    # 2 has two bits, so 2^k passes the check up to k = MAX_BITS/2
+    assert f_of(f"2^{MAX_BITS // 2}").numerator.terms == {
+        (0, 0): 2 ** (MAX_BITS // 2)}
+    expect_error(f"2^{MAX_BITS // 2 + 1}", f"more than {MAX_BITS} bits")
+    # coefficients 1 and -1 count as zero bits
+    assert f_of("(-x/y)^100001") == -f_of("x^100001/y^100001")
+
+
+def test_values_with_too_large_coefficients_are_refused():
+    big = "2^2000"
+    # numerator and denominator bits add up, as do the factors of a product
+    expect_error(f"{big}*{big}*{big}", f"more than {MAX_BITS} bits",
+                 2 * len(big) + 2)
+    expect_error(f"{big}*{big}/3^1300", f"more than {MAX_BITS} bits")
+    expect_error(f"x + {big}*{big}*{big}*y", f"more than {MAX_BITS} bits")
+    assert f_of(f"{big}*{big}/{big}") == f_of(big)
+
+
+def test_long_integer_literals_are_refused_before_conversion():
+    cap = MAX_BITS // 3
+    digits = "9" * 5000
+    expect_error(f"{digits}*x", f"more than {cap} digits", 0)
+    expect_error(f"x^{digits}", f"more than {cap} digits", 2)
+    expect_error("1" + "0" * cap, f"more than {cap} digits")
+    # within the digit cap, the value cap still applies
+    expect_error("7" * cap, f"more than {MAX_BITS} bits", 0)
+    assert f_of("1" + "0" * 1000) == f_of("10^1000")

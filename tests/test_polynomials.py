@@ -7,6 +7,7 @@ extraction, substitution).
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -240,17 +241,70 @@ def test_exact_div_failure_returns_none():
 
 def test_gcd_matches_sympy_up_to_associates():
     rng = random.Random(404)
-    syms = sp.symbols(XYZ)
+    pairs = []
     for _ in range(20):
         a = random_poly(rng, XYZ, max_terms=3, max_exp=2)
         b = random_poly(rng, XYZ, max_terms=3, max_exp=2)
         c = random_poly(rng, XYZ, max_terms=2, max_exp=1)
-        g = poly_gcd(a * c, b * c)
-        assert divides(g, a * c)
-        assert divides(g, b * c)
-        want = sp.gcd(to_sympy(a * c), to_sympy(b * c), *syms)
+        pairs.append((a * c, b * c))
+    x, y, z = (Polynomial.variable(v, XYZ) for v in XYZ)
+    one = Polynomial.one(XYZ)
+    pairs += [
+        # a gcd lying only in the content of one variable, either way round
+        ((y + one) * (x + y), (y + one) * (x - y)),
+        ((x + one) * (x + y), (x + one) * (y - x)),
+        ((z - one) * (x * y + one), (z - one) * (x - y) * (z + one)),
+        # polynomials in z alone
+        ((z + one) ** 2 * (z - one), (z + one) * (z * z + one)),
+        ((z ** 3).scale(2) - one, z * z + z),
+        # rational coefficients with different integer contents
+        (((x + y) * (z + one)).scale(Fraction(6, 5)),
+         ((x + y) * (x - z)).scale(Fraction(-10, 21))),
+        ((x.scale(Fraction(4, 3)) + y.scale(6)) * (y - z),
+         (x.scale(9) + y.scale(Fraction(3, 2))) * (y - z)),
+        # a common monomial factor around a nontrivial gcd
+        (x * x * y * (x + z), x * y ** 3 * (x + z) * (y + one)),
+    ]
+    # numerator and denominator of f + g for f = a/b, g = c/d with two- or
+    # three-term numerators and two-term denominators, exponents up to 2,
+    # with and without a shared denominator
+    for variables in (XY, XYZ):
+        exponents = list(itertools.product(range(3), repeat=len(variables)))
+
+        def shaped(count):
+            return Polynomial(variables, {
+                e: Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]),
+                            rng.randint(1, 3))
+                for e in rng.sample(exponents, count)})
+
+        for shared in (False, True):
+            for _ in range(3):
+                a, c = shaped(rng.randint(2, 3)), shaped(rng.randint(2, 3))
+                b, d = shaped(2), shaped(2)
+                if shared:
+                    d = b
+                pairs.append((a * d + c * b, b * d))
+    for p, q in pairs:
+        syms = sp.symbols(p.variables)
+        g = poly_gcd(p, q)
+        assert divides(g, p)
+        assert divides(g, q)
+        want = sp.gcd(to_sympy(p), to_sympy(q), *syms)
         quot, rem = sp.div(to_sympy(g), want, *syms)
         assert rem == 0 and quot.is_constant()
+
+
+def test_gcd_takes_contents_without_reentering_poly_gcd(monkeypatch):
+    from lqt import polynomials
+    calls = record_calls(monkeypatch, polynomials, "poly_gcd")
+    x, y, z = (Polynomial.variable(v, XYZ) for v in XYZ)
+    one = Polynomial.one(XYZ)
+    common = (y + one) * (x + y * z)
+    # each input has a content in y and z when read as a polynomial in x
+    p = common * (z - one.scale(2)) * (x - one)
+    q = common * (z + one.scale(3)) * (x * z + one)
+    assert polynomials.poly_gcd(p, q) == common
+    assert len(calls) == 1
 
 
 def test_gcd_edge_cases():

@@ -195,4 +195,3 @@ def test_trace_multiplicities_are_all_one():
 def test_trace_shape():
     trace = SeriesTrace(geometric_dvr())
     assert trace.bases == XY
-    assert trace.dimension == 2
