@@ -7,12 +7,14 @@ counters as integers, so output is byte-stable across runs.
 
 Exit codes: 0 success, 2 usage or config errors, 3 consistency failures
 (a stage that contradicts its program, or cross-checks that disagree),
-4 undecided results under --strict.
+4 undecided results under --strict.  Every failure, argparse's usage errors
+included, writes exactly one line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -38,6 +40,9 @@ MAX_BUDGET = 1000
 # Longest prefix of a bad element that an error message echoes.
 ECHO_LIMIT = 60
 
+# json.dumps with any non-default argument builds a new encoder per call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class CLIError(Exception):
     """User-facing failure with a dedicated exit code."""
@@ -58,7 +63,7 @@ class Reporter:
 
     def emit(self, obj: dict) -> None:
         if self.fmt == "json":
-            print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+            print(_JSON.encode(obj))
         else:
             print(self._as_table_row(obj))
 
@@ -330,9 +335,23 @@ def _resolve_example(args) -> Example:
             return load_config_file(args.config)
         except FileNotFoundError:
             raise CLIError(f"config file not found: {args.config}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise CLIError(f"cannot read config {args.config}: "
+                           f"{reason}") from None
         except (ConfigError, ProgramError, StreamError) as exc:
             raise CLIError(f"bad config {args.config}: {exc}") from None
     raise CLIError("an example is required: --example NAME or --config FILE")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one line, like every other
+    failure of a command; add_subparsers builds its subparsers from this
+    class too."""
+
+    def error(self, message: str):
+        print(f"error: {' '.join(message.split())}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _add_common(parser: argparse.ArgumentParser, elements: bool = False) -> None:
@@ -352,8 +371,12 @@ def _add_common(parser: argparse.ArgumentParser, elements: bool = False) -> None
                             help="element of the ambient field (repeatable)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The argparse tree, built on the first call of main and shared by
+    every later one: parse_args leaves it as it was.  Examples and sessions
+    are still built afresh for each call."""
+    parser = _ArgumentParser(
         prog="lqt",
         description="exact computations along iterated local quadratic "
                     "transforms")
@@ -364,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--steps", type=int, default=8,
                    help="number of transform steps to walk")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("member", help="membership of elements in the union "
                                       "ring")
@@ -372,11 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("union", "pullback", "both"),
                    default="union",
                    help="check the stage union, the pullback ring, or both")
-    p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("classify", help="classify the union ring")
     _add_common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("multiplicity", help="stage multiplicities")
     _add_common(p)
@@ -384,27 +404,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of entries to list")
     p.add_argument("--sum", action="store_true",
                    help="include the partial sum")
-    p.set_defaults(func=cmd_multiplicity)
 
     p = sub.add_parser("value", help="exact values of elements")
     _add_common(p, elements=True)
-    p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("wapprox", help="order-ratio approximants")
     _add_common(p, elements=True)
     p.add_argument("--ref", dest="reference", metavar="EXPR",
                    help="reference element (default: the first variable)")
-    p.set_defaults(func=cmd_wapprox)
 
     p = sub.add_parser("eapprox", help="transform-order approximants")
     _add_common(p, elements=True)
-    p.set_defaults(func=cmd_eapprox)
 
     p = sub.add_parser("composite", help="rank-two values along the prime")
     _add_common(p, elements=True)
     p.add_argument("--diagnostic", action="store_true",
                    help="include localization and pullback details")
-    p.set_defaults(func=cmd_composite)
 
     return parser
 
@@ -428,7 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _validate_args(args)
         example = _resolve_example(args)
-        args.func(example, args, rep)
+        # looked up at each call, so that a wrapped or patched command runs
+        globals()[f"cmd_{args.command}"](example, args, rep)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -22,6 +22,8 @@ at most MAX_POWER in absolute value, and is refused before it is computed
 when the multinomial count of its terms could pass MAX_TERMS.  Any power is
 refused before it is computed when its coefficients could pass MAX_BITS,
 so powers of monomials with coefficients 1 and -1 are not limited.
+`parse_rational` reads one rational literal, such as a config value, under
+the same MAX_BITS cap.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .functions import RationalFunction
 from .polynomials import Polynomial
@@ -49,8 +51,12 @@ MAX_BITS = 4096
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]|\S")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
+def _tokenize(text: str) -> Iterator[tuple[str, int]]:
+    """Yield (token, position) pairs, then ("", len(text)).
+
+    Tokens are produced as the parser asks for them, so a fault it meets
+    first (too deep a nesting, say) ends the parse before the rest of the
+    text is scanned."""
     for m in _TOKEN.finditer(text):
         tok = m.group()
         if not (tok.isdigit() or tok[0].isalpha() or tok[0] == "_"
@@ -62,28 +68,28 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
         if tok.isdigit() and len(tok) > MAX_BITS // 3:
             raise ParseError(f"integer literal of more than {MAX_BITS // 3} "
                              f"digits", m.start())
-        tokens.append((tok, m.start()))
-    tokens.append(("", len(text)))
-    return tokens
+        yield tok, m.start()
+    yield "", len(text)
 
 
 class _Parser:
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.tokens = _tokenize(text)
-        self.i = 0
+        # the one lookahead token and its position
+        self.tok, self.at = next(self.tokens)
         self.depth = 0
         self.variables = variables
         self.one = RationalFunction.from_polynomial(Polynomial.one(variables))
 
     def peek(self) -> str:
-        return self.tokens[self.i][0]
+        return self.tok
 
     def pos(self) -> int:
-        return self.tokens[self.i][1]
+        return self.at
 
     def advance(self) -> str:
-        tok = self.tokens[self.i][0]
-        self.i += 1
+        tok = self.tok
+        self.tok, self.at = next(self.tokens)
         return tok
 
     def expect(self, tok: str) -> None:
@@ -183,11 +189,16 @@ def _terms(value: RationalFunction) -> int:
     return max(len(value.numerator.terms), len(value.denominator.terms))
 
 
+def _fraction_bits(c: Fraction) -> int:
+    """The bit lengths of c's numerator and denominator, each counting zero
+    when it is 1."""
+    return sum(k.bit_length() for k in (abs(c.numerator), c.denominator)
+               if k > 1)
+
+
 def _bits(value: RationalFunction) -> int:
-    """The size of the largest coefficient: the bit lengths of its
-    numerator and denominator, each counting zero when it is 1."""
-    return max(sum(k.bit_length() for k in (abs(c.numerator), c.denominator)
-                   if k > 1)
+    """The size of the largest coefficient."""
+    return max(_fraction_bits(c)
                for p in (value.numerator, value.denominator)
                for c in p.terms.values())
 
@@ -229,3 +240,30 @@ def parse_expr(text: str, variables: Iterable[str]) -> RationalFunction:
     if not text.strip():
         raise ParseError("empty expression", 0)
     return _Parser(text, vs).parse()
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational literal in any form Fraction() reads ("-3/4", "0.25",
+    "1e-3"), within the size cap on an expression's coefficients.
+
+    A literal that makes more than MAX_BITS // 3 digits, its exponent
+    included, is refused before Fraction() builds it (1e99999 would build
+    10^99999); a value of more than MAX_BITS bits is refused after.
+    Raises ValueError with a one-line message."""
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(ch.isdigit() for ch in mantissa)
+    exponent_digits = sum(ch.isdigit() for ch in exponent)
+    if exponent_digits:
+        # leading zeros aside, an exponent of k digits is at least
+        # 10^(k-1); past 10^6 the literal is refused all the same
+        digits += 10 ** min(exponent_digits - 1, 6)
+    if digits > MAX_BITS // 3:
+        raise ValueError(f"rational literal of more than {MAX_BITS // 3} "
+                         f"digits")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad rational {text!r}") from None
+    if _fraction_bits(value) > MAX_BITS:
+        raise ValueError(f"rational of more than {MAX_BITS} bits")
+    return value

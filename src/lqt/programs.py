@@ -20,7 +20,8 @@ Programs are read from and written to a small text format::
     pivot=y
 
 A ``translate y:c->r`` clause translates y by the constant c and assigns the
-new coordinate the value r times the pivot value.
+new coordinate the value r times the pivot value.  Every rational is read
+by `parsing.parse_rational`, so none passes the parser's MAX_BITS.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .charts import Directive
+from .parsing import parse_rational
 
 
 class ProgramError(ValueError):
@@ -432,9 +434,9 @@ def split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
 
 def _parse_fraction(text: str, lineno: int) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ProgramFormatError(f"bad rational {text!r}", lineno) from None
+        return parse_rational(text)
+    except ValueError as exc:
+        raise ProgramFormatError(str(exc), lineno) from None
 
 
 def parse_step(line: str, bases: tuple[str, ...],

@@ -19,6 +19,7 @@ from typing import Iterable
 
 from .charts import Directive
 from .functions import RationalFunction
+from .parsing import parse_rational
 from .polynomials import Polynomial
 
 DEFAULT_PRECISION = 16
@@ -149,9 +150,10 @@ def parse_stream(text: str) -> CoefficientStream:
     m_per = _call_args(text, "periodic")
     if m_per is not None:
         try:
-            cycle = [Fraction(a) for a in m_per]
-        except (ValueError, ZeroDivisionError):
-            raise StreamError(f"bad periodic cycle in {text!r}") from None
+            cycle = [parse_rational(a) for a in m_per]
+        except ValueError as exc:
+            raise StreamError(f"bad periodic cycle in {text!r}: "
+                              f"{exc}") from None
         return PeriodicCoefficients(cycle)
     raise StreamError(f"unknown series form {text!r}")
 

@@ -170,6 +170,93 @@ def test_argparse_rejects_missing_pieces(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["value", "--example", "ex3.7-2d"], "required: -e/--element"),
+    (["run", "--example", "ex3.7-2d", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["run", "--example", "ex3.7-2d", "--format", "xml"],
+     "invalid choice: 'xml'"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+])
+def test_argparse_usage_errors_are_one_line(capsys, argv, fragment):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert fragment in captured.err
+
+
+def test_unreadable_config_is_a_one_line_usage_error(capsys, tmp_path):
+    binary = tmp_path / "binary.vp"
+    binary.write_bytes(b"\xff\xfe\x00[vars]\n")
+    for path in (tmp_path, binary):
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: cannot read config {path}: ")
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("[vars]\nx y\n[values]\nx = 1\ny = 1e99999\n[period]\npivot=x\n",
+     "line 5: rational literal of more than"),
+    ("[vars]\nx y\n[values]\nx = 1\ny = 1e1300\n[period]\npivot=x\n",
+     "line 5: rational of more than"),
+    (f"[vars]\nx y\n[values]\nx = 1\ny = 1\n[period]\n"
+     f"pivot=x translate y:1->{'9' * 5000}\n",
+     "line 7: rational literal of more"),
+    ("[vars]\nx y\n[series]\ny = periodic(1, 1e99999)\n",
+     "bad periodic cycle"),
+], ids=["value-digits", "value-bits", "translate-digits", "periodic-digits"])
+def test_huge_config_rationals_are_a_prompt_one_line_usage_error(
+        capsys, tmp_path, text, fragment):
+    path = tmp_path / "huge.vp"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert fragment in err
+    assert len(err) < 200
+
+
+def test_repeated_calls_share_no_parser_state(capsys):
+    def elements(out: str) -> list[str]:
+        return [json.loads(line)["element"] for line in out.splitlines()]
+
+    code, out, _ = run_cli(capsys, "value", "--example", "ex3.7-2d",
+                           "-e", "x", "-e", "y")
+    assert (code, elements(out)) == (0, ["x", "y"])
+    code, out, _ = run_cli(capsys, "value", "--example", "ex3.7-2d",
+                           "-e", "y - x")
+    assert (code, elements(out)) == (0, ["y - x"])
+
+    code, out, _ = run_cli(capsys, "run", "--example", "ex3.7-2d",
+                           "--steps", "3", "--format", "table")
+    assert code == 0
+    assert len(out.splitlines()) == 5
+    assert not out.startswith("{")
+    code, out, _ = run_cli(capsys, "run", "--example", "ex3.7-2d")
+    assert code == 0
+    stages = [json.loads(line) for line in out.splitlines()][1:]
+    assert [row["stage"] for row in stages] == list(range(9))
+
+    with pytest.raises(SystemExit):
+        main(["member", "--example", "ex3.7-2d", "--mode", "both"])
+    assert run_cli(capsys, "run", "--example", "nope")[0] == 2
+    for filename, argv in GOLDEN_CASES:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        with open(os.path.join(GOLDEN_DIR, filename),
+                  encoding="utf-8") as handle:
+            assert out == handle.read(), filename
+
+
 # -- consistency failures (exit 3) ----------------------------------------------------
 
 def test_inconsistent_program_stops_with_exit_3(capsys, tmp_path):

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from lqt import ParseError, Polynomial, RationalFunction, parse_expr
-from lqt.parsing import MAX_BITS, MAX_NESTING, MAX_POWER, MAX_TERMS
+from lqt.parsing import (MAX_BITS, MAX_NESTING, MAX_POWER, MAX_TERMS,
+                         parse_rational)
 from helpers import XY
 
 
@@ -106,6 +107,13 @@ def test_nesting_is_capped_before_the_recursion_limit():
                  MAX_NESTING + 1)
 
 
+def test_tokens_are_read_no_further_than_the_nesting_cap():
+    # the stray character lies past the factor that is nested too deeply,
+    # so the parse ends before the tokenizer reaches it
+    expect_error("(" * 200 + "x" + ")" * 200 + "$", "nested too deeply",
+                 MAX_NESTING + 1)
+
+
 def test_nesting_up_to_the_cap_parses():
     deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
     assert f_of(deep) == f_of("x")
@@ -172,3 +180,24 @@ def test_long_integer_literals_are_refused_before_conversion():
     # within the digit cap, the value cap still applies
     expect_error("7" * cap, f"more than {MAX_BITS} bits", 0)
     assert f_of("1" + "0" * 1000) == f_of("10^1000")
+
+
+def test_rational_literals_are_capped_like_coefficients():
+    assert parse_rational("-3/4") == Fraction(-3, 4)
+    assert parse_rational(" 0.25 ") == Fraction(1, 4)
+    assert parse_rational("1e-3") == Fraction(1, 1000)
+    assert parse_rational(str(2 ** (MAX_BITS - 1))) == 2 ** (MAX_BITS - 1)
+    start = time.perf_counter()
+    for text, fragment in [
+            (str(2 ** MAX_BITS), f"more than {MAX_BITS} bits"),
+            ("1/3e400", "bad rational"),
+            ("1e1300", f"more than {MAX_BITS} bits"),
+            ("1e99999", f"more than {MAX_BITS // 3} digits"),
+            ("0e-" + "9" * 5000, f"more than {MAX_BITS // 3} digits"),
+            ("9" * 5000, f"more than {MAX_BITS // 3} digits"),
+            ("1/0", "bad rational '1/0'"),
+            ("x", "bad rational 'x'")]:
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert fragment in str(info.value)
+    assert time.perf_counter() - start < 1
