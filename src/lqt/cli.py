@@ -37,7 +37,7 @@ EXIT_UNDECIDED = 4
 # Caps far above any walk the examples need, so every command ends.
 MAX_STEPS = 5000
 MAX_BUDGET = 1000
-# Longest prefix of a bad element that an error message echoes.
+# Longest prefix of a bad element or argument that an error message echoes.
 ECHO_LIMIT = 60
 
 # json.dumps with any non-default argument builds a new encoder per call
@@ -316,10 +316,12 @@ def _parse_element(expr: str, example: Example):
     try:
         f = parse_expr(expr, example.ambient)
     except ParseError as exc:
-        if len(expr) > ECHO_LIMIT:
-            expr = expr[:ECHO_LIMIT] + "..."
-        raise CLIError(f"bad element {expr!r}: {exc}") from None
+        raise CLIError(f"bad element {_shorten(expr)!r}: {exc}") from None
     return f
+
+
+def _shorten(text: str, limit: int = ECHO_LIMIT) -> str:
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 def _resolve_example(args) -> Example:
@@ -350,7 +352,10 @@ class _ArgumentParser(argparse.ArgumentParser):
     class too."""
 
     def error(self, message: str):
-        print(f"error: {' '.join(message.split())}", file=sys.stderr)
+        # argparse echoes bad arguments in full: each word is shortened like
+        # a bad element, and the whole message to a few such echoes
+        line = " ".join(_shorten(word) for word in message.split())
+        print(f"error: {_shorten(line, 3 * ECHO_LIMIT)}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

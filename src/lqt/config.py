@@ -23,6 +23,9 @@ from .registry import (Example, make_program_example, make_pullback_example,
                        make_series_example)
 from .series import SeriesDVR, StreamError, parse_stream
 
+# configs are short hand-written files; anything longer is refused unread
+MAX_CONFIG_BYTES = 1 << 20
+
 _PROGRAM_SECTIONS = {"vars", "values", "preperiod", "period"}
 
 _SERIES_LINE = re.compile(
@@ -66,8 +69,14 @@ def load_config_text(text: str, name: str) -> Example:
 
 
 def load_config_file(path: str) -> Example:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    """Load a UTF-8 config file of at most MAX_CONFIG_BYTES bytes; no more
+    than one byte past the cap is read, so an endless file (/dev/zero) is
+    refused at once."""
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"config of more than {MAX_CONFIG_BYTES} bytes")
+    text = data.decode("utf-8")
     name = os.path.splitext(os.path.basename(path))[0]
     return load_config_text(text, name)
 

@@ -6,8 +6,9 @@ makes equality structural, so values can be compared and hashed directly.
 
 Reduce once: every operation that can create a common factor (sum, product,
 quotient, substitution) builds one unreduced polynomial fraction and hands it
-to the constructor, whose `_reduce` takes the single `poly_gcd` and scales
-the denominator monic.  Operations that cannot create one (negation, powers,
+to the constructor, whose `_reduce` makes one `cofactors` call (the gcd and
+both quotients by it, with no polynomial division) and scales the
+denominator monic.  Operations that cannot create one (negation, powers,
 inverses, scaling) keep the reduced parts as they are and take no gcd.
 """
 
@@ -16,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .polynomials import (Exponents, Polynomial, _exact, poly_gcd,
-                          substitute_terms)
+from .polynomials import Exponents, Polynomial, cofactors, substitute_terms
 
 
 class RationalFunction:
@@ -182,12 +182,11 @@ def _safe_as_divisor(p: Polynomial) -> bool:
 
 
 def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """The one canonicalisation: cancel the gcd, then make den monic."""
+    """The one canonicalisation: one `cofactors` call cancels the gcd, then
+    den is made monic."""
     if num.is_zero():
         return num, Polynomial.one(num.variables)
-    g = poly_gcd(num, den)
-    if not g.is_one():
-        num, den = _exact(num, g), _exact(den, g)
+    _, num, den = cofactors(num, den)
     return _monic_denominator(num, den)
 
 

@@ -12,18 +12,21 @@ coefficient factors, and only the powers of non-constant cofactors are
 multiplied out, once per distinct combination of powers rather than once
 per term.
 
-The gcd (`poly_gcd`) is one subresultant pseudo-remainder sequence for every
-number of variables.  Its inputs are scaled to integer coefficients and
-nested over the n variables that occur: level 0 is an int and level k a dict
-from exponents of the k-th variable to nonzero level k-1 values (zero is 0 or
-{}).  `_gcd` at level k takes contents with itself at level k-1.
+The gcd and its cofactors (`cofactors`, with `poly_gcd` its first entry)
+come from one subresultant pseudo-remainder sequence for every number of
+variables.  Its inputs are scaled to integer coefficients and nested over
+the n variables that occur: level 0 is an int and level k a dict from
+exponents of the k-th variable to nonzero level k-1 values (zero is 0 or
+{}).  `_gcd` at level k takes contents with itself at level k-1, and the
+cofactors are exact quotients (`_quo`) at the same level, so no division
+of `Polynomial`s is made.  `exact_div` remains as the general division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -172,10 +175,12 @@ class Polynomial:
         self._check(other)
         res = dict(self.terms)
         for e, c in other.terms.items():
-            s = res.get(e, Fraction(0)) + c
-            if s:
+            s = res.get(e)
+            if s is None:
+                res[e] = c
+            elif s := s + c:
                 res[e] = s
-            elif e in res:
+            else:
                 del res[e]
         return Polynomial._make(self.variables, res)
 
@@ -183,10 +188,12 @@ class Polynomial:
         self._check(other)
         res = dict(self.terms)
         for e, c in other.terms.items():
-            s = res.get(e, Fraction(0)) - c
-            if s:
+            s = res.get(e)
+            if s is None:
+                res[e] = -c
+            elif s := s - c:
                 res[e] = s
-            elif e in res:
+            else:
                 del res[e]
         return Polynomial._make(self.variables, res)
 
@@ -204,10 +211,12 @@ class Polynomial:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = tuple(i + j for i, j in zip(e1, e2))
-                s = res.get(e, Fraction(0)) + c1 * c2
-                if s:
+                s = res.get(e)
+                if s is None:
+                    res[e] = c1 * c2
+                elif s := s + c1 * c2:
                     res[e] = s
-                elif e in res:
+                else:
                     del res[e]
         return Polynomial._make(self.variables, res)
 
@@ -268,13 +277,11 @@ class Polynomial:
 
     def set_zero(self, names: Iterable[str]) -> Polynomial:
         """Set the named variables to zero, staying in the same ring."""
-        drop = {self.variables.index(v) for v in names}
-        res: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in drop):
-                continue
-            res[e] = res.get(e, Fraction(0)) + c
-        return Polynomial(self.variables, res)
+        drop = [self.variables.index(v) for v in names]
+        # surviving terms keep their exponents, so none of them collide
+        return Polynomial._make(self.variables, {
+            e: c for e, c in self.terms.items()
+            if not any(e[i] for i in drop)})
 
     # -- comparison / hashing ---------------------------------------------
 
@@ -447,20 +454,18 @@ def divides(b: Polynomial, a: Polynomial) -> bool:
     return exact_div(a, b) is not None
 
 
-def _monic(p: Polynomial) -> Polynomial:
-    _, c = p.leading()
-    return p.scale(Fraction(1) / c)
+def _shift(p: Polynomial, m: Exponents) -> Polynomial:
+    """p divided by the monomial with exponents m, which must divide it."""
+    if not any(m):
+        return p
+    return Polynomial._make(p.variables, {tuple(map(sub, e, m)): c
+                                          for e, c in p.terms.items()})
 
 
 def _strip_monomial(p: Polynomial) -> tuple[Exponents, Polynomial]:
     """Factor out the largest monomial dividing every term."""
     m = p.min_exponents()
-    if not any(m):
-        return m, p
-    stripped = Polynomial._make(p.variables,
-                                {tuple(i - j for i, j in zip(e, m)): c
-                                 for e, c in p.terms.items()})
-    return m, stripped
+    return m, _shift(p, m)
 
 
 def _one(k: int):
@@ -594,9 +599,9 @@ def _gcd(a, b, k: int):
     return {0: cont}
 
 
-def _nest(p: Polynomial, order: Sequence[int]) -> dict:
+def _nest(p: Polynomial, order: Sequence[int]) -> tuple[int, dict]:
     """p scaled to integer coefficients, nested over the variables at the
-    indices in order (innermost first)."""
+    indices in order (innermost first), with the integer scale."""
     mult = 1
     for c in p.terms.values():
         mult = lcm(mult, c.denominator)
@@ -607,47 +612,75 @@ def _nest(p: Polynomial, order: Sequence[int]) -> dict:
         for i in outer:
             node = node.setdefault(e[i], {})
         node[e[order[0]]] = c.numerator * (mult // c.denominator)
-    return root
+    return mult, root
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Greatest common divisor, monic under graded lex.
-
-    Zero, constant, equal and monomial inputs are answered directly, and
-    the common monomial factor is split off.  Otherwise both remaining
-    parts are scaled to integers and nested over their n occurring
-    variables, and one subresultant pseudo-remainder sequence (`_gcd` at
-    level n) runs for every arity, taking contents with itself one level
-    down.
-    """
-    a._check(b)
-    if a.is_zero():
-        a, b = b, a
-    if b.is_zero() or a == b:
-        # gcd(a, 0) = gcd(a, a) = a, made monic; gcd(0, 0) = 0
-        return _monic(a) if a.terms else a
-    if a.is_constant() or b.is_constant():
-        return Polynomial.one(a.variables)
-
-    ma, pa = _strip_monomial(a)
-    mb, pb = _strip_monomial(b)
-    common = tuple(min(i, j) for i, j in zip(ma, mb))
-    if pa.is_monomial() or pb.is_monomial():
-        # the stripped parts contribute nothing beyond the common monomial
-        return Polynomial.monomial(common, a.variables)
-
-    order = sorted({i for p in (pa, pb) for e in p.terms
-                    for i, k in enumerate(e) if k})
-    terms = [(common, _gcd(_nest(pa, order), _nest(pb, order), len(order)))]
+def _unnest(root: dict, order: Sequence[int],
+            base: Exponents) -> list[tuple[Exponents, int]]:
+    """The terms of root, nested over the variables at the indices in
+    order, with their exponents shifted by base."""
+    terms = [(base, root)]
     for i in reversed(order):
         terms = [(e[:i] + (e[i] + d,) + e[i + 1:], x)
                  for e, c in terms for d, x in c.items()]
-    _, lead = max(terms, key=lambda t: _grlex(t[0]))
-    return Polynomial._make(a.variables,
-                            {e: Fraction(c, lead) for e, c in terms})
+    return terms
 
 
-def _exact(a: Polynomial, b: Polynomial) -> Polynomial:
-    q = exact_div(a, b)
-    assert q is not None, "expected exact divisibility"
-    return q
+def _scaled(variables: tuple[str, ...], terms: list[tuple[Exponents, int]],
+            num: int, den: int) -> Polynomial:
+    return Polynomial._make(variables,
+                            {e: Fraction(c * num, den) for e, c in terms})
+
+
+def cofactors(a: Polynomial,
+              b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(g, a/g, b/g) for g the greatest common divisor, monic under graded
+    lex; gcd(0, 0) is 0, with cofactors 0.
+
+    Zero, constant, equal and monomial inputs are answered directly, and
+    the common monomial factor is split off as exponent shifts.  Otherwise
+    both remaining parts are scaled to integers and nested over their n
+    occurring variables, and one subresultant pseudo-remainder sequence
+    (`_gcd` at level n) gives their integer gcd h for every arity.  The
+    cofactors are exact quotients by h at the same level, skipped when h is
+    one, and each result is un-nested once.
+    """
+    a._check(b)
+    vs = a.variables
+    if not a.terms or not b.terms or a == b:
+        # gcd(a, 0) = gcd(a, a) = a made monic; each cofactor is 0 or lc(a)
+        p = a if a.terms else b
+        if not p.terms:
+            return p, p, p
+        _, lead = p.leading()
+        lc = Polynomial.constant(lead, vs)
+        return p.scale(1 / lead), lc if a.terms else a, lc if b.terms else b
+    if a.is_constant() or b.is_constant():
+        return Polynomial.one(vs), a, b
+
+    ma, pa = _strip_monomial(a)
+    mb, pb = _strip_monomial(b)
+    common = tuple(map(min, ma, mb))
+    # a stripped part that is a monomial contributes nothing to the gcd
+    if not (pa.is_monomial() or pb.is_monomial()):
+        order = sorted({i for p in (pa, pb) for e in p.terms
+                        for i, k in enumerate(e) if k})
+        n = len(order)
+        sa, na = _nest(pa, order)
+        sb, nb = _nest(pb, order)
+        h = _gcd(na, nb, n)
+        if h != _one(n):
+            g = _unnest(h, order, common)
+            _, lead = max(g, key=lambda t: _grlex(t[0]))
+            fa = _unnest(_quo(na, h, n), order, tuple(map(sub, ma, common)))
+            fb = _unnest(_quo(nb, h, n), order, tuple(map(sub, mb, common)))
+            return (_scaled(vs, g, 1, lead), _scaled(vs, fa, lead, sa),
+                    _scaled(vs, fb, lead, sb))
+    return (Polynomial.monomial(common, vs), _shift(a, common),
+            _shift(b, common))
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Greatest common divisor, monic under graded lex: the first entry of
+    `cofactors`."""
+    return cofactors(a, b)[0]

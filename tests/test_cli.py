@@ -8,6 +8,7 @@ import time
 import pytest
 
 from lqt.cli import MAX_BUDGET, MAX_STEPS, Reporter, _agreement, main
+from lqt.config import MAX_CONFIG_BYTES
 from lqt.series import MAX_PRECISION
 from lqt.analysis import MembershipVerdict
 from lqt.programs import ProgramStep
@@ -198,6 +199,37 @@ def test_unreadable_config_is_a_one_line_usage_error(capsys, tmp_path):
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith(f"error: cannot read config {path}: ")
+
+
+def test_long_argparse_arguments_are_echoed_shortened(capsys):
+    long = "z" * 5000
+    for argv in ([long], ["run", "--example", "ex3.7-2d", "--steps", long],
+                 ["run", "--example", "ex3.7-2d"] + ["q"] * 300):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert len(captured.err) < 200
+
+
+def test_oversized_config_is_a_prompt_one_line_usage_error(capsys, tmp_path):
+    fits = tmp_path / "fits.vp"
+    fits.write_bytes(PROGRAM_TEXT.encode().ljust(MAX_CONFIG_BYTES, b"#"))
+    code, _, err = run_cli(capsys, "run", "--config", str(fits))
+    assert (code, err) == (0, "")
+    big = tmp_path / "big.vp"
+    big.write_bytes(PROGRAM_TEXT.encode().ljust(MAX_CONFIG_BYTES + 1, b"#"))
+    for path in (big, "/dev/zero"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: bad config {path}: config of more than "
+                       f"{MAX_CONFIG_BYTES} bytes\n")
 
 
 @pytest.mark.parametrize("text, fragment", [

@@ -14,7 +14,7 @@ import pytest
 import sympy as sp
 
 from lqt import (Polynomial, RationalFunction, functions, monomial_unit_parts,
-                 ord_at_origin, parse_expr, poly_gcd)
+                 ord_at_origin, parse_expr, poly_gcd, polynomials)
 from helpers import XY, XYZ, random_rf, record_calls, to_sympy, to_sympy_rf
 
 
@@ -127,7 +127,7 @@ def test_substitute_raises_when_the_denominator_maps_to_zero():
 
 
 def test_each_operation_reduces_once(monkeypatch):
-    calls = record_calls(monkeypatch, functions, "poly_gcd")
+    calls = record_calls(monkeypatch, functions, "cofactors")
     f = f_of("(x + y)/(x - 2*y)")
     g = f_of("(x^2 + 1)/(x*y + 3)")
     images = {"x": f_of("x/(y + 1)"), "y": f_of("(x - y)/(x + 2)")}
@@ -143,6 +143,23 @@ def test_each_operation_reduces_once(monkeypatch):
         calls.clear()
         op()
         assert calls == []
+
+
+def test_reduce_takes_no_exact_division(monkeypatch):
+    divisions = record_calls(monkeypatch, polynomials, "exact_div")
+    reductions = record_calls(monkeypatch, functions, "cofactors")
+    f = f_of("(x + y)/(x^2 - 2*x*y)")
+    g = f_of("(x - 2*y)/(x^2*y + 3*x)")
+    images = {"x": f_of("x/(y + 1)"), "y": f_of("x*y")}
+    for op in [lambda: f + g, lambda: f - g, lambda: f * g, lambda: f / g,
+               lambda: f.substitute(images)]:
+        divisions.clear()
+        reductions.clear()
+        op()
+        # a nontrivial common factor is cancelled, from the cofactors alone
+        (num, den), = reductions
+        assert not poly_gcd(num, den).is_one()
+        assert divisions == []
 
 
 # -- order and monomial-times-unit shape ----------------------------------------

@@ -15,6 +15,7 @@ import pytest
 import sympy as sp
 
 from lqt import Polynomial, RationalFunction, divides, exact_div, poly_gcd
+from lqt.polynomials import cofactors
 from lqt.charts import Directive
 from helpers import (XY, XYZ, random_poly, record_calls, to_sympy,
                      to_sympy_rf)
@@ -239,7 +240,7 @@ def test_exact_div_failure_returns_none():
     assert not divides(y, x)
 
 
-def test_gcd_matches_sympy_up_to_associates():
+def _gcd_pairs() -> list[tuple[Polynomial, Polynomial]]:
     rng = random.Random(404)
     pairs = []
     for _ in range(20):
@@ -284,14 +285,50 @@ def test_gcd_matches_sympy_up_to_associates():
                 if shared:
                     d = b
                 pairs.append((a * d + c * b, b * d))
-    for p, q in pairs:
-        syms = sp.symbols(p.variables)
+    return pairs
+
+
+def _assert_sympy_associate(g: Polynomial, p: Polynomial, q: Polynomial):
+    syms = sp.symbols(p.variables)
+    want = sp.gcd(to_sympy(p), to_sympy(q), *syms)
+    quot, rem = sp.div(to_sympy(g), want, *syms)
+    assert rem == 0 and quot.is_constant()
+
+
+def test_gcd_matches_sympy_up_to_associates():
+    for p, q in _gcd_pairs():
         g = poly_gcd(p, q)
         assert divides(g, p)
         assert divides(g, q)
-        want = sp.gcd(to_sympy(p), to_sympy(q), *syms)
-        quot, rem = sp.div(to_sympy(g), want, *syms)
-        assert rem == 0 and quot.is_constant()
+        _assert_sympy_associate(g, p, q)
+
+
+def test_cofactors_match_sympy():
+    x, y = (Polynomial.variable(v, XY) for v in XY)
+    zero, one = Polynomial.zero(XY), Polynomial.one(XY)
+    shortcuts = [
+        (zero, zero),
+        (zero, x.scale(Fraction(-3, 2))),
+        ((x + y).scale(3), zero),
+        ((x * y - one).scale(Fraction(2, 7)),) * 2,
+        (one.scale(Fraction(5, 3)), x + y),
+        (x * x + y, one.scale(-2)),
+        # a monomial once the common monomial is stripped
+        ((x * y ** 2).scale(4), x * x * y * (x + y)),
+        (x * (y - one), (x ** 3 * y).scale(Fraction(-1, 2))),
+        # a common monomial factor around coprime stripped parts
+        (x * y * (x + one), (y * y * (y - x)).scale(6)),
+    ]
+    for p, q in _gcd_pairs() + shortcuts:
+        g, cp, cq = cofactors(p, q)
+        assert g * cp == p
+        assert g * cq == q
+        assert g == poly_gcd(p, q)
+        if p.is_zero() and q.is_zero():
+            assert g.is_zero()
+            continue
+        assert g.leading()[1] == 1
+        _assert_sympy_associate(g, p, q)
 
 
 def test_gcd_takes_contents_without_reentering_poly_gcd(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from lqt import (Directive, GeometricGaps, NEG_INF, POS_INF, Polynomial,
                  RationalFunction, SeriesDVR, divides, exact_div,
                  ord_at_origin, parse_expr, poly_gcd, series_value)
+from lqt.polynomials import cofactors
 from helpers import XY
 
 F = Fraction
@@ -63,6 +64,10 @@ def test_gcd_divides_and_leaves_coprime_parts(a, b):
     assert divides(g, b)
     assert poly_gcd(exact_div(a, g), exact_div(b, g)).is_one()
     assert poly_gcd(a, b) == poly_gcd(b, a)
+    h, ca, cb = cofactors(a, b)
+    assert h == g and h.leading()[1] == 1
+    assert g * ca == a and g * cb == b
+    assert cofactors(b, a) == (g, cb, ca)
 
 
 @settings(deadline=None)
