@@ -9,7 +9,7 @@ series-defined valuations; and pullbacks of quotient valuations through
 coordinate primes.
 """
 
-from .polynomials import Polynomial, divides, exact_div, poly_gcd
+from .polynomials import Polynomial, exact_div, poly_gcd
 from .functions import RationalFunction, monomial_unit_parts, ord_at_origin
 from .parsing import ParseError, parse_expr
 from .charts import (Chart, Directive, apply_directive, express_in_chart,
@@ -71,7 +71,6 @@ __all__ = [
     "classify_multiplicity",
     "classify_shannon",
     "composite_value",
-    "divides",
     "exact_div",
     "example_names",
     "express_in_chart",

@@ -78,6 +78,9 @@ class RationalFunction:
     def __add__(self, other: RationalFunction) -> RationalFunction:
         a, b = self.numerator, self.denominator
         c, d = other.numerator, other.denominator
+        if b == d:
+            # one shared denominator (one, in every sum the parser builds)
+            return RationalFunction(a + c, b)
         return RationalFunction(a * d + c * b, b * d)
 
     def __sub__(self, other: RationalFunction) -> RationalFunction:
@@ -106,7 +109,6 @@ class RationalFunction:
                                       self.denominator ** n)
 
     def scale(self, c: Fraction | int) -> RationalFunction:
-        c = Fraction(c)
         if c == 0:
             return RationalFunction._make(Polynomial.zero(self.variables),
                                           Polynomial.one(self.variables))
@@ -194,7 +196,7 @@ def _monic_denominator(num: Polynomial,
                        den: Polynomial) -> tuple[Polynomial, Polynomial]:
     _, lead = den.leading()
     if lead != 1:
-        inv = Fraction(1) / lead
+        inv = Fraction(1, lead)
         num, den = num.scale(inv), den.scale(inv)
     return num, den
 

@@ -173,7 +173,7 @@ class _Parser:
         if tok.isdigit():
             pos = self.pos()
             self.advance()
-            return _sized(self.one.scale(Fraction(int(tok))), pos)
+            return _sized(self.one.scale(int(tok)), pos)
         if tok and (tok[0].isalpha() or tok[0] == "_"):
             if tok not in self.variables:
                 raise ParseError(

@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms are stored as a map from exponent tuples to nonzero Fractions, over a
-fixed ordered variable list.  The graded lexicographic order on exponent
-tuples is used for canonical printing and leading-term normalization only;
-it carries no semantic weight.
+Terms are stored as a map from exponent tuples to nonzero coefficients, over
+a fixed ordered variable list.  A whole coefficient is a Python int and any
+other one a Fraction with denominator > 1 (never a float, never a whole
+Fraction), so walk steps and integer input run on machine-word ints; an int
+compares and hashes equal to the whole Fraction it stands for.  The graded
+lexicographic order on exponent tuples is used for canonical printing and
+leading-term normalization only; it carries no semantic weight.
 
 Substitution (`substitute_terms`, behind both `Polynomial.substitute` and
 `RationalFunction.substitute`) splits every image into a monomial and a
@@ -30,6 +33,26 @@ from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction
+
+
+def coefficient(c) -> Coefficient:
+    """c as a coefficient: an int when it is whole, else a Fraction.  A
+    float is refused, since it is rarely the rational it was meant to be."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}; use an int or a Fraction")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _wholes(terms: dict) -> dict:
+    """terms, with every whole Fraction value made an int in place."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
 
 
 def _grlex(e: Exponents) -> tuple[int, Exponents]:
@@ -42,8 +65,8 @@ _ONES: dict[tuple[str, ...], Polynomial] = {}
 class Polynomial:
     """Immutable sparse polynomial over the rationals.
 
-    Construction normalizes: zero coefficients are dropped and all
-    coefficients are coerced to Fraction.  Instances hash by value, so they
+    Construction normalizes: zero coefficients are dropped, whole ones
+    become ints and the others Fractions.  Instances hash by value, so they
     can key memoization tables.
     """
 
@@ -51,12 +74,12 @@ class Polynomial:
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Fraction | int]):
         vs = tuple(variables)
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Coefficient] = {}
         for exps, coeff in terms.items():
             if len(exps) != len(vs):
                 raise ValueError(f"exponent vector {exps} does not match {len(vs)} variables")
-            c = Fraction(coeff)
-            if c != 0:
+            c = coefficient(coeff)
+            if c:
                 clean[tuple(exps)] = c
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "terms", clean)
@@ -67,8 +90,9 @@ class Polynomial:
 
     @classmethod
     def _make(cls, variables: tuple[str, ...],
-              terms: dict[Exponents, Fraction]) -> Polynomial:
-        """Internal constructor: terms must already be clean (nonzero Fractions)."""
+              terms: dict[Exponents, Coefficient]) -> Polynomial:
+        """Internal constructor: terms must already be clean (nonzero, whole
+        coefficients ints)."""
         p = object.__new__(cls)
         object.__setattr__(p, "variables", variables)
         object.__setattr__(p, "terms", terms)
@@ -87,13 +111,13 @@ class Polynomial:
         vs = tuple(variables)
         p = _ONES.get(vs)
         if p is None:
-            p = _ONES[vs] = cls._make(vs, {(0,) * len(vs): Fraction(1)})
+            p = _ONES[vs] = cls._make(vs, {(0,) * len(vs): 1})
         return p
 
     @classmethod
     def constant(cls, value: Fraction | int, variables: Iterable[str]) -> Polynomial:
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): Fraction(value)})
+        return cls(vs, {(0,) * len(vs): value})
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str]) -> Polynomial:
@@ -101,12 +125,12 @@ class Polynomial:
         i = vs.index(name)
         e = [0] * len(vs)
         e[i] = 1
-        return cls(vs, {tuple(e): Fraction(1)})
+        return cls._make(vs, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, exps: Exponents, variables: Iterable[str],
                  coeff: Fraction | int = 1) -> Polynomial:
-        return cls(variables, {tuple(exps): Fraction(coeff)})
+        return cls(variables, {tuple(exps): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -125,8 +149,8 @@ class Polynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+    def constant_term(self) -> Coefficient:
+        return self.terms.get((0,) * len(self.variables), 0)
 
     def is_unit_at_origin(self) -> bool:
         """True iff the constant term is nonzero (unit of the local ring)."""
@@ -157,7 +181,7 @@ class Polynomial:
             mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
         return mins  # type: ignore[return-value]
 
-    def leading(self) -> tuple[Exponents, Fraction]:
+    def leading(self) -> tuple[Exponents, Coefficient]:
         """Leading (exponents, coefficient) under graded lex."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -182,7 +206,7 @@ class Polynomial:
                 res[e] = s
             else:
                 del res[e]
-        return Polynomial._make(self.variables, res)
+        return Polynomial._make(self.variables, _wholes(res))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         self._check(other)
@@ -195,7 +219,7 @@ class Polynomial:
                 res[e] = s
             else:
                 del res[e]
-        return Polynomial._make(self.variables, res)
+        return Polynomial._make(self.variables, _wholes(res))
 
     def __neg__(self) -> Polynomial:
         return Polynomial._make(self.variables,
@@ -207,7 +231,7 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        res: dict[Exponents, Fraction] = {}
+        res: dict[Exponents, Coefficient] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = tuple(i + j for i, j in zip(e1, e2))
@@ -218,22 +242,22 @@ class Polynomial:
                     res[e] = s
                 else:
                     del res[e]
-        return Polynomial._make(self.variables, res)
+        return Polynomial._make(self.variables, _wholes(res))
 
     def scale(self, c: Fraction | int) -> Polynomial:
-        c = Fraction(c)
-        if c == 0:
+        c = coefficient(c)
+        if not c:
             return Polynomial.zero(self.variables)
         return Polynomial._make(self.variables,
-                                {e: k * c for e, k in self.terms.items()})
+                                _wholes({e: k * c for e, k in self.terms.items()}))
 
     def mul_monomial(self, exps: Exponents, coeff: Fraction | int = 1) -> Polynomial:
-        c = Fraction(coeff)
-        if c == 0:
+        c = coefficient(coeff)
+        if not c:
             return Polynomial.zero(self.variables)
-        return Polynomial._make(self.variables,
-                                {tuple(i + j for i, j in zip(e, exps)): k * c
-                                 for e, k in self.terms.items()})
+        return Polynomial._make(self.variables, _wholes(
+            {tuple(i + j for i, j in zip(e, exps)): k * c
+             for e, k in self.terms.items()}))
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
@@ -256,19 +280,12 @@ class Polynomial:
         target = imgs[0].variables if imgs else self.variables
         return substitute_terms([self.terms.items()], imgs, target)[0]
 
-    def rename(self, variables: Iterable[str]) -> Polynomial:
-        """Reinterpret over a same-length variable list (e.g. next chart)."""
-        vs = tuple(variables)
-        if len(vs) != len(self.variables):
-            raise ValueError("variable count mismatch in rename")
-        return Polynomial(vs, self.terms)
-
     def restrict(self, keep: Iterable[str]) -> Polynomial:
         """Project onto a variable subset; dropped variables must not occur."""
         ks = tuple(keep)
         idx = [self.variables.index(v) for v in ks]
         dropped = [i for i in range(len(self.variables)) if i not in idx]
-        res: dict[Exponents, Fraction] = {}
+        res: dict[Exponents, Coefficient] = {}
         for e, c in self.terms.items():
             if any(e[i] for i in dropped):
                 raise ValueError("polynomial involves a dropped variable")
@@ -299,7 +316,7 @@ class Polynomial:
 
     # -- printing ----------------------------------------------------------
 
-    def sorted_terms(self) -> Iterator[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> Iterator[tuple[Exponents, Coefficient]]:
         for e in sorted(self.terms, key=_grlex, reverse=True):
             yield e, self.terms[e]
 
@@ -335,7 +352,7 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
-def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Fraction]]],
+def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Coefficient]]],
                      images: Sequence[Polynomial],
                      target: tuple[str, ...]) -> list[Polynomial]:
     """Evaluate term sets at images given by position.
@@ -360,7 +377,7 @@ def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Fraction]]],
     # per image: the monomial as sparse (index, exponent) pairs, or None for
     # a zero image, and the constant cofactor, or None when it is not constant
     monos: list[list[tuple[int, int]] | None] = []
-    scalars: list[Fraction | None] = []
+    scalars: list[Coefficient | None] = []
     powers: dict[int, list[Polynomial]] = {}
     for i, img in enumerate(images):
         if img.is_zero():
@@ -379,7 +396,7 @@ def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Fraction]]],
     products: dict[tuple[tuple[int, int], ...], Polynomial] = {}
     results = []
     for terms in termsets:
-        groups: dict[tuple[tuple[int, int], ...], dict[Exponents, Fraction]] = {}
+        groups: dict[tuple[tuple[int, int], ...], dict[Exponents, Coefficient]] = {}
         for e, c in terms:
             shift = [0] * len(target)
             key = []
@@ -423,7 +440,7 @@ def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Fraction]]],
                         res[u] = s
                     else:
                         del res[u]
-        results.append(Polynomial._make(target, res))
+        results.append(Polynomial._make(target, _wholes(res)))
     return results
 
 
@@ -437,21 +454,17 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial | None:
     if a.is_zero():
         return a
     lead_e, lead_c = b.leading()
-    quo: dict[Exponents, Fraction] = {}
+    quo: dict[Exponents, Coefficient] = {}
     rem = a
     while not rem.is_zero():
         re, rc = rem.leading()
         qe = tuple(i - j for i, j in zip(re, lead_e))
         if any(k < 0 for k in qe):
             return None
-        qc = rc / lead_c
+        qc = Fraction(rc, lead_c)
         quo[qe] = qc
         rem = rem - b.mul_monomial(qe, qc)
     return Polynomial(a.variables, quo)
-
-
-def divides(b: Polynomial, a: Polynomial) -> bool:
-    return exact_div(a, b) is not None
 
 
 def _shift(p: Polynomial, m: Exponents) -> Polynomial:
@@ -628,8 +641,12 @@ def _unnest(root: dict, order: Sequence[int],
 
 def _scaled(variables: tuple[str, ...], terms: list[tuple[Exponents, int]],
             num: int, den: int) -> Polynomial:
-    return Polynomial._make(variables,
-                            {e: Fraction(c * num, den) for e, c in terms})
+    """The integer terms times num/den."""
+    out: dict[Exponents, Coefficient] = {}
+    for e, c in terms:
+        q, r = divmod(c * num, den)
+        out[e] = Fraction(c * num, den) if r else q
+    return Polynomial._make(variables, out)
 
 
 def cofactors(a: Polynomial,
@@ -654,7 +671,8 @@ def cofactors(a: Polynomial,
             return p, p, p
         _, lead = p.leading()
         lc = Polynomial.constant(lead, vs)
-        return p.scale(1 / lead), lc if a.terms else a, lc if b.terms else b
+        return (p.scale(Fraction(1, lead)), lc if a.terms else a,
+                lc if b.terms else b)
     if a.is_constant() or b.is_constant():
         return Polynomial.one(vs), a, b
 

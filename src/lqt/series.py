@@ -20,7 +20,7 @@ from typing import Iterable
 from .charts import Directive
 from .functions import RationalFunction
 from .parsing import parse_rational
-from .polynomials import Polynomial
+from .polynomials import Coefficient, Polynomial, coefficient
 
 DEFAULT_PRECISION = 16
 MAX_PRECISION = 1024
@@ -33,16 +33,17 @@ class StreamError(ValueError):
 class CoefficientStream:
     """Coefficients a_1, a_2, ... of a series sum(a_i x^i) with a_0 = 0."""
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> Coefficient:
+        """a_i: an int when it is whole, else a Fraction."""
         raise NotImplementedError
 
     def next_nonzero(self, after: int) -> int:
         """Smallest index > after with a nonzero coefficient."""
         raise NotImplementedError
 
-    def truncate(self, cap: int) -> dict[int, Fraction]:
+    def truncate(self, cap: int) -> dict[int, Coefficient]:
         """Sparse coefficients of the truncation to degree <= cap."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, Coefficient] = {}
         i = self.next_nonzero(0)
         while i <= cap:
             out[i] = self.coefficient(i)
@@ -72,11 +73,11 @@ class GeometricGaps(CoefficientStream):
             raise StreamError(f"geometric gap base must be >= 2, got {base}")
         self.base = base
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> Coefficient:
         e = 1
         while e < i:
             e *= self.base
-        return Fraction(1) if e == i and i >= 1 else Fraction(0)
+        return 1 if e == i and i >= 1 else 0
 
     def next_nonzero(self, after: int) -> int:
         e = 1
@@ -91,12 +92,12 @@ class GeometricGaps(CoefficientStream):
 class FactorialGaps(CoefficientStream):
     """Coefficient 1 at the factorials: x + x^2 + x^6 + x^24 + ..."""
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> Coefficient:
         e, k = 1, 1
         while e < i:
             k += 1
             e *= k
-        return Fraction(1) if e == i and i >= 1 else Fraction(0)
+        return 1 if e == i and i >= 1 else 0
 
     def next_nonzero(self, after: int) -> int:
         e, k = 1, 1
@@ -113,14 +114,14 @@ class PeriodicCoefficients(CoefficientStream):
     """Coefficients cycling through a fixed tuple, starting at x^1."""
 
     def __init__(self, cycle: Iterable[Fraction]):
-        cs = tuple(Fraction(c) for c in cycle)
+        cs = tuple(coefficient(c) for c in cycle)
         if not cs or all(c == 0 for c in cs):
             raise StreamError("periodic cycle needs a nonzero entry")
         self.cycle = cs
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> Coefficient:
         if i < 1:
-            return Fraction(0)
+            return 0
         return self.cycle[(i - 1) % len(self.cycle)]
 
     def next_nonzero(self, after: int) -> int:
@@ -229,16 +230,16 @@ def _certified_order(p: Polynomial, dvr: SeriesDVR, cap: int) -> int | None:
 
 
 def _evaluate_truncated(p: Polynomial, dvr: SeriesDVR,
-                        cap: int) -> dict[int, Fraction]:
+                        cap: int) -> dict[int, Coefficient]:
     """p(x, tau(x)) as sparse coefficients modulo x^(cap+1)."""
     tau = dvr.stream.truncate(cap)
-    by_y_degree: dict[int, dict[int, Fraction]] = {}
+    by_y_degree: dict[int, dict[int, Coefficient]] = {}
     for (a, b), c in p.terms.items():
         if a <= cap:
-            group = by_y_degree.setdefault(b, {})
-            group[a] = group.get(a, Fraction(0)) + c
-    out: dict[int, Fraction] = {}
-    power: dict[int, Fraction] = {0: Fraction(1)}
+            # each (a, b) is one term, so no two terms meet here
+            by_y_degree.setdefault(b, {})[a] = c
+    out: dict[int, Coefficient] = {}
+    power: dict[int, Coefficient] = {0: 1}
     degree = 0
     for b in sorted(by_y_degree):
         while degree < b:
@@ -250,19 +251,24 @@ def _evaluate_truncated(p: Polynomial, dvr: SeriesDVR,
             for j, cj in power.items():
                 k = i + j
                 if k <= cap:
-                    out[k] = out.get(k, Fraction(0)) + ci * cj
-    return {k: v for k, v in out.items() if v}
+                    out[k] = out.get(k, 0) + ci * cj
+    return _nonzero(out)
 
 
-def _mul_truncated(a: dict[int, Fraction], b: dict[int, Fraction],
-                   cap: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _mul_truncated(a: dict[int, Coefficient], b: dict[int, Coefficient],
+                   cap: int) -> dict[int, Coefficient]:
+    out: dict[int, Coefficient] = {}
     for i, ci in a.items():
         for j, cj in b.items():
             k = i + j
             if k <= cap:
-                out[k] = out.get(k, Fraction(0)) + ci * cj
-    return {k: v for k, v in out.items() if v}
+                out[k] = out.get(k, 0) + ci * cj
+    return _nonzero(out)
+
+
+def _nonzero(coeffs: dict[int, Coefficient]) -> dict[int, Coefficient]:
+    """The nonzero coefficients, whole ones as ints."""
+    return {k: coefficient(v) for k, v in coeffs.items() if v}
 
 
 class SeriesTrace:

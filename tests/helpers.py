@@ -1,5 +1,5 @@
-"""Shared test helpers: sympy conversion, seeded random generators and a
-call recorder."""
+"""Shared test helpers: sympy conversion, seeded random generators, a call
+recorder and the polynomial utilities only tests use."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import sympy as sp
 
-from lqt import Polynomial, RationalFunction
+from lqt import Polynomial, RationalFunction, exact_div
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -58,3 +58,14 @@ def record_calls(monkeypatch, owner, name: str) -> list[tuple]:
 
     monkeypatch.setattr(owner, name, recorded)
     return calls
+
+
+def divides(b: Polynomial, a: Polynomial) -> bool:
+    return exact_div(a, b) is not None
+
+
+def rename(p: Polynomial, variables: tuple[str, ...]) -> Polynomial:
+    """p reinterpreted over a same-length variable list."""
+    if len(variables) != len(p.variables):
+        raise ValueError("variable count mismatch in rename")
+    return Polynomial(variables, p.terms)

@@ -7,11 +7,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from lqt import (Directive, GeometricGaps, NEG_INF, POS_INF, Polynomial,
-                 RationalFunction, SeriesDVR, divides, exact_div,
-                 ord_at_origin, parse_expr, poly_gcd, series_value)
+from lqt import (Directive, GeometricGaps, NEG_INF, POS_INF,
+                 PeriodicCoefficients, Polynomial, RationalFunction,
+                 SeriesDVR, exact_div, ord_at_origin, parse_expr, poly_gcd,
+                 series_value)
 from lqt.polynomials import cofactors
-from helpers import XY
+from lqt.series import _evaluate_truncated
+from helpers import XY, divides
 
 F = Fraction
 
@@ -85,6 +87,54 @@ def test_canonical_form_is_coprime_with_monic_denominator(num, den):
         return
     assert poly_gcd(f.numerator, f.denominator).is_one()
     assert f.denominator.leading()[1] == 1
+
+
+# -- coefficient representation -------------------------------------------------------
+
+def _is_coefficient(c) -> bool:
+    """An int, or a Fraction that is not whole: never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def _polynomials_of(*values):
+    for v in values:
+        if isinstance(v, RationalFunction):
+            yield v.numerator
+            yield v.denominator
+        else:
+            yield v
+
+
+@settings(deadline=None, max_examples=50)
+@given(elements, nonzero_elements, nonzero_polynomials, nonzero_polynomials,
+       coefficients, st.integers(-2, 2),
+       st.lists(coefficients, min_size=1, max_size=3))
+def test_coefficients_are_ints_when_whole(two_var, f, g, a, b, c, n, cycle):
+    x, y = (RationalFunction.variable(v, XY) for v in XY)
+    shift = {"x": x, "y": x * (y + RationalFunction.constant(c, XY))}
+    state = two_var.initial_state(g)
+    state = two_var.advance_state(two_var.advance_state(state, 1), 2)
+    polys = list(_polynomials_of(
+        f + g, f - g, f * g, f / g, g ** n, f.substitute(shift),
+        parse_expr(str(f), XY), a + b, a - b, a * b, a ** 2,
+        a.scale(c), a.scale(1 / c), a.substitute({"x": a, "y": b}),
+        *cofactors(a, b), *cofactors(a, a), *cofactors(a, a.scale(c)),
+        *cofactors(a, Polynomial.zero(XY)), exact_div(a * b, b),
+        state.num, state.den))
+    for p in polys:
+        assert all(_is_coefficient(k) for k in p.terms.values()), p.terms
+    dvr = SeriesDVR(XY, PeriodicCoefficients(cycle))
+    truncated = _evaluate_truncated(a, dvr, 6)
+    assert all(_is_coefficient(k) for k in truncated.values()), truncated
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError, match="float coefficient"):
+        Polynomial(XY, {(1, 0): 0.5})
+    with pytest.raises(TypeError, match="float coefficient"):
+        Polynomial.one(XY).scale(1 / 3)
+    assert Polynomial.constant(F(6, 3), XY).terms == {(0, 0): 2}
+    assert type(Polynomial.constant(F(6, 3), XY).terms[(0, 0)]) is int
 
 
 # -- parser ---------------------------------------------------------------------------

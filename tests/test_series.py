@@ -2,12 +2,17 @@
 with certified precision, and the induced transform sequence."""
 
 from fractions import Fraction
+from math import factorial
 
+import hypothesis.strategies as st
 import pytest
+import sympy as sp
+from hypothesis import assume, given, settings
 
 from lqt import (Directive, FactorialGaps, GeometricGaps,
-                 PeriodicCoefficients, SeriesDVR, SeriesTrace, StreamError,
-                 multiplicity_sequence, parse_stream, series_value)
+                 PeriodicCoefficients, Polynomial, RationalFunction,
+                 SeriesDVR, SeriesTrace, StreamError, multiplicity_sequence,
+                 parse_stream, series_value)
 from helpers import XY
 from conftest import el_on
 
@@ -161,6 +166,94 @@ def test_series_value_input_checks():
         series_value(dvr, el_on("x - x", XY))
     with pytest.raises(ValueError, match="does not live in the field"):
         series_value(dvr, el_on("x", ("x", "z")))
+
+
+# -- series values against sympy ------------------------------------------------------
+
+# Each series with its truncation to degree n, written out from its
+# definition rather than read from the stream.  series_value doubles its
+# precision from 4, so ORACLE_DEGREE is the last truncation it looks at.
+ORACLE_DEGREE = 32
+SERIES = [
+    (GeometricGaps(2), lambda n: {2 ** k: 1 for k in range(n.bit_length())
+                                  if 2 ** k <= n}),
+    (FactorialGaps(), lambda n: {factorial(k): 1 for k in range(1, 8)
+                                 if factorial(k) <= n}),
+    (PeriodicCoefficients([F(1), F(-1, 2)]),
+     lambda n: {i: 1 if i % 2 else F(-1, 2) for i in range(1, n + 1)}),
+]
+
+
+def _truncation_poly(tau: dict[int, Fraction]) -> Polynomial:
+    """y minus the truncated series, a polynomial in x and y."""
+    terms = {(i, 0): -c for i, c in tau.items()}
+    terms[(0, 1)] = 1
+    return Polynomial(XY, terms)
+
+
+def _sympy_order(p: Polynomial, tau: dict[int, Fraction]) -> int | None:
+    """The x-adic order of p(x, tau(x)) computed by sympy, or None when
+    the truncation cannot certify it (the order lies above its degree)."""
+    x = sp.Symbol("x")
+
+    def poly(coeffs: dict[int, Fraction]) -> sp.Poly:
+        return sp.Poly.from_dict({(i,): sp.Rational(c.numerator, c.denominator)
+                                  for i, c in coeffs.items()}, x, domain=sp.QQ)
+
+    by_y_degree: dict[int, dict[int, Fraction]] = {}
+    for (i, j), c in p.terms.items():
+        by_y_degree.setdefault(j, {})[i] = c
+    # Horner's rule in y, over polynomials in x
+    t, value = poly(tau), poly({})
+    for j in range(max(by_y_degree), -1, -1):
+        value = value * t + poly(by_y_degree.get(j, {}))
+    if value.is_zero:
+        return None
+    order = min(m[0] for m in value.monoms())
+    return order if order <= ORACLE_DEGREE else None
+
+
+small_coefficients = st.fractions(
+    min_value=-3, max_value=3, max_denominator=2).filter(lambda c: c != 0)
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), small_coefficients,
+    max_size=3).map(lambda t: Polynomial(XY, t))
+
+
+@st.composite
+def series_elements(draw):
+    """A series with an element a*(y - tau_k)^e + b over c*(y - tau_l)^f + d:
+    the truncations make the numerator or denominator vanish to high
+    order, which is where a wrong truncation would show."""
+    series, truncation = draw(st.sampled_from(SERIES))
+    parts = []
+    for _ in range(2):
+        a = draw(small_polys.filter(lambda p: not p.is_zero()))
+        k = draw(st.integers(0, 16))
+        e = draw(st.integers(1, 2))
+        b = draw(st.one_of(st.just(Polynomial.zero(XY)), small_polys))
+        parts.append(a * _truncation_poly(truncation(k)) ** e + b)
+    num, den = parts
+    if den.is_zero():
+        den = Polynomial.one(XY)
+    return series, truncation, RationalFunction(num, den)
+
+
+@settings(deadline=None, max_examples=50)
+@given(series_elements())
+def test_series_value_matches_sympy(case):
+    series, truncation, f = case
+    assume(not f.is_zero())
+    dvr = SeriesDVR(XY, series)
+    got = series_value(dvr, f, precision=4, max_precision=ORACLE_DEGREE)
+    tau = truncation(ORACLE_DEGREE)
+    num = _sympy_order(f.numerator, tau)
+    den = _sympy_order(f.denominator, tau)
+    if num is None or den is None:
+        # at the cap lqt sees the same truncation, so it cannot certify
+        assert got is None
+    else:
+        assert got == num - den
 
 
 # -- the induced transform sequence ---------------------------------------------------
