@@ -6,12 +6,20 @@ ElementState writes the element as
 
     coords^e * num/den * (units dropped along the way)
 
-where num and den are coprime, free of monomial factors, and not units at
-the origin.  A unit at one stage stays a unit at every later stage, so
-dropping it never changes a verdict.  One transform step substitutes
-``x_j -> x_p * (x_j + c_j)`` into num and den; that substitution only ever
-creates monomial common factors, so stripping monomials into the exponent
-vector keeps the pair coprime without any gcd work.
+where num and den are coprime, free of monomial factors, and each either
+one or not a unit at the origin.  A unit at one stage stays a unit at every
+later stage, so dropping it never changes a verdict.  One transform step
+substitutes ``x_j -> x_p * (x_j + c_j)`` into num and den; that
+substitution only ever creates monomial common factors, so stripping
+monomials into the exponent vector keeps the pair coprime without any gcd
+work.
+
+A side that is one is the shared constant ``Polynomial.one``.  A step moves
+the exponent vector by arithmetic alone (every exponent adds to the
+pivot's; an untranslated coordinate also keeps its own, and a translated
+one leaves only a unit) and substitutes only the sides that are not one.
+A monomial state, num and den both one, thus advances with no
+substitution: x/z on ex3.7-3d crosses hundreds of stages without one.
 
 Directive sources are duck-typed: a ValuationProgram or a SeriesTrace, or
 anything with bases, directive_at and value_vector_at.
@@ -121,17 +129,17 @@ class ElementState:
 def _normalized(exponents: tuple[int, ...], num: Polynomial,
                 den: Polynomial) -> ElementState:
     e = list(exponents)
-    mn, num = _strip_monomial(num)
-    md, den = _strip_monomial(den)
-    for j in range(len(e)):
-        e[j] += mn[j] - md[j]
-    # every unit, one included, becomes the one shared constant
+    # every unit, one included, becomes the one shared constant; a side
+    # that is that constant has no monomial to strip
     one = Polynomial.one(num.variables)
-    if num.is_unit_at_origin():
-        num = one
-    if den.is_unit_at_origin():
-        den = one
-    return ElementState(tuple(e), num, den)
+    sides = []
+    for sign, q in ((1, num), (-1, den)):
+        if q is not one:
+            m, q = _strip_monomial(q)
+            for j, k in enumerate(m):
+                e[j] += sign * k
+        sides.append(one if q.is_unit_at_origin() else q)
+    return ElementState(tuple(e), *sides)
 
 
 class AnalysisSession:
@@ -140,34 +148,50 @@ class AnalysisSession:
     def __init__(self, source: DirectiveSource):
         self.source = source
         self.bases = tuple(source.bases)
-        # (directive, images by position) of step n at index n - 1
-        self._steps: list[tuple[Directive, tuple[Polynomial, ...]]] = []
+        # (pivot, untouched indices, images by position) of step n at
+        # index n - 1
+        self._steps: list[tuple[int, tuple[int, ...],
+                                tuple[Polynomial, ...]]] = []
         self._states: dict[RationalFunction, list[ElementState]] = {}
+        # the constant _normalized makes every unit side into
+        self._one = Polynomial.one(self.bases)
 
     # -- step bookkeeping --------------------------------------------------
 
-    def _step(self, n: int) -> tuple[Directive, tuple[Polynomial, ...]]:
-        """The directive and coordinate images of step n, cached."""
+    def _step(self, n: int) -> tuple[int, tuple[int, ...],
+                                     tuple[Polynomial, ...]]:
+        """The pivot, the indices neither pivot nor translated, and the
+        coordinate images of step n, cached."""
         while len(self._steps) < n:
             directive = self.source.directive_at(len(self._steps) + 1)
-            self._steps.append((directive, directive.images(self.bases)))
+            p = directive.pivot
+            translated = {j for j, _ in directive.translations}
+            kept = tuple(j for j in range(len(self.bases))
+                         if j != p and j not in translated)
+            self._steps.append((p, kept, directive.images(self.bases)))
         return self._steps[n - 1]
 
     def advance_state(self, state: ElementState, n: int) -> ElementState:
-        """State at stage n from the state at stage n-1."""
-        directive, images = self._step(n)
-        p = directive.pivot
-        translated = {j for j, _ in directive.translations}
-        e = [0] * len(self.bases)
-        e[p] = sum(state.exponents)
-        for j, ej in enumerate(state.exponents):
-            if j != p and j not in translated:
-                e[j] = ej
+        """State at stage n from the state at stage n-1.
+
+        A side counts as one when it is the shared constant _normalized
+        makes every unit into; a one built elsewhere is substituted and
+        normalized like any other side, to the same state."""
+        p, kept, images = self._step(n)
+        old = state.exponents
+        e = [0] * len(old)
+        e[p] = sum(old)
+        for j in kept:
+            e[j] = old[j]
+        one = self._one
+        sides = (state.num, state.den)
+        todo = [q.terms.items() for q in sides if q is not one]
+        if not todo:
+            return ElementState(tuple(e), *sides)
         # one call, so numerator and denominator share the power cache
-        num, den = substitute_terms(
-            [state.num.terms.items(), state.den.terms.items()],
-            images, self.bases)
-        return _normalized(tuple(e), num, den)
+        done = iter(substitute_terms(todo, images, self.bases))
+        return _normalized(tuple(e), *(q if q is one else next(done)
+                                       for q in sides))
 
     # -- element states ----------------------------------------------------
 
@@ -263,6 +287,6 @@ class AnalysisSession:
             state = self.advance_state(state, n + 1)
             if o:
                 e = list(state.exponents)
-                e[self._step(n + 1)[0].pivot] -= o
+                e[self._step(n + 1)[0]] -= o
                 state = ElementState(tuple(e), state.num, state.den)
         return LimitTrace("e", start, approx)

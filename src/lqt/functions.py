@@ -8,8 +8,10 @@ Reduce once: every operation that can create a common factor (sum, product,
 quotient, substitution) builds one unreduced polynomial fraction and hands it
 to the constructor, whose `_reduce` makes one `cofactors` call (the gcd and
 both quotients by it, with no polynomial division) and scales the
-denominator monic.  Operations that cannot create one (negation, powers,
-inverses, scaling) keep the reduced parts as they are and take no gcd.
+denominator monic.  Operations that cannot create one take no gcd and keep
+the reduced parts as they are: negation, powers, inverses, scaling, and the
+sum or product of two polynomials (both denominators one), whose result
+over one is reduced with a monic denominator already.
 """
 
 from __future__ import annotations
@@ -79,7 +81,9 @@ class RationalFunction:
         a, b = self.numerator, self.denominator
         c, d = other.numerator, other.denominator
         if b == d:
-            # one shared denominator (one, in every sum the parser builds)
+            if b.is_one():
+                # a sum of polynomials is reduced already
+                return RationalFunction._make(a + c, b)
             return RationalFunction(a + c, b)
         return RationalFunction(a * d + c * b, b * d)
 
@@ -90,6 +94,10 @@ class RationalFunction:
         return RationalFunction._make(-self.numerator, self.denominator)
 
     def __mul__(self, other: RationalFunction) -> RationalFunction:
+        b, d = self.denominator, other.denominator
+        if b.is_one() and d.is_one():
+            # a product of polynomials is reduced already
+            return RationalFunction._make(self.numerator * other.numerator, b)
         return RationalFunction(self.numerator * other.numerator,
                                 self.denominator * other.denominator)
 

@@ -111,7 +111,8 @@ class _Parser:
             op = self.advance()
             pos = self.pos()
             rhs = self.term()
-            value = _sized(value + rhs if op == "+" else value - rhs, pos)
+            value = _sized(value + rhs if op == "+" else value - rhs, pos,
+                           rhs)
         return value
 
     def term(self) -> RationalFunction:
@@ -121,7 +122,10 @@ class _Parser:
             pos = self.pos()
             rhs = self.factor()
             if op == "*":
+                signed = _signed_monomial_product(value, rhs)
                 value = value * rhs
+                if signed:
+                    continue
             else:
                 if rhs.is_zero():
                     raise ParseError("division by zero", pos)
@@ -173,7 +177,9 @@ class _Parser:
         if tok.isdigit():
             pos = self.pos()
             self.advance()
-            return _sized(self.one.scale(int(tok)), pos)
+            k = int(tok)
+            _check_bits(_fraction_bits(k), pos)
+            return self.one.scale(k)
         if tok and (tok[0].isalpha() or tok[0] == "_"):
             if tok not in self.variables:
                 raise ParseError(
@@ -189,11 +195,11 @@ def _terms(value: RationalFunction) -> int:
     return max(len(value.numerator.terms), len(value.denominator.terms))
 
 
-def _fraction_bits(c: Fraction) -> int:
+def _fraction_bits(c: Fraction | int) -> int:
     """The bit lengths of c's numerator and denominator, each counting zero
     when it is 1."""
-    return sum(k.bit_length() for k in (abs(c.numerator), c.denominator)
-               if k > 1)
+    n, d = abs(c.numerator), c.denominator
+    return (n.bit_length() if n > 1 else 0) + (d.bit_length() if d > 1 else 0)
 
 
 def _bits(value: RationalFunction) -> int:
@@ -203,13 +209,43 @@ def _bits(value: RationalFunction) -> int:
                for c in p.terms.values())
 
 
-def _sized(value: RationalFunction, pos: int) -> RationalFunction:
+def _sized(value: RationalFunction, pos: int,
+           addend: RationalFunction | None = None) -> RationalFunction:
+    """value, refused when it passes MAX_TERMS or MAX_BITS.
+
+    For value = v + addend or v - addend, v within the caps, the exact
+    scan is bounded by the operands: when v and addend are polynomials,
+    every coefficient of value not at an exponent of addend is one of v's,
+    so only those at addend's exponents are measured.  (Denominators are
+    monic, so value and addend over one puts v over one too.)"""
     if _terms(value) > MAX_TERMS:
         raise ParseError(f"expression has more than {MAX_TERMS} terms", pos)
-    if _bits(value) > MAX_BITS:
+    if (addend is not None and value.denominator.is_one()
+            and addend.denominator.is_one()):
+        terms = value.numerator.terms
+        bits = max((_fraction_bits(terms[e]) for e in addend.numerator.terms
+                    if e in terms), default=0)
+    else:
+        bits = _bits(value)
+    _check_bits(bits, pos)
+    return value
+
+
+def _check_bits(bits: int, pos: int) -> None:
+    if bits > MAX_BITS:
         raise ParseError(f"expression has a coefficient of more than "
                          f"{MAX_BITS} bits", pos)
-    return value
+
+
+def _signed_monomial_product(a: RationalFunction,
+                             b: RationalFunction) -> bool:
+    """a and b are polynomials and one of them is x^e or -x^e, so that a*b
+    has the other's term count and coefficients up to sign: within the caps
+    when a and b are."""
+    if not (a.denominator.is_one() and b.denominator.is_one()):
+        return False
+    return any(len(p.terms) == 1 and abs(next(iter(p.terms.values()))) == 1
+               for p in (a.numerator, b.numerator))
 
 
 def _power(value: RationalFunction, n: int, pos: int) -> RationalFunction:
@@ -218,7 +254,8 @@ def _power(value: RationalFunction, n: int, pos: int) -> RationalFunction:
     A sum of t terms raised to k has at most comb(k + t - 1, t - 1) terms,
     so that bound keeps the result within MAX_TERMS.  An integer of b bits
     raised to k has at most b*k bits, so that bound keeps the coefficients
-    of a monomial's power within MAX_BITS.
+    of a monomial's power within MAX_BITS, and such a power is not measured
+    again.
     """
     t, k = _terms(value), abs(n)
     if t > 1:
@@ -231,7 +268,7 @@ def _power(value: RationalFunction, n: int, pos: int) -> RationalFunction:
     if _bits(value) * k > MAX_BITS:
         raise ParseError(f"power could have a coefficient of more than "
                          f"{MAX_BITS} bits", pos)
-    return _sized(value ** n, pos)
+    return value ** n if t == 1 else _sized(value ** n, pos)
 
 
 def parse_expr(text: str, variables: Iterable[str]) -> RationalFunction:

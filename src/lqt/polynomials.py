@@ -227,6 +227,10 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         self._check(other)
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
         # multiply the smaller term set into the larger
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -262,6 +266,11 @@ class Polynomial:
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if n and len(self.terms) == 1:
+            # a monomial's power scales its exponents; no product is built
+            (e, c), = self.terms.items()
+            return Polynomial._make(self.variables,
+                                    {tuple(k * n for k in e): c ** n})
         result = Polynomial.one(self.variables)
         base = self
         while n:
@@ -481,11 +490,15 @@ def _strip_monomial(p: Polynomial) -> tuple[Exponents, Polynomial]:
     return m, _shift(p, m)
 
 
+_NESTED_ONES: list = [1]
+
+
 def _one(k: int):
-    c = 1
-    for _ in range(k):
-        c = {0: c}
-    return c
+    """One at level k.  The value is shared, so no caller may mutate it:
+    every nested operation builds its result in a fresh dict."""
+    while len(_NESTED_ONES) <= k:
+        _NESTED_ONES.append({0: _NESTED_ONES[-1]})
+    return _NESTED_ONES[k]
 
 
 def _acc(r: dict, d: int, c, k: int) -> None:

@@ -69,3 +69,39 @@ def rename(p: Polynomial, variables: tuple[str, ...]) -> Polynomial:
     if len(variables) != len(p.variables):
         raise ValueError("variable count mismatch in rename")
     return Polynomial(variables, p.terms)
+
+
+def general_states(session, f: RationalFunction,
+                   last: int) -> list[tuple[tuple[int, ...], Polynomial,
+                                            Polynomial]]:
+    """(exponents, num, den) of f at stages 0..last by the general path,
+    as an oracle for AnalysisSession.state_at.
+
+    Every step substitutes the coordinate images into both sides, one or
+    not, and moves the monomial part by each image's monomial factor (the
+    rest of an image, x_j + c_j, is a unit).  Each side is then stripped of
+    its monomial factor into the exponents, and a unit side becomes one."""
+    bases = session.bases
+    one = Polynomial.one(bases)
+
+    def normalized(e, num, den):
+        sides = []
+        for sign, p in ((1, num), (-1, den)):
+            m = p.min_exponents()
+            e = tuple(a + sign * b for a, b in zip(e, m))
+            p = Polynomial(bases, {tuple(a - b for a, b in zip(k, m)): c
+                                   for k, c in p.terms.items()})
+            sides.append(one if p.constant_term() else p)
+        return (e, *sides)
+
+    states = [normalized((0,) * len(bases), f.numerator, f.denominator)]
+    for n in range(1, last + 1):
+        images = session.source.directive_at(n).images(bases)
+        monomials = [img.min_exponents() for img in images]
+        e, num, den = states[-1]
+        moved = tuple(sum(ej * m[i] for ej, m in zip(e, monomials))
+                      for i in range(len(bases)))
+        subs = dict(zip(bases, images))
+        states.append(normalized(moved, num.substitute(subs),
+                                 den.substitute(subs)))
+    return states

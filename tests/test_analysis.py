@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from lqt import (CoordinatePrime, LimitTrace, MembershipVerdict, POS_INF,
-                 ShannonClass, SeriesTrace, classify_shannon, get_example,
-                 lift_along, ord_n, parse_program)
+                 RationalFunction, ShannonClass, SeriesTrace, classify_shannon,
+                 get_example, lift_along, ord_n, parse_program)
 from conftest import el
+from helpers import general_states, record_calls
 
 F = Fraction
 
@@ -178,6 +179,54 @@ def test_session_reads_each_directive_once():
     for text in ["y - x", "y/x^2", "(y - x)/x^2"]:
         session.e_approx(el(text, session), budget=6)
     assert calls == [1, 2, 3, 4, 5, 6]
+
+
+def _stage_coordinates(session, k):
+    """The stage-k coordinates as elements of the ambient field: each step
+    maps x_p to x_p and x_j to x_j/x_p - c_j."""
+    bases = session.bases
+    coords = [RationalFunction.variable(v, bases) for v in bases]
+    for n in range(1, k + 1):
+        directive = session.source.directive_at(n)
+        p = directive.pivot
+        coords = [c if j == p else c / coords[p] - RationalFunction.constant(
+                      directive.translation_of(j), bases)
+                  for j, c in enumerate(coords)]
+    return coords
+
+
+def test_walk_steps_match_the_general_path(monkeypatch):
+    from lqt import AnalysisSession, analysis, example_names
+    for name in example_names():
+        session = AnalysisSession(get_example(name).source)
+        x, y, z = (session.bases * 2)[:3]
+        one = RationalFunction.constant(1, session.bases)
+        # the stage-8 coordinates keep a side that is not one up to stage 8
+        late, early = (_stage_coordinates(session, k) for k in (8, 5))
+        elements = [el(text, session) for text in [
+            # monomial times unit: num and den are one from stage 0
+            f"3*{x}^2*{y}^-1*(1 + 5*{x})/(2 + {z})",
+            f"{x}/{z}^2",
+            f"({y} - {x})*{x}^2*(1 + {y})",
+            f"(1 - 7*{z})/({y} - {x}^2)",
+        ]] + [
+            late[1], late[1].inverse(), late[-1],
+            late[1] / early[1], (late[1] + one) / (early[1] - one),
+        ]
+        for f in elements:
+            oracle = general_states(session, f, 40)
+            for n in range(41):
+                state = session.state_at(f, n)
+                assert (state.exponents, state.num, state.den) == oracle[n], \
+                    (name, str(f), n)
+    # a monomial state advances by exponents alone
+    session = AnalysisSession(get_example("ex3.7-3d").source)
+    substitutions = record_calls(monkeypatch, analysis, "substitute_terms")
+    steps = record_calls(monkeypatch, AnalysisSession, "advance_state")
+    verdict = session.member(el("x/z", session), 300)
+    assert verdict == MembershipVerdict(None, 300)
+    assert len(steps) == 300
+    assert substitutions == []
 
 
 # -- agreement with explicit charts ---------------------------------------------------

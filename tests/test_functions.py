@@ -145,6 +145,29 @@ def test_each_operation_reduces_once(monkeypatch):
         assert calls == []
 
 
+def test_polynomial_products_take_no_gcd(monkeypatch):
+    calls = record_calls(monkeypatch, functions, "cofactors")
+    one = Polynomial.one(XY)
+    a = f_of("x^2 - 3*x*y + 1")
+    c = f_of("(2*x*y - 4)/3")
+    for f, g in [(a, c), (c, a), (a, a), (a, f_of("0")), (f_of("1"), c)]:
+        calls.clear()
+        product = f * g
+        assert calls == []
+        assert product.denominator.is_one()
+        assert product == RationalFunction(f.numerator * g.numerator, one)
+    # one returns the other factor, but only over the same variables
+    p = Polynomial.variable("z", XYZ)
+    assert one * a.numerator is a.numerator
+    assert a.numerator * one is a.numerator
+    with pytest.raises(ValueError):
+        one * p
+    with pytest.raises(ValueError):
+        p * one
+    with pytest.raises(ValueError):
+        f_of("1") * f_of("z", XYZ)
+
+
 def test_reduce_takes_no_exact_division(monkeypatch):
     divisions = record_calls(monkeypatch, polynomials, "exact_div")
     reductions = record_calls(monkeypatch, functions, "cofactors")

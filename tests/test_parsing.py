@@ -171,6 +171,22 @@ def test_values_with_too_large_coefficients_are_refused():
     assert f_of(f"{big}*{big}/{big}") == f_of(big)
 
 
+def test_sums_and_products_are_measured_where_they_can_grow():
+    # h has MAX_BITS bits, written out so that it passes the literal cap
+    h = str(2 ** (MAX_BITS - 1))
+    left = f"{h}*x + y"
+    # only the coefficient of x, where the addend lies, passes the cap
+    expect_error(f"{left} + {h}*x", f"more than {MAX_BITS} bits",
+                 len(left) + 3)
+    expect_error(f"y - {h}*x - {h}*x", f"more than {MAX_BITS} bits",
+                 len(h) + 9)
+    assert f_of(f"{left} - {h}*x + {h}*x") == f_of(left)
+    # a signed monomial factor keeps the other factor's coefficients
+    assert f_of(f"({left})*(-x*y^2)") == -f_of(f"{h}*x^2*y^2 + x*y^3")
+    expect_error(f"({left})*(2*y)", f"more than {MAX_BITS} bits",
+                 len(left) + 3)
+
+
 def test_long_integer_literals_are_refused_before_conversion():
     cap = MAX_BITS // 3
     digits = "9" * 5000

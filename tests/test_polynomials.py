@@ -66,6 +66,13 @@ def test_power_cases():
     assert x**0 == Polynomial.one(XY)
     with pytest.raises(ValueError):
         x ** (-1)
+    # monomial powers, by exponents alone, against repeated products
+    for m in [x.scale(-3), Polynomial(XY, {(2, 1): Fraction(-2, 3)})]:
+        power = Polynomial.one(XY)
+        for n in range(6):
+            assert m ** n == power
+            power = power * m
+    assert (x + x * x) ** 3 == (x + x * x) * (x + x * x) * (x + x * x)
 
 
 # -- degrees, orders and monomial shape --------------------------------------
@@ -342,6 +349,19 @@ def test_gcd_takes_contents_without_reentering_poly_gcd(monkeypatch):
     q = common * (z + one.scale(3)) * (x * z + one)
     assert polynomials.poly_gcd(p, q) == common
     assert len(calls) == 1
+
+
+def test_the_shared_nested_one_stays_one():
+    # every level's one is a single shared value, which no gcd, cofactor
+    # or power step may change in place
+    from lqt.polynomials import _one, _pow
+    for p, q in _gcd_pairs():
+        cofactors(p, q)
+    assert _pow({1: 2, 0: -1}, 0, 1) is _one(1)
+    fresh = 1
+    for k in range(4):
+        assert _one(k) == fresh
+        fresh = {0: fresh}
 
 
 def test_gcd_edge_cases():
