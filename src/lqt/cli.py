@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .analysis import DEFAULT_BUDGET, LimitTrace, MembershipVerdict
 from .config import ConfigError, load_config_file
 from .parsing import ParseError, parse_expr
 from .programs import (Infinite, ProgramConsistencyError, ProgramError,
-                       ValuationProgram, multiplicity_sequence)
+                       multiplicity_sequence)
 from .pullback import (classify_shannon, composite_value, member_pullback,
                        member_RP, residue)
 from .registry import Example, get_example
@@ -95,7 +96,8 @@ def enc(value) -> str | None:
     """Exact scalar to its stable string form."""
     if value is None:
         return None
-    if isinstance(value, (Fraction, int, Infinite)):
+    # int and Infinite first: they never reach Fraction's ABC check
+    if isinstance(value, (int, Infinite, Fraction)):
         return str(value)
     raise TypeError(f"cannot serialize {value!r}")
 
@@ -108,24 +110,24 @@ def cmd_run(example: Example, args, rep: Reporter) -> None:
               "kind": example.kind, "bases": list(example.ambient),
               "description": example.description})
     source = example.source
+    bases = tuple(source.bases)
+    # a periodic walk repeats a few steps: each one's text is built once
+    texts: dict = {}
     for n in range(steps + 1):
         values = source.value_vector_at(n)
+        text = None
+        if n:
+            step = source.step_at(n)
+            text = texts.get(step)
+            if text is None:
+                text = texts[step] = step.describe(bases)
         rep.emit({
             "schema": "run.stage",
             "stage": n,
-            "directive": _directive_text(example, n),
+            "directive": text,
             "values": [enc(v) for v in values],
             "multiplicity": enc(min(values)),
         })
-
-
-def _directive_text(example: Example, n: int) -> str | None:
-    if n == 0:
-        return None
-    source = example.source
-    if isinstance(source, ValuationProgram):
-        return source.step_at(n).serialize(source.bases)
-    return source.directive_at(n).describe(tuple(source.bases))
 
 
 def cmd_member(example: Example, args, rep: Reporter) -> None:
@@ -209,8 +211,17 @@ def cmd_multiplicity(example: Example, args, rep: Reporter) -> None:
     line = {"schema": "multiplicity", "example": example.name,
             "steps": args.steps, "entries": [enc(m) for m in entries]}
     if args.sum:
-        line["sum"] = enc(sum(entries, Fraction(0)))
+        line["sum"] = enc(_exact_sum(entries))
     rep.emit(line)
+
+
+def _exact_sum(values) -> int | Fraction:
+    """The sum of exact values, an int when whole: numerators are added over
+    the lcm of the denominators, and one Fraction is built at the end."""
+    den = math.lcm(*(v.denominator for v in values))
+    total = sum(v.numerator * (den // v.denominator) for v in values)
+    whole, rest = divmod(total, den)
+    return whole if rest == 0 else Fraction(total, den)
 
 
 def cmd_value(example: Example, args, rep: Reporter) -> None:

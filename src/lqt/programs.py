@@ -22,6 +22,12 @@ Programs are read from and written to a small text format::
 A ``translate y:c->r`` clause translates y by the constant c and assigns the
 new coordinate the value r times the pivot value.  Every rational is read
 by `parsing.parse_rational`, so none passes the parser's MAX_BITS.
+
+Values follow the rule polynomial coefficients do: a whole value is an
+`int`, any other a `Fraction` whose denominator exceeds 1, and none is
+ever a float.  Initial values, assigned factors and every stage vector keep
+it, so a walk whose values are whole runs on ints alone.  Only a walk
+lifted along a prime (`pullback.LiftedTrace`) adds `Infinite` values.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from typing import Iterable
 
 from .charts import Directive
 from .parsing import parse_rational
+from .polynomials import coefficient
 
 
 class ProgramError(ValueError):
@@ -126,19 +133,24 @@ class ProgramConsistencyError(ProgramError):
         self.coordinate = coordinate
 
 
+# A stage value vector: each value an int when whole, else a Fraction whose
+# denominator exceeds 1, never a float (see the module docstring).
+ValueVector = tuple[int | Fraction, ...]
+
+
 class ProgramStep:
     """A directive plus assigned relative values for translated coordinates.
 
     translations holds (index, constant, factor) triples: the coordinate is
     translated by `constant` and its new value is `factor` times the pivot
-    value.
+    value.  Both are ints when whole, like every value.
     """
 
-    __slots__ = ("pivot", "translations", "directive")
+    __slots__ = ("pivot", "translations", "directive", "_factors", "_hash")
 
     def __init__(self, pivot: int,
                  translations: Iterable[tuple[int, Fraction, Fraction]] = ()):
-        trans = tuple(sorted((j, Fraction(c), Fraction(r))
+        trans = tuple(sorted((j, coefficient(c), coefficient(r))
                              for j, c, r in translations))
         for j, c, r in trans:
             if r <= 0:
@@ -149,46 +161,70 @@ class ProgramStep:
         object.__setattr__(self, "pivot", pivot)
         object.__setattr__(self, "translations", trans)
         object.__setattr__(self, "directive", directive)
+        object.__setattr__(self, "_factors", {j: r for j, _, r in trans})
+        object.__setattr__(self, "_hash", hash((pivot, trans)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ProgramStep is immutable")
 
-    def next_values(self, values: tuple[Fraction, ...], stage: int,
-                    bases: tuple[str, ...]) -> tuple[Fraction, ...]:
+    def next_values(self, values: ValueVector, stage: int,
+                    bases: tuple[str, ...]) -> ValueVector:
         """Values after this step, given the values entering it.
 
         `stage` is the stage the step produces, used in error messages.
+        Each coordinate takes one comparison: a translated one must equal
+        the pivot value and any other must exceed it.  Only when one fails
+        are the values scanned for the error to report.
         """
         p = self.pivot
         vp = values[p]
-        for j, vj in enumerate(values):
-            if vj < vp:
-                raise ProgramConsistencyError(
-                    stage, bases[p],
-                    f"pivot value {vp} is not minimal: {bases[j]} has value "
-                    f"{vj}")
-        factors = {j: r for j, _, r in self.translations}
+        factors = self._factors
         out = []
         for j, vj in enumerate(values):
             if j == p:
                 out.append(vp)
-            elif j in factors:
-                if vj != vp:
-                    raise ProgramConsistencyError(
-                        stage, bases[j],
-                        f"translated coordinate has value {vj}, which must "
-                        f"equal the pivot value {vp}")
-                out.append(factors[j] * vp)
+                continue
+            r = factors.get(j)
+            if r is None:
+                if not vj > vp:
+                    break
+                v = vj - vp
+            elif vj == vp:
+                v = r * vp
             else:
-                if vj == vp:
-                    raise ProgramConsistencyError(
-                        stage, bases[j],
-                        f"coordinate shares the pivot value {vp} and must be "
-                        f"translated")
-                out.append(vj - vp)
-        return tuple(out)
+                break
+            out.append(v if type(v) is int or v.denominator != 1
+                       else v.numerator)
+        else:
+            return tuple(out)
+        raise self._inconsistency(values, stage, bases, j)
 
-    def serialize(self, bases: tuple[str, ...]) -> str:
+    def _inconsistency(self, values: ValueVector, stage: int,
+                       bases: tuple[str, ...],
+                       j: int) -> ProgramConsistencyError:
+        """The error for values at which coordinate j fails its check.  A
+        value below the pivot's comes first, wherever it lies; otherwise j
+        is the first coordinate to fail, and its own check is the error."""
+        p = self.pivot
+        vp = values[p]
+        for k, vk in enumerate(values):
+            if vk < vp:
+                return ProgramConsistencyError(
+                    stage, bases[p],
+                    f"pivot value {vp} is not minimal: {bases[k]} has value "
+                    f"{vk}")
+        if j in self._factors:
+            return ProgramConsistencyError(
+                stage, bases[j],
+                f"translated coordinate has value {values[j]}, which must "
+                f"equal the pivot value {vp}")
+        return ProgramConsistencyError(
+            stage, bases[j],
+            f"coordinate shares the pivot value {vp} and must be translated")
+
+    def describe(self, bases: tuple[str, ...]) -> str:
+        """The step as a program line, which is also how `lqt run` shows
+        it: the assigned factors are part of the text."""
         parts = [f"pivot={bases[self.pivot]}"]
         for j, c, r in self.translations:
             parts.append(f"translate {bases[j]}:{c}->{r}")
@@ -201,13 +237,10 @@ class ProgramStep:
                                                    other.translations)
 
     def __hash__(self) -> int:
-        return hash((self.pivot, self.translations))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ProgramStep(pivot={self.pivot}, translations={self.translations})"
-
-
-ValueVector = tuple[Fraction, ...]
 
 
 class ValuationProgram:
@@ -223,7 +256,7 @@ class ValuationProgram:
                  preperiod: Iterable[ProgramStep],
                  period: Iterable[ProgramStep]):
         bs = tuple(bases)
-        vals = tuple(Fraction(v) for v in initial_values)
+        vals = tuple(coefficient(v) for v in initial_values)
         pre = tuple(preperiod)
         per = tuple(period)
         if len(set(bs)) != len(bs):
@@ -286,9 +319,10 @@ class ValuationProgram:
                 f"period={len(self.period)} steps)")
 
 
-def multiplicity_sequence(source, count: int) -> list[Fraction]:
+def multiplicity_sequence(source, count: int) -> list[int | Fraction]:
     """The first `count` stage multiplicities of a directive source: the
-    minimum of the value vector at each stage, starting from stage 0.
+    minimum of the value vector at each stage, starting from stage 0.  Each
+    is a value, so an int when it is whole.
 
     Any source with `value_vector_at` works: a ValuationProgram, a
     SeriesTrace, or a LiftedTrace, whose infinite prime coordinates never
@@ -353,7 +387,8 @@ def classify_multiplicity(program: ValuationProgram,
         pass_sum = min(prev) + sum(min(v) for v in vectors[:-1])
 
         jmin = min(range(len(prev)), key=prev.__getitem__)
-        ratio = end[jmin] / prev[jmin]
+        # a Fraction even for two int values, which `/` would make a float
+        ratio = Fraction(end[jmin], prev[jmin])
         scaled = [j for j in range(len(prev)) if end[j] == ratio * prev[j]]
         rest = [j for j in range(len(prev)) if end[j] != ratio * prev[j]]
 
@@ -529,10 +564,10 @@ def serialize_program(program: ValuationProgram) -> str:
         lines.append("")
         lines.append("[preperiod]")
         for step in program.preperiod:
-            lines.append(step.serialize(program.bases))
+            lines.append(step.describe(program.bases))
     lines.append("")
     lines.append("[period]")
     for step in program.period:
-        lines.append(step.serialize(program.bases))
+        lines.append(step.describe(program.bases))
     lines.append("")
     return "\n".join(lines)

@@ -304,9 +304,13 @@ class LiftedTrace:
         return Directive(amb[qd.pivot],
                          [(amb[j], c) for j, c in qd.translations])
 
-    def value_vector_at(self, n: int) -> tuple[Fraction | Infinite, ...]:
+    # a lifted step assigns no values of its own, so its directive is the
+    # whole step
+    step_at = directive_at
+
+    def value_vector_at(self, n: int) -> tuple[int | Fraction | Infinite, ...]:
         qv = self.quotient.value_vector_at(n)
-        out: list[Fraction | Infinite] = [POS_INF] * len(self.bases)
+        out: list[int | Fraction | Infinite] = [POS_INF] * len(self.bases)
         for i, v in zip(self._ambient_index, qv):
             out[i] = v
         return tuple(out)

@@ -296,12 +296,16 @@ class SeriesTrace:
             return Directive(0)
         return Directive(0, [(1, a)])
 
-    def value_vector_at(self, n: int) -> tuple[Fraction, Fraction]:
+    # a series step assigns no values, so the directive is the whole step
+    step_at = directive_at
+
+    def value_vector_at(self, n: int) -> tuple[int, int]:
         """Values of the stage-n coordinates: x keeps 1, y carries the gap
-        to the next nonzero series coefficient."""
+        to the next nonzero series coefficient.  Both are whole, so both
+        are ints, as the value rule of `programs` asks."""
         if n < 0:
             raise ValueError(f"stage {n} out of range")
-        return Fraction(1), Fraction(self.dvr.stream.next_nonzero(n) - n)
+        return 1, self.dvr.stream.next_nonzero(n) - n
 
     def __repr__(self) -> str:
         return f"SeriesTrace({self.dvr!r})"

@@ -1,5 +1,6 @@
 """Shared test helpers: sympy conversion, seeded random generators, a call
-recorder and the polynomial utilities only tests use."""
+recorder, the polynomial utilities only tests use and the reference forms
+of fast paths."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from fractions import Fraction
 
 import sympy as sp
 
-from lqt import Polynomial, RationalFunction, exact_div
+from lqt import (Polynomial, ProgramConsistencyError, RationalFunction,
+                 exact_div)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -105,3 +107,37 @@ def general_states(session, f: RationalFunction,
         states.append(normalized(moved, num.substitute(subs),
                                  den.substitute(subs)))
     return states
+
+
+def two_loop_next_values(step, values, stage: int, bases: tuple[str, ...]):
+    """ProgramStep.next_values as two loops, as an oracle for the one-loop
+    form: first every value is checked against the pivot's, then each
+    coordinate in turn against its own rule."""
+    p = step.pivot
+    vp = values[p]
+    for j, vj in enumerate(values):
+        if vj < vp:
+            raise ProgramConsistencyError(
+                stage, bases[p],
+                f"pivot value {vp} is not minimal: {bases[j]} has value "
+                f"{vj}")
+    factors = {j: r for j, _, r in step.translations}
+    out = []
+    for j, vj in enumerate(values):
+        if j == p:
+            out.append(vp)
+        elif j in factors:
+            if vj != vp:
+                raise ProgramConsistencyError(
+                    stage, bases[j],
+                    f"translated coordinate has value {vj}, which must "
+                    f"equal the pivot value {vp}")
+            out.append(factors[j] * vp)
+        else:
+            if vj == vp:
+                raise ProgramConsistencyError(
+                    stage, bases[j],
+                    f"coordinate shares the pivot value {vp} and must be "
+                    f"translated")
+            out.append(vj - vp)
+    return tuple(out)

@@ -4,14 +4,15 @@ table format, and config handling."""
 import json
 import os
 import time
+from fractions import Fraction
 
 import pytest
 
-from lqt.cli import MAX_BUDGET, MAX_STEPS, Reporter, _agreement, main
+from lqt.cli import MAX_BUDGET, MAX_STEPS, Reporter, _agreement, enc, main
 from lqt.config import MAX_CONFIG_BYTES
 from lqt.series import MAX_PRECISION
 from lqt.analysis import MembershipVerdict
-from lqt.programs import ProgramStep
+from lqt.programs import POS_INF, ProgramStep
 from lqt.pullback import PullbackVerdict
 from golden_cases import GOLDEN_CASES
 from helpers import record_calls
@@ -313,6 +314,32 @@ def test_run_takes_one_program_step_per_stage(capsys, monkeypatch):
     assert len(out.splitlines()) == 302
     # next_values(self, values, stage, bases)
     assert [args[2] for args in calls] == list(range(1, 301))
+
+
+def test_run_prints_each_steps_own_factors(capsys, tmp_path):
+    """Two steps with the same pivot and translation constants differ in
+    their assigned factors, and each stage shows its own."""
+    path = tmp_path / "factors.vp"
+    path.write_text("[vars]\nu v\n[values]\nu = 1\nv = 1\n[period]\n"
+                    "pivot=u translate v:1->1\npivot=u translate v:1->2\n"
+                    "pivot=u\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(path),
+                             "--steps", "6")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()[1:]]
+    cycle = ["pivot=u translate v:1->1", "pivot=u translate v:1->2",
+             "pivot=u"]
+    assert [row["directive"] for row in rows] == [None] + cycle * 2
+    assert [row["values"] for row in rows] == (
+        [["1", "1"]] + [["1", "1"], ["1", "2"], ["1", "1"]] * 2)
+
+
+def test_enc_writes_exact_values_and_refuses_floats():
+    assert enc(None) is None
+    assert [enc(v) for v in (3, Fraction(-3, 4), Fraction(6, 3), POS_INF,
+                             -POS_INF)] == ["3", "-3/4", "2", "inf", "-inf"]
+    with pytest.raises(TypeError, match="cannot serialize 0.5"):
+        enc(0.5)
 
 
 # -- undecided under --strict (exit 4) ------------------------------------------------

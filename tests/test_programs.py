@@ -1,6 +1,9 @@
 """Tests for valuation programs: steps, value evolution, classification,
 and the text format."""
 
+import itertools
+import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,8 +11,11 @@ import pytest
 from lqt import (Infinite, MultiplicityClass, NEG_INF, POS_INF,
                  ProgramConsistencyError, ProgramError, ProgramFormatError,
                  ProgramStep, ValuationProgram, classify_multiplicity,
-                 get_example, multiplicity_sequence, parse_program,
-                 serialize_program)
+                 classify_shannon, get_example, multiplicity_sequence,
+                 parse_program, serialize_program)
+from lqt.cli import _exact_sum
+from lqt.config import load_config_file
+from helpers import two_loop_next_values
 
 F = Fraction
 
@@ -77,8 +83,8 @@ def test_step_rejects_nonpositive_factor():
 
 def test_step_serialization():
     step = ProgramStep(0, [(1, F(1), F(1, 2))])
-    assert step.serialize(("x", "y")) == "pivot=x translate y:1->1/2"
-    assert ProgramStep(1).serialize(("x", "y")) == "pivot=y"
+    assert step.describe(("x", "y")) == "pivot=x translate y:1->1/2"
+    assert ProgramStep(1).describe(("x", "y")) == "pivot=y"
 
 
 def test_step_equality_and_hash():
@@ -127,6 +133,39 @@ def test_next_values_untranslated_must_exceed_pivot():
     with pytest.raises(ProgramConsistencyError,
                        match="must be translated"):
         step.next_values((F(1), F(1)), 1, ("x", "y"))
+
+
+def _outcome(call):
+    """The result of call, or the type, message, stage and coordinate of
+    the consistency error it raises."""
+    try:
+        return call()
+    except ProgramConsistencyError as exc:
+        return type(exc), str(exc), exc.stage, exc.coordinate
+
+
+def test_next_values_matches_the_two_loop_form():
+    """One comparison per coordinate gives the values, or the error, that
+    checking every value against the pivot's first and each coordinate's
+    own rule second gives."""
+    bases = ("x", "y", "z")
+    steps = [ProgramStep(0),
+             ProgramStep(0, [(1, F(1), F(1, 2)), (2, F(-1), 3)]),
+             ProgramStep(1, [(0, F(2), F(3, 2))])]
+    grid = (F(1, 2), 1, 2, 3)
+    for step in steps:
+        for values in itertools.product(grid, repeat=3):
+            new = _outcome(lambda: step.next_values(values, 4, bases))
+            old = _outcome(lambda: two_loop_next_values(step, values, 4,
+                                                        bases))
+            assert new == old, (step, values)
+    # y shares the pivot value, which alone would ask for a translation,
+    # but z below the pivot value is reported first
+    assert _outcome(lambda: ProgramStep(0).next_values(
+        (1, 1, F(1, 2)), 4, bases)) == (
+        ProgramConsistencyError,
+        "stage 4, coordinate x: pivot value 1 is not minimal: z has value "
+        "1/2", 4, "x")
 
 
 def test_program_constructor_errors():
@@ -199,6 +238,42 @@ def test_multiplicity_sequence_hand_values():
     assert multiplicity_sequence(program, 0) == []
     with pytest.raises(ValueError, match="nonnegative"):
         multiplicity_sequence(program, -1)
+
+
+def _is_value(v) -> bool:
+    """An int, an infinity or a Fraction that is not whole: never a float."""
+    return (type(v) in (int, Infinite)
+            or (type(v) is Fraction and v.denominator > 1))
+
+
+def test_stage_values_are_ints_when_whole():
+    alt3 = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "configs", "alt3.cfg")
+    examples = [get_example(name) for name in
+                ("ex3.7-2d", "ex3.7-3d", "ex5.3-shape", "nonarch2d",
+                 "dvr-curve")] + [load_config_file(alt3)]
+    for example in examples:
+        source = example.source
+        for n in range(301):
+            values = source.value_vector_at(n)
+            assert all(_is_value(v) for v in values), (example.name, n,
+                                                        values)
+        entries = multiplicity_sequence(source, 301)
+        assert all(_is_value(m) for m in entries), example.name
+        assert _is_value(_exact_sum(entries)), example.name
+        assert _exact_sum(entries) == sum(entries, F(0))
+        outcome = classify_shannon(source).multiplicity
+        # the limit and the pass ratio are exact, Fractions even when whole
+        assert outcome.limit is None or type(outcome.limit) is Fraction
+        for ratio in re.findall(r"ratio (\S+)", outcome.detail):
+            assert "." not in ratio, (example.name, outcome.detail)
+    assert type(get_example("dvr-curve").source.value_vector_at(1)[1]) is int
+    (whole,) = ProgramStep(0, [(1, F(2), F(4, 2))]).translations
+    assert [type(part) for part in whole] == [int, int, int]
+    with pytest.raises(TypeError, match="float"):
+        ValuationProgram(("x",), [0.5], (), (ProgramStep(0),))
+    with pytest.raises(TypeError, match="float"):
+        ProgramStep(0, [(1, 1, 0.5)])
 
 
 # -- multiplicity classification ------------------------------------------------------
