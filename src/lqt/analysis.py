@@ -22,20 +22,17 @@ A monomial state, num and den both one, thus advances with no
 substitution: x/z on ex3.7-3d crosses hundreds of stages without one.
 
 Directive sources are duck-typed: a ValuationProgram, a SeriesTrace or a
-LiftedTrace, or anything with bases, directive_at, step_at and
-value_vector_at.
+LiftedTrace, or anything with bases, directive_at and value_vector_at.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from fractions import Fraction
 from typing import Protocol
 
-from .charts import Directive
 from .polynomials import Polynomial, _strip_monomial, substitute_terms
 from .functions import RationalFunction
-from .programs import Infinite
+from .programs import Directive, Infinite
 
 DEFAULT_BUDGET = 24
 STABLE_WINDOW = 5
@@ -44,20 +41,18 @@ STABLE_WINDOW = 5
 class DirectiveSource(Protocol):
     """A transform sequence with values.
 
-    step_at(n) is the step taking stage n-1 to stage n: hashable, equal only
-    to a step that does the same, and shown by its `describe(bases)`.  It is
-    a ProgramStep for a program, whose assigned factors are part of the
-    step, and the directive for the other walks.  value_vector_at(n) holds
-    the stage-n values: an int when whole, else a Fraction whose
-    denominator exceeds 1, never a float, and Infinite only for the prime
-    coordinates of a lifted walk.
+    directive_at(n) is the step taking stage n-1 to stage n: a Directive,
+    hashable, equal only to a step that does the same, and shown by its
+    `describe(bases)`.  A program's is a ProgramStep, whose assigned
+    factors are part of the step.  value_vector_at(n) holds the stage-n
+    values: an int when whole, else a Fraction whose denominator exceeds 1,
+    never a float, and Infinite only for the prime coordinates of a lifted
+    walk.
     """
 
     bases: tuple[str, ...]
 
     def directive_at(self, n: int) -> Directive: ...
-
-    def step_at(self, n: int) -> Hashable: ...
 
     def value_vector_at(
             self, n: int) -> tuple[int | Fraction | Infinite, ...]: ...

@@ -117,7 +117,7 @@ def cmd_run(example: Example, args, rep: Reporter) -> None:
         values = source.value_vector_at(n)
         text = None
         if n:
-            step = source.step_at(n)
+            step = source.directive_at(n)
             text = texts.get(step)
             if text is None:
                 text = texts[step] = step.describe(bases)

@@ -34,10 +34,11 @@ _PRIME_LINE = re.compile(r"prime\s*=\s*\[([^\]]*)\]\s*$")
 
 
 class ConfigError(ValueError):
-    pass
+    """A config file that describes no example, with the reason."""
 
 
 def load_config_text(text: str, name: str) -> Example:
+    """The example a config text describes, named `name`."""
     try:
         sections = split_sections(text)
     except ProgramFormatError as exc:

@@ -1,4 +1,4 @@
-"""Rational functions in canonical form, and the order at the origin.
+"""Rational functions in canonical form.
 
 A RationalFunction is a reduced fraction of Polynomials: numerator and
 denominator are coprime and the denominator is monic under graded lex.  That
@@ -19,10 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .polynomials import Exponents, Polynomial, cofactors, substitute_terms
+from .polynomials import Polynomial, cofactors, substitute_terms
 
 
 class RationalFunction:
+    """A reduced fraction of two Polynomials over the same variables."""
+
     __slots__ = ("numerator", "denominator", "_hash")
 
     def __init__(self, numerator: Polynomial, denominator: Polynomial):
@@ -207,33 +209,3 @@ def _monic_denominator(num: Polynomial,
         inv = Fraction(1, lead)
         num, den = num.scale(inv), den.scale(inv)
     return num, den
-
-
-def ord_at_origin(f: RationalFunction) -> int:
-    """Order of vanishing at the origin: minimal total degree of the
-    numerator minus minimal total degree of the denominator."""
-    if f.is_zero():
-        raise ValueError("order of zero is undefined")
-    return f.numerator.order() - f.denominator.order()
-
-
-def monomial_unit_parts(
-        f: RationalFunction) -> tuple[Exponents, Polynomial, Polynomial] | None:
-    """Split f as monomial^e * (u/v) with u, v units at the origin.
-
-    Returns (e, u, v) where e may have negative entries, or None when either
-    the numerator or the denominator is not monomial-times-unit.
-    """
-    if f.is_zero():
-        return None
-    en = f.numerator.min_exponents()
-    ed = f.denominator.min_exponents()
-    u = Polynomial._make(
-        f.variables,
-        {tuple(i - j for i, j in zip(e, en)): c for e, c in f.numerator.terms.items()})
-    v = Polynomial._make(
-        f.variables,
-        {tuple(i - j for i, j in zip(e, ed)): c for e, c in f.denominator.terms.items()})
-    if not (u.is_unit_at_origin() and v.is_unit_at_origin()):
-        return None
-    return tuple(i - j for i, j in zip(en, ed)), u, v

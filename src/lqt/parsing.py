@@ -38,6 +38,8 @@ from .polynomials import Polynomial
 
 
 class ParseError(ValueError):
+    """An expression the parser cannot read, with the position it failed at."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position

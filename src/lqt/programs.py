@@ -1,14 +1,16 @@
-"""Valuation programs: eventually periodic transform sequences with values.
+"""Transform steps and valuation programs, which attach values to them.
 
-A ValuationProgram drives an infinite sequence of transforms.  Each step
-fixes a pivot and translation constants, exactly like a chart Directive, and
-additionally assigns the new value of every translated coordinate as a
-positive multiple of the pivot value.  Untranslated coordinates lose the
-pivot value, the pivot keeps its own, so a positive value vector evolves
-exactly at every stage.
+A Directive is one local quadratic transform step: a pivot coordinate and
+translation constants for some of the others.  Every walk hands out its
+steps as Directives through `directive_at(n)`.  A ValuationProgram's steps
+are ProgramSteps: Directives that also assign the new value of every
+translated coordinate as a positive multiple of the pivot value.
+Untranslated coordinates lose the pivot value, the pivot keeps its own, so
+a positive value vector evolves exactly at every stage.
 
 The step list is a finite preperiod followed by a period repeated forever.
-Programs are read from and written to a small text format::
+Programs are read from a small text format, one step per line, and a
+step's `describe` writes its line back::
 
     [vars]
     x y
@@ -36,13 +38,12 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-from .charts import Directive
 from .parsing import parse_rational
-from .polynomials import coefficient
+from .polynomials import Coefficient, Polynomial, coefficient
 
 
 class ProgramError(ValueError):
-    pass
+    """A step or program that breaks a rule of the format or of the walk."""
 
 
 class Infinite:
@@ -119,6 +120,8 @@ NEG_INF = Infinite(-1)
 
 
 class ProgramFormatError(ProgramError):
+    """A fault in program text, with the line it is on when there is one."""
+
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
@@ -127,6 +130,8 @@ class ProgramFormatError(ProgramError):
 
 
 class ProgramConsistencyError(ProgramError):
+    """Stage values that a step's pivot and translations do not fit."""
+
     def __init__(self, stage: int, coordinate: str, message: str):
         super().__init__(f"stage {stage}, coordinate {coordinate}: {message}")
         self.stage = stage
@@ -138,34 +143,119 @@ class ProgramConsistencyError(ProgramError):
 ValueVector = tuple[int | Fraction, ...]
 
 
-class ProgramStep:
-    """A directive plus assigned relative values for translated coordinates.
+class Directive:
+    """One local quadratic transform step: a pivot coordinate p and nonzero
+    translation constants c_j for some other coordinates.  The step
+    introduces new coordinates by
 
-    translations holds (index, constant, factor) triples: the coordinate is
-    translated by `constant` and its new value is `factor` times the pivot
-    value.  Both are ints when whole, like every value.
+        old_p = new_p,    old_j = new_p * (new_j + c_j)
+
+    with c_j = 0 for a coordinate it does not translate.  translations
+    holds (index, constant) pairs sorted by index, each constant an int
+    when whole, like every coefficient.  A step is immutable, hashed once
+    when built, and equal only to a step that does the same.
     """
 
-    __slots__ = ("pivot", "translations", "directive", "_factors", "_hash")
+    __slots__ = ("pivot", "translations", "_hash")
 
     def __init__(self, pivot: int,
-                 translations: Iterable[tuple[int, Fraction, Fraction]] = ()):
-        trans = tuple(sorted((j, coefficient(c), coefficient(r))
-                             for j, c, r in translations))
-        for j, c, r in trans:
+                 translations: Iterable[tuple[int, Coefficient]] = ()):
+        if pivot < 0:
+            raise ProgramError(f"pivot index {pivot} out of range")
+        trans = tuple(sorted((j, coefficient(c)) for j, c in translations))
+        seen = set()
+        for j, c in trans:
+            if j == pivot:
+                raise ProgramError("cannot translate the pivot coordinate")
+            if j < 0:
+                raise ProgramError(f"translation index {j} out of range")
+            if j in seen:
+                raise ProgramError(f"coordinate {j} translated twice")
+            if c == 0:
+                raise ProgramError("translation constant must be nonzero")
+            seen.add(j)
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "translations", trans)
+        object.__setattr__(self, "_hash", hash(self._key()))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return (self.pivot, self.translations)
+
+    def check_dimension(self, dimension: int) -> None:
+        """Refuse a step that names a coordinate past `dimension`."""
+        for j in (self.pivot, *(j for j, _ in self.translations)):
+            if j >= dimension:
+                raise ProgramError(f"index {j} out of range for dimension "
+                                   f"{dimension}")
+
+    def translation_of(self, j: int) -> Coefficient:
+        """The constant coordinate j is translated by, 0 when it is not."""
+        for k, c in self.translations:
+            if k == j:
+                return c
+        return 0
+
+    def images(self, names: tuple[str, ...]) -> tuple[Polynomial, ...]:
+        """Images of the step's coordinates, by position, over `names`:
+        x_p for the pivot and x_p * (x_j + c_j) for every other j."""
+        self.check_dimension(len(names))
+        pivot = Polynomial.variable(names[self.pivot], names)
+        return tuple(
+            pivot if j == self.pivot else
+            pivot * (Polynomial.variable(name, names)
+                     + Polynomial.constant(self.translation_of(j), names))
+            for j, name in enumerate(names))
+
+    def describe(self, bases: tuple[str, ...]) -> str:
+        """The step as text, which is also how `lqt run` shows it."""
+        parts = [f"pivot={bases[self.pivot]}"]
+        for j, c in self.translations:
+            parts.append(f"translate {bases[j]}:{c}")
+        return " ".join(parts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Directive):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._key()}"
+
+
+class ProgramStep(Directive):
+    """A step that also assigns values: each translated coordinate's new
+    value is a positive factor times the pivot value.
+
+    factors holds those factors, one per entry of translations and in the
+    same order, each an int when whole, like every value.  A step is given
+    as (index, constant, factor) triples, as a program line writes it.
+    """
+
+    __slots__ = ("factors", "_factor_of")
+
+    def __init__(self, pivot: int,
+                 translations: Iterable[tuple[int, Coefficient,
+                                              Coefficient]] = ()):
+        trans = sorted(translations, key=lambda t: t[0])
+        factor_of = {}
+        for j, _, r in trans:
+            r = factor_of[j] = coefficient(r)
             if r <= 0:
                 raise ProgramError(
                     f"assigned value factor for coordinate {j} must be "
                     f"positive, got {r}")
-        directive = Directive(pivot, [(j, c) for j, c, r in trans])
-        object.__setattr__(self, "pivot", pivot)
-        object.__setattr__(self, "translations", trans)
-        object.__setattr__(self, "directive", directive)
-        object.__setattr__(self, "_factors", {j: r for j, _, r in trans})
-        object.__setattr__(self, "_hash", hash((pivot, trans)))
+        object.__setattr__(self, "factors", tuple(factor_of.values()))
+        object.__setattr__(self, "_factor_of", factor_of)
+        super().__init__(pivot, [(j, c) for j, c, _ in trans])
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ProgramStep is immutable")
+    def _key(self) -> tuple:
+        return (self.pivot, self.translations, self.factors)
 
     def next_values(self, values: ValueVector, stage: int,
                     bases: tuple[str, ...]) -> ValueVector:
@@ -178,7 +268,7 @@ class ProgramStep:
         """
         p = self.pivot
         vp = values[p]
-        factors = self._factors
+        factors = self._factor_of
         out = []
         for j, vj in enumerate(values):
             if j == p:
@@ -213,7 +303,7 @@ class ProgramStep:
                     stage, bases[p],
                     f"pivot value {vp} is not minimal: {bases[k]} has value "
                     f"{vk}")
-        if j in self._factors:
+        if j in self._factor_of:
             return ProgramConsistencyError(
                 stage, bases[j],
                 f"translated coordinate has value {values[j]}, which must "
@@ -223,24 +313,12 @@ class ProgramStep:
             f"coordinate shares the pivot value {vp} and must be translated")
 
     def describe(self, bases: tuple[str, ...]) -> str:
-        """The step as a program line, which is also how `lqt run` shows
-        it: the assigned factors are part of the text."""
+        """The step as a program line: the assigned factors are part of
+        the text."""
         parts = [f"pivot={bases[self.pivot]}"]
-        for j, c, r in self.translations:
+        for (j, c), r in zip(self.translations, self.factors):
             parts.append(f"translate {bases[j]}:{c}->{r}")
         return " ".join(parts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProgramStep):
-            return NotImplemented
-        return (self.pivot, self.translations) == (other.pivot,
-                                                   other.translations)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"ProgramStep(pivot={self.pivot}, translations={self.translations})"
 
 
 class ValuationProgram:
@@ -272,7 +350,7 @@ class ValuationProgram:
         if not per:
             raise ProgramError("period must contain at least one step")
         for step in pre + per:
-            step.directive.check_dimension(len(bs))
+            step.check_dimension(len(bs))
         object.__setattr__(self, "bases", bs)
         object.__setattr__(self, "initial_values", vals)
         object.__setattr__(self, "preperiod", pre)
@@ -282,7 +360,7 @@ class ValuationProgram:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ValuationProgram is immutable")
 
-    def step_at(self, n: int) -> ProgramStep:
+    def directive_at(self, n: int) -> ProgramStep:
         """The step taking stage n-1 to stage n (n >= 1)."""
         if n < 1:
             raise ValueError(f"step index {n} out of range")
@@ -290,9 +368,6 @@ class ValuationProgram:
         if n <= p:
             return self.preperiod[n - 1]
         return self.period[(n - 1 - p) % len(self.period)]
-
-    def directive_at(self, n: int) -> Directive:
-        return self.step_at(n).directive
 
     def value_vector_at(self, n: int) -> ValueVector:
         """The value vector at stage n, extending the kept stages to n."""
@@ -302,7 +377,7 @@ class ValuationProgram:
         while len(vectors) <= n:
             k = len(vectors)
             vectors.append(
-                self.step_at(k).next_values(vectors[-1], k, self.bases))
+                self.directive_at(k).next_values(vectors[-1], k, self.bases))
         return vectors[n]
 
     def __eq__(self, other: object) -> bool:
@@ -430,7 +505,7 @@ def _rest_stays_clear(program: ValuationProgram, scaled: list[int],
     for step in program.period:
         if step.pivot in rest:
             return False
-        if any(j in rest for j, _, _ in step.translations):
+        if any(j in rest for j, _ in step.translations):
             return False
     future_subtraction = pass_sum * ratio / (1 - ratio)
     floor = min(vectors[-1][j] for j in rest) - future_subtraction
@@ -548,26 +623,10 @@ def program_from_sections(
 
 
 def parse_program(text: str) -> ValuationProgram:
+    """The program a text in the program format describes."""
     sections = split_sections(text)
     unknown = set(sections) - set(_SECTIONS)
     if unknown:
         raise ProgramFormatError(
             f"unknown section [{sorted(unknown)[0]}] in a program file")
     return program_from_sections(sections)
-
-
-def serialize_program(program: ValuationProgram) -> str:
-    lines = ["[vars]", " ".join(program.bases), "", "[values]"]
-    for b, v in zip(program.bases, program.initial_values):
-        lines.append(f"{b} = {v}")
-    if program.preperiod:
-        lines.append("")
-        lines.append("[preperiod]")
-        for step in program.preperiod:
-            lines.append(step.describe(program.bases))
-    lines.append("")
-    lines.append("[period]")
-    for step in program.period:
-        lines.append(step.describe(program.bases))
-    lines.append("")
-    return "\n".join(lines)

@@ -21,11 +21,10 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .analysis import DEFAULT_BUDGET, AnalysisSession
-from .charts import Directive
 from .functions import RationalFunction
 from .polynomials import Polynomial
-from .programs import (POS_INF, Infinite, MultiplicityClass, ProgramError,
-                       ProgramStep, ValuationProgram, classify_multiplicity)
+from .programs import (POS_INF, Directive, Infinite, MultiplicityClass,
+                       ValuationProgram, classify_multiplicity)
 from .series import DEFAULT_PRECISION, SeriesDVR, SeriesTrace, series_value
 
 QuotientValuation = Union[ValuationProgram, SeriesDVR]
@@ -78,14 +77,6 @@ def member_RP(f: RationalFunction, prime: CoordinatePrime) -> bool:
     """Whether f lies in the localization at the prime."""
     _check_field(f, prime)
     return not prime.contains_poly(f.denominator)
-
-
-def in_prime(f: RationalFunction, prime: CoordinatePrime) -> bool:
-    """Whether f lies in the extension of the prime to the localization."""
-    _check_field(f, prime)
-    if f.is_zero():
-        return True
-    return member_RP(f, prime) and prime.contains_poly(f.numerator)
 
 
 def residue(f: RationalFunction, prime: CoordinatePrime) -> RationalFunction:
@@ -236,45 +227,7 @@ def composite_value(f: RationalFunction, prime: CoordinatePrime,
     return CompositeValue(k, v)
 
 
-# -- induced and lifted sequences ---------------------------------------------
-
-def induced_quotient_program(program: ValuationProgram,
-                             prime: CoordinatePrime) -> ValuationProgram:
-    """Project an ambient program to the residue field at the prime.
-
-    Fails if any step pivots or translates a prime coordinate: such a
-    sequence does not stay along the prime.
-    """
-    if program.bases != prime.bases:
-        raise ProgramError(f"program over {program.bases} does not match the "
-                           f"prime over {prime.bases}")
-    inside = set(prime.indices)
-    new_index = {j: i for i, j in enumerate(
-        j for j in range(len(program.bases)) if j not in inside)}
-
-    def project(steps, label):
-        out = []
-        for i, step in enumerate(steps, start=1):
-            if step.pivot in inside:
-                raise ProgramError(
-                    f"{label} step {i} pivots {program.bases[step.pivot]}, "
-                    f"which generates the prime")
-            for j, _, _ in step.translations:
-                if j in inside:
-                    raise ProgramError(
-                        f"{label} step {i} translates "
-                        f"{program.bases[j]}, which generates the prime")
-            out.append(ProgramStep(new_index[step.pivot],
-                                   [(new_index[j], c, r)
-                                    for j, c, r in step.translations]))
-        return out
-
-    return ValuationProgram(
-        prime.residue_bases,
-        [v for j, v in enumerate(program.initial_values) if j not in inside],
-        project(program.preperiod, "preperiod"),
-        project(program.period, "period"))
-
+# -- lifted sequences ---------------------------------------------------------
 
 class LiftedTrace:
     """A residue-field transform sequence viewed in the ambient field.
@@ -284,7 +237,7 @@ class LiftedTrace:
     stage vectors contain infinities, which programs never hold.
     """
 
-    __slots__ = ("quotient", "prime", "bases", "_ambient_index")
+    __slots__ = ("quotient", "prime", "bases", "_ambient_index", "_steps")
 
     def __init__(self, quotient: ValuationProgram | SeriesTrace,
                  prime: CoordinatePrime):
@@ -297,16 +250,18 @@ class LiftedTrace:
         self.bases = prime.bases
         self._ambient_index = tuple(prime.bases.index(b)
                                     for b in quotient.bases)
+        # the lifted step of each distinct quotient step, built when first
+        # asked for; it assigns no values of its own
+        self._steps: dict[Directive, Directive] = {}
 
     def directive_at(self, n: int) -> Directive:
         qd = self.quotient.directive_at(n)
-        amb = self._ambient_index
-        return Directive(amb[qd.pivot],
-                         [(amb[j], c) for j, c in qd.translations])
-
-    # a lifted step assigns no values of its own, so its directive is the
-    # whole step
-    step_at = directive_at
+        step = self._steps.get(qd)
+        if step is None:
+            amb = self._ambient_index
+            step = self._steps[qd] = Directive(
+                amb[qd.pivot], [(amb[j], c) for j, c in qd.translations])
+        return step
 
     def value_vector_at(self, n: int) -> tuple[int | Fraction | Infinite, ...]:
         qv = self.quotient.value_vector_at(n)
@@ -317,11 +272,6 @@ class LiftedTrace:
 
     def __repr__(self) -> str:
         return f"LiftedTrace({self.quotient!r} along {self.prime!r})"
-
-
-def lift_along(quotient: ValuationProgram | SeriesTrace,
-               prime: CoordinatePrime) -> LiftedTrace:
-    return LiftedTrace(quotient, prime)
 
 
 # -- classification of the union ring -----------------------------------------

@@ -12,7 +12,7 @@ from typing import Callable
 
 from .analysis import AnalysisSession
 from .programs import ValuationProgram, parse_program
-from .pullback import CoordinatePrime, LiftedTrace, lift_along
+from .pullback import CoordinatePrime, LiftedTrace
 from .series import FactorialGaps, GeometricGaps, SeriesDVR, SeriesTrace
 
 
@@ -60,10 +60,10 @@ def make_series_example(name: str, description: str,
 def make_pullback_example(name: str, description: str,
                           prime: CoordinatePrime, quotient) -> Example:
     if isinstance(quotient, SeriesDVR):
-        lifted: LiftedTrace = lift_along(SeriesTrace(quotient), prime)
+        walk = SeriesTrace(quotient)
     else:
-        lifted = lift_along(quotient, prime)
-    return Example(name, description, "pullback", lifted,
+        walk = quotient
+    return Example(name, description, "pullback", LiftedTrace(walk, prime),
                    prime=prime, quotient=quotient)
 
 
@@ -152,10 +152,12 @@ ALIASES = {"ex3.7": "ex3.7-3d"}
 
 
 def example_names() -> list[str]:
+    """The names of the builtin examples, in registry order."""
     return list(REGISTRY)
 
 
 def get_example(name: str) -> Example:
+    """A freshly built builtin example, by name or alias."""
     target = ALIASES.get(name, name)
     build = REGISTRY.get(target)
     if build is None:

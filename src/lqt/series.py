@@ -17,17 +17,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .charts import Directive
 from .functions import RationalFunction
 from .parsing import parse_rational
 from .polynomials import Coefficient, Polynomial, coefficient
+from .programs import Directive
 
 DEFAULT_PRECISION = 16
 MAX_PRECISION = 1024
 
 
 class StreamError(ValueError):
-    pass
+    """A series description that names no valid coefficient stream."""
 
 
 class CoefficientStream:
@@ -279,10 +279,12 @@ class SeriesTrace:
     diverges and the union of the stage rings is the valuation ring itself.
     """
 
-    __slots__ = ("dvr",)
+    __slots__ = ("dvr", "_steps")
 
     def __init__(self, dvr: SeriesDVR):
         self.dvr = dvr
+        # one step per distinct coefficient, built when first asked for
+        self._steps: dict[Coefficient, Directive] = {}
 
     @property
     def bases(self) -> tuple[str, ...]:
@@ -292,12 +294,10 @@ class SeriesTrace:
         if n < 1:
             raise ValueError(f"step index {n} out of range")
         a = self.dvr.stream.coefficient(n)
-        if a == 0:
-            return Directive(0)
-        return Directive(0, [(1, a)])
-
-    # a series step assigns no values, so the directive is the whole step
-    step_at = directive_at
+        step = self._steps.get(a)
+        if step is None:
+            step = self._steps[a] = Directive(0, [(1, a)] if a else ())
+        return step
 
     def value_vector_at(self, n: int) -> tuple[int, int]:
         """Values of the stage-n coordinates: x keeps 1, y carries the gap

@@ -1,16 +1,20 @@
 """Shared test helpers: sympy conversion, seeded random generators, a call
-recorder, the polynomial utilities only tests use and the reference forms
-of fast paths."""
+recorder, the polynomial utilities only tests use, the reference forms of
+fast paths, and oracles the package itself does not need: explicit
+coordinate charts, orders and monomial-unit splits at the origin, prime
+membership, induced quotient programs and program text written back."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterable
 
 import sympy as sp
 
-from lqt import (Polynomial, ProgramConsistencyError, RationalFunction,
-                 exact_div)
+from lqt import (CoordinatePrime, Directive, Polynomial,
+                 ProgramConsistencyError, ProgramError, ProgramStep,
+                 RationalFunction, ValuationProgram, exact_div, member_RP)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -121,7 +125,7 @@ def two_loop_next_values(step, values, stage: int, bases: tuple[str, ...]):
                 stage, bases[p],
                 f"pivot value {vp} is not minimal: {bases[j]} has value "
                 f"{vj}")
-    factors = {j: r for j, _, r in step.translations}
+    factors = {j: r for (j, _), r in zip(step.translations, step.factors)}
     out = []
     for j, vj in enumerate(values):
         if j == p:
@@ -141,3 +145,204 @@ def two_loop_next_values(step, values, stage: int, bases: tuple[str, ...]):
                     f"translated")
             out.append(vj - vp)
     return tuple(out)
+
+
+# -- orders and splits at the origin ------------------------------------------
+
+def ord_at_origin(f: RationalFunction) -> int:
+    """Order of vanishing at the origin: minimal total degree of the
+    numerator minus minimal total degree of the denominator."""
+    if f.is_zero():
+        raise ValueError("order of zero is undefined")
+    return f.numerator.order() - f.denominator.order()
+
+
+def monomial_unit_parts(
+        f: RationalFunction
+) -> tuple[tuple[int, ...], Polynomial, Polynomial] | None:
+    """Split f as monomial^e * (u/v) with u, v units at the origin.
+
+    Returns (e, u, v) where e may have negative entries, or None when either
+    the numerator or the denominator is not monomial-times-unit.
+    """
+    if f.is_zero():
+        return None
+    en = f.numerator.min_exponents()
+    ed = f.denominator.min_exponents()
+    u = Polynomial(
+        f.variables,
+        {tuple(i - j for i, j in zip(e, en)): c
+         for e, c in f.numerator.terms.items()})
+    v = Polynomial(
+        f.variables,
+        {tuple(i - j for i, j in zip(e, ed)): c
+         for e, c in f.denominator.terms.items()})
+    if not (u.is_unit_at_origin() and v.is_unit_at_origin()):
+        return None
+    return tuple(i - j for i, j in zip(en, ed)), u, v
+
+
+# -- explicit coordinate charts -----------------------------------------------
+#
+# A Chart records, at each stage, polynomial expressions for the ambient
+# variables in terms of the stage coordinates, so an ambient element can be
+# rewritten in any chart by substitution.  Stage-n coordinates are named
+# ``<base>_<n>``; the stage-0 chart uses the plain ambient names.  The
+# analysis session never builds one: charts are the oracle its states are
+# checked against.
+
+class Chart:
+    __slots__ = ("stage", "bases", "coords", "inverse_subst", "_cache")
+
+    def __init__(self, stage: int, bases: tuple[str, ...],
+                 coords: tuple[str, ...],
+                 inverse_subst: dict[str, Polynomial]):
+        self.stage = stage
+        self.bases = bases
+        self.coords = coords
+        self.inverse_subst = inverse_subst
+        self._cache: dict[RationalFunction, RationalFunction] = {}
+
+    @classmethod
+    def initial(cls, bases: Iterable[str]) -> Chart:
+        bs = tuple(bases)
+        if len(set(bs)) != len(bs):
+            raise ValueError("duplicate variable names")
+        subst = {b: Polynomial.variable(b, bs) for b in bs}
+        return cls(0, bs, bs, subst)
+
+    def __repr__(self) -> str:
+        return f"Chart(stage={self.stage}, coords={self.coords})"
+
+
+def apply_directive(chart: Chart, directive: Directive) -> Chart:
+    next_stage = chart.stage + 1
+    new_coords = tuple(f"{b}_{next_stage}" for b in chart.bases)
+    step = dict(zip(chart.coords, directive.images(new_coords)))
+    inverse = {b: p.substitute(step) for b, p in chart.inverse_subst.items()}
+    return Chart(next_stage, chart.bases, new_coords, inverse)
+
+
+def express_in_chart(f: RationalFunction, chart: Chart) -> RationalFunction:
+    """Rewrite an ambient-field element in the chart's coordinates."""
+    if f.variables != chart.bases:
+        raise ValueError(f"element over {f.variables} does not live in a "
+                         f"chart over {chart.bases}")
+    if chart.stage == 0:
+        return f
+    cached = chart._cache.get(f)
+    if cached is None:
+        cached = RationalFunction(
+            f.numerator.substitute(chart.inverse_subst),
+            f.denominator.substitute(chart.inverse_subst))
+        chart._cache[f] = cached
+    return cached
+
+
+def ord_n(f: RationalFunction, chart: Chart) -> int:
+    """Order of vanishing at the origin of the chart."""
+    if f.is_zero():
+        raise ValueError("order of zero is undefined")
+    return ord_at_origin(express_in_chart(f, chart))
+
+
+def in_ring(f: RationalFunction, chart: Chart) -> bool:
+    """Whether f lies in the local ring at the chart origin."""
+    g = express_in_chart(f, chart)
+    return g.denominator.is_unit_at_origin()
+
+
+def monomial_unit_split(
+        f: RationalFunction,
+        chart: Chart) -> tuple[tuple[int, ...], RationalFunction] | None:
+    """Split f as coords^e * u with u a unit at the chart origin.
+
+    Returns (e, u), where e may have negative entries, or None when f has no
+    such factorization in this chart.
+    """
+    g = express_in_chart(f, chart)
+    parts = monomial_unit_parts(g)
+    if parts is None:
+        return None
+    e, u, v = parts
+    return e, RationalFunction(u, v)
+
+
+# -- primes and programs ------------------------------------------------------
+
+def in_prime(f: RationalFunction, prime: CoordinatePrime) -> bool:
+    """Whether f lies in the extension of the prime to the localization."""
+    return member_RP(f, prime) and (f.is_zero()
+                                    or prime.contains_poly(f.numerator))
+
+
+def induced_quotient_program(program: ValuationProgram,
+                             prime: CoordinatePrime) -> ValuationProgram:
+    """Project an ambient program to the residue field at the prime.
+
+    Fails if any step pivots or translates a prime coordinate: such a
+    sequence does not stay along the prime.
+    """
+    if program.bases != prime.bases:
+        raise ProgramError(f"program over {program.bases} does not match the "
+                           f"prime over {prime.bases}")
+    inside = set(prime.indices)
+    new_index = {j: i for i, j in enumerate(
+        j for j in range(len(program.bases)) if j not in inside)}
+
+    def project(steps, label):
+        out = []
+        for i, step in enumerate(steps, start=1):
+            if step.pivot in inside:
+                raise ProgramError(
+                    f"{label} step {i} pivots {program.bases[step.pivot]}, "
+                    f"which generates the prime")
+            for j, _ in step.translations:
+                if j in inside:
+                    raise ProgramError(
+                        f"{label} step {i} translates "
+                        f"{program.bases[j]}, which generates the prime")
+            out.append(ProgramStep(
+                new_index[step.pivot],
+                [(new_index[j], c, r) for (j, c), r in zip(step.translations,
+                                                           step.factors)]))
+        return out
+
+    return ValuationProgram(
+        prime.residue_bases,
+        [v for j, v in enumerate(program.initial_values) if j not in inside],
+        project(program.preperiod, "preperiod"),
+        project(program.period, "period"))
+
+
+# step lines that the line pattern accepts but the step itself refuses,
+# each with the step's message
+BAD_STEP_LINES = [
+    ("pivot=x translate x:1->1", "cannot translate the pivot coordinate"),
+    ("pivot=x translate y:1->1 translate y:2->1",
+     "coordinate 1 translated twice"),
+    ("pivot=x translate y:0->1", "translation constant must be nonzero"),
+]
+
+
+def bad_step_program(line: str) -> str:
+    """A program whose period step, on line 7, is `line`."""
+    return f"[vars]\nx y\n[values]\nx = 1\ny = 1\n[period]\n{line}\n"
+
+
+def serialize_program(program: ValuationProgram) -> str:
+    """The program in the text format `parse_program` reads."""
+    lines = ["[vars]", " ".join(program.bases), "", "[values]"]
+    for b, v in zip(program.bases, program.initial_values):
+        lines.append(f"{b} = {v}")
+    if program.preperiod:
+        lines.append("")
+        lines.append("[preperiod]")
+        for step in program.preperiod:
+            lines.append(step.describe(program.bases))
+    lines.append("")
+    lines.append("[period]")
+    for step in program.period:
+        lines.append(step.describe(program.bases))
+    lines.append("")
+    return "\n".join(lines)

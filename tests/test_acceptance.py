@@ -16,11 +16,10 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
-from lqt import (AnalysisSession, CoordinatePrime, FactorialGaps, Polynomial,
-                 RationalFunction, SeriesDVR, SeriesTrace,
+from lqt import (AnalysisSession, CoordinatePrime, FactorialGaps, LiftedTrace,
+                 Polynomial, RationalFunction, SeriesDVR, SeriesTrace,
                  classify_multiplicity, composite_value, get_example,
-                 lift_along, member_pullback, multiplicity_sequence,
-                 parse_expr)
+                 member_pullback, multiplicity_sequence, parse_expr)
 from lqt.cli import main
 
 from golden_cases import GOLDEN_CASES
@@ -186,7 +185,7 @@ def test_04_union_and_pullback_memberships_agree_on_a_corpus():
     ambient = ("x", "y", "z")
     prime = CoordinatePrime(ambient, ("z",))
     dvr = SeriesDVR(("x", "y"), FactorialGaps())
-    session = AnalysisSession(lift_along(SeriesTrace(dvr), prime))
+    session = AnalysisSession(LiftedTrace(SeriesTrace(dvr), prime))
     corpus = _agreement_corpus(random.Random(20260814), ambient, 220)
 
     start = time.monotonic()

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from lqt import (CoordinatePrime, LimitTrace, MembershipVerdict, POS_INF,
-                 RationalFunction, ShannonClass, SeriesTrace, classify_shannon,
-                 get_example, lift_along, ord_n, parse_program)
+from lqt import (CoordinatePrime, LiftedTrace, LimitTrace, MembershipVerdict,
+                 POS_INF, RationalFunction, ShannonClass, SeriesTrace,
+                 classify_shannon, get_example, parse_program)
 from conftest import el
-from helpers import general_states, record_calls
+from helpers import (Chart, apply_directive, general_states, ord_n,
+                     record_calls)
 
 F = Fraction
 
@@ -232,7 +233,6 @@ def test_walk_steps_match_the_general_path(monkeypatch):
 # -- agreement with explicit charts ---------------------------------------------------
 
 def test_session_orders_match_chart_orders(two_var):
-    from lqt import Chart, apply_directive
     texts = ["y - x", "x", "x*y", "(y - x)/x^2", "y - x - x^2"]
     chart = Chart.initial(two_var.bases)
     charts = [chart]
@@ -305,7 +305,7 @@ def test_classify_lifted_convergent_walk_is_unknown():
     quotient = parse_program(
         "[vars]\nx y\n[values]\nx = 1\ny = 1\n"
         "[period]\npivot=x translate y:1->1/2\npivot=y\n")
-    lifted = lift_along(quotient, CoordinatePrime(("x", "y", "z"), ("z",)))
+    lifted = LiftedTrace(quotient, CoordinatePrime(("x", "y", "z"), ("z",)))
     outcome = classify_shannon(lifted)
     assert outcome.kind == "Unknown"
     assert outcome.union_is_pullback is False

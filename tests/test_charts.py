@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from lqt import (Chart, Directive, Polynomial, RationalFunction,
-                 apply_directive, express_in_chart, get_example, in_ring,
-                 monomial_unit_split, ord_n, parse_expr)
-from helpers import XY, random_rf
+from lqt import (Directive, Polynomial, RationalFunction, get_example,
+                 parse_expr)
+from helpers import (XY, Chart, apply_directive, express_in_chart, in_ring,
+                     monomial_unit_split, ord_n, random_rf)
 
 
 def charts_for(name: str, depth: int) -> list[Chart]:

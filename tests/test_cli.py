@@ -15,7 +15,7 @@ from lqt.analysis import MembershipVerdict
 from lqt.programs import POS_INF, ProgramStep
 from lqt.pullback import PullbackVerdict
 from golden_cases import GOLDEN_CASES
-from helpers import record_calls
+from helpers import BAD_STEP_LINES, bad_step_program, record_calls
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -161,6 +161,16 @@ def test_bad_config_reports_the_path(capsys, tmp_path):
     assert code == 2
     assert "bad config" in err
     assert "missing section [values]" in err
+
+
+@pytest.mark.parametrize("line, message", BAD_STEP_LINES)
+def test_bad_config_step_reports_its_line(capsys, tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(bad_step_program(line), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad config {path}: line 7: {message}\n"
 
 
 def test_argparse_rejects_missing_pieces(capsys):

@@ -13,9 +13,10 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from lqt import (Polynomial, RationalFunction, functions, monomial_unit_parts,
-                 ord_at_origin, parse_expr, poly_gcd, polynomials)
-from helpers import XY, XYZ, random_rf, record_calls, to_sympy, to_sympy_rf
+from lqt import (Polynomial, RationalFunction, functions, parse_expr, poly_gcd,
+                 polynomials)
+from helpers import (XY, XYZ, monomial_unit_parts, ord_at_origin, random_rf,
+                     record_calls, to_sympy, to_sympy_rf)
 
 
 def f_of(text: str, variables=XY) -> RationalFunction:

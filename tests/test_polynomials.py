@@ -14,9 +14,8 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from lqt import Polynomial, RationalFunction, exact_div, poly_gcd
+from lqt import Directive, Polynomial, RationalFunction, exact_div, poly_gcd
 from lqt.polynomials import cofactors
-from lqt.charts import Directive
 from helpers import (XY, XYZ, divides, random_poly, record_calls, rename,
                      to_sympy, to_sympy_rf)
 

@@ -8,14 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from lqt import (Infinite, MultiplicityClass, NEG_INF, POS_INF,
+from lqt import (Directive, Infinite, MultiplicityClass, NEG_INF, POS_INF,
                  ProgramConsistencyError, ProgramError, ProgramFormatError,
                  ProgramStep, ValuationProgram, classify_multiplicity,
                  classify_shannon, get_example, multiplicity_sequence,
-                 parse_program, serialize_program)
+                 parse_program)
 from lqt.cli import _exact_sum
 from lqt.config import load_config_file
-from helpers import two_loop_next_values
+from helpers import (BAD_STEP_LINES, bad_step_program, serialize_program,
+                     two_loop_next_values)
 
 F = Fraction
 
@@ -189,10 +190,13 @@ def test_step_indexing_follows_preperiod_then_cycle():
     b = ProgramStep(1)
     c = ProgramStep(0, [(1, F(2), F(1, 3))])
     program = ValuationProgram(("x", "y"), [F(1), F(1)], (a,), (b, c))
-    assert [program.step_at(n) for n in (1, 2, 3, 4, 5)] == [a, b, c, b, c]
-    assert program.directive_at(1) == a.directive
+    steps = [program.directive_at(n) for n in (1, 2, 3, 4, 5)]
+    assert steps == [a, b, c, b, c]
+    # the program's step is the directive itself, factors and all
+    assert program.directive_at(1) is a
+    assert (a.pivot, a.translations, a.factors) == (0, ((1, 1),), (F(1, 2),))
     with pytest.raises(ValueError, match="out of range"):
-        program.step_at(0)
+        program.directive_at(0)
 
 
 def test_two_var_value_vectors():
@@ -258,6 +262,11 @@ def test_stage_values_are_ints_when_whole():
             values = source.value_vector_at(n)
             assert all(_is_value(v) for v in values), (example.name, n,
                                                         values)
+            if n:
+                # series and lifted steps keep their constants the same way
+                step = source.directive_at(n)
+                assert all(_is_value(c) for _, c in step.translations), (
+                    example.name, n, step)
         entries = multiplicity_sequence(source, 301)
         assert all(_is_value(m) for m in entries), example.name
         assert _is_value(_exact_sum(entries)), example.name
@@ -268,12 +277,17 @@ def test_stage_values_are_ints_when_whole():
         for ratio in re.findall(r"ratio (\S+)", outcome.detail):
             assert "." not in ratio, (example.name, outcome.detail)
     assert type(get_example("dvr-curve").source.value_vector_at(1)[1]) is int
-    (whole,) = ProgramStep(0, [(1, F(2), F(4, 2))]).translations
-    assert [type(part) for part in whole] == [int, int, int]
+    whole = ProgramStep(0, [(1, F(2), F(4, 2))])
+    ((j, c),), (r,) = whole.translations, whole.factors
+    assert [type(part) for part in (j, c, r)] == [int, int, int]
+    ((_, constant),) = Directive(0, [(1, F(4, 2))]).translations
+    assert type(constant) is int
     with pytest.raises(TypeError, match="float"):
         ValuationProgram(("x",), [0.5], (), (ProgramStep(0),))
     with pytest.raises(TypeError, match="float"):
         ProgramStep(0, [(1, 1, 0.5)])
+    with pytest.raises(TypeError, match="float"):
+        Directive(0, [(1, 0.5)])
 
 
 # -- multiplicity classification ------------------------------------------------------
@@ -341,7 +355,8 @@ def test_parse_serialize_round_trip():
             "[period]\npivot=y translate x:1->1/2\npivot=x\n")
     program = parse_program(text)
     assert len(program.preperiod) == 1
-    assert program.preperiod[0].translations == ((1, F(-2), F(3, 2)),)
+    step = program.preperiod[0]
+    assert (step.translations, step.factors) == (((1, F(-2)),), (F(3, 2),))
     out = serialize_program(program)
     again = parse_program(out)
     assert again == program
@@ -389,3 +404,11 @@ def test_format_errors_carry_line_numbers():
         parse_program("[vars]\nx\n[values]\nx = oops\n[period]\npivot=x")
     assert info.value.line == 4
     assert str(info.value).startswith("line 4:")
+
+
+@pytest.mark.parametrize("line, message", BAD_STEP_LINES)
+def test_step_faults_carry_line_numbers(line, message):
+    with pytest.raises(ProgramFormatError) as info:
+        parse_program(bad_step_program(line))
+    assert info.value.line == 7
+    assert str(info.value) == f"line 7: {message}"

@@ -9,11 +9,10 @@ from hypothesis import assume, given, settings
 
 from lqt import (Directive, GeometricGaps, NEG_INF, POS_INF,
                  PeriodicCoefficients, Polynomial, RationalFunction,
-                 SeriesDVR, exact_div, ord_at_origin, parse_expr, poly_gcd,
-                 series_value)
+                 SeriesDVR, exact_div, parse_expr, poly_gcd, series_value)
 from lqt.polynomials import cofactors
 from lqt.series import _evaluate_truncated
-from helpers import XY, divides
+from helpers import XY, divides, ord_at_origin
 
 F = Fraction
 

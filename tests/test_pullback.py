@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from lqt import (AnalysisSession, CompositeValue, CoordinatePrime, Directive,
-                 FactorialGaps, GeometricGaps, POS_INF, ProgramError,
-                 PullbackVerdict, SeriesDVR, SeriesTrace, composite_value,
-                 get_example, induced_quotient_program, in_prime, lift_along,
-                 member_RP, member_pullback, multiplicity_sequence,
-                 parse_program, quotient_value, residue)
-from helpers import XY, XYZ
+                 FactorialGaps, GeometricGaps, LiftedTrace, POS_INF,
+                 ProgramError, PullbackVerdict, SeriesDVR, SeriesTrace,
+                 composite_value, get_example, member_RP, member_pullback,
+                 multiplicity_sequence, parse_program, quotient_value,
+                 residue)
+from helpers import XY, XYZ, in_prime, induced_quotient_program, record_calls
 from conftest import el_on
 
 F = Fraction
@@ -244,7 +244,7 @@ def test_lifted_trace_reindexes_directives():
     quotient = parse_program(
         "[vars]\nx z\n[values]\nx = 1\nz = 1\n"
         "[period]\npivot=x translate z:1->1/2\npivot=z\n")
-    lifted = lift_along(quotient, prime)
+    lifted = LiftedTrace(quotient, prime)
     assert lifted.bases == XYZ
     assert lifted.directive_at(1) == Directive(0, [(2, F(1))])
     assert lifted.directive_at(2) == Directive(2)
@@ -252,22 +252,34 @@ def test_lifted_trace_reindexes_directives():
 
 
 def test_lifted_series_trace(prime_z):
-    lifted = lift_along(SeriesTrace(SeriesDVR(XY, FactorialGaps())), prime_z)
+    lifted = LiftedTrace(SeriesTrace(SeriesDVR(XY, FactorialGaps())), prime_z)
     assert lifted.directive_at(1) == Directive(0, [(1, F(1))])
     assert lifted.value_vector_at(2) == (F(1), F(4), POS_INF)
     assert multiplicity_sequence(lifted, 3) == [F(1)] * 3
 
 
+def test_walks_build_each_distinct_step_once(monkeypatch):
+    """A series walk keeps one step per distinct coefficient and a lifted
+    walk one per distinct quotient step, however many stages are read.
+    ex5.3-shape's series coefficients are 0 and 1 only."""
+    source = get_example("ex5.3-shape").source
+    built = record_calls(monkeypatch, Directive, "__init__")
+    steps = {id(source.directive_at(n)) for n in range(1, 301)}
+    assert len(steps) <= 2
+    # the two lifted steps, and the two series steps they lift
+    assert len(built) <= 4
+
+
 def test_lift_checks_the_residue_field():
     prime = CoordinatePrime(XY, ("y",))
     with pytest.raises(ValueError, match="does not match the residue field"):
-        lift_along(get_example("ex3.7-2d").source, prime)
+        LiftedTrace(get_example("ex3.7-2d").source, prime)
 
 
 def test_membership_through_a_lifted_trace(prime_z):
     """The prime generator has infinite value, so dividing it by anything of
     finite value stays in the union; the reverse quotient never enters."""
-    lifted = lift_along(SeriesTrace(SeriesDVR(XY, FactorialGaps())), prime_z)
+    lifted = LiftedTrace(SeriesTrace(SeriesDVR(XY, FactorialGaps())), prime_z)
     session = AnalysisSession(lifted)
     assert session.member(e3("z/(y - x)")).stage == 2
     assert not session.member(e3("1/(y - x)"), budget=10).decided
