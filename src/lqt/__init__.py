@@ -18,8 +18,8 @@ from .programs import (Directive, Infinite, MultiplicityClass, NEG_INF,
                        ValueVector, classify_multiplicity,
                        multiplicity_sequence, parse_program)
 from .series import (CoefficientStream, FactorialGaps, GeometricGaps,
-                     PeriodicCoefficients, SeriesDVR, SeriesTrace,
-                     StreamError, parse_stream, series_value)
+                     PeriodicCoefficients, SeriesDVR, StreamError,
+                     parse_stream, series_value)
 from .analysis import AnalysisSession, LimitTrace, MembershipVerdict
 from .pullback import (CompositeValue, CoordinatePrime, LiftedTrace,
                        PullbackVerdict, ShannonClass, classify_shannon,
@@ -57,7 +57,6 @@ __all__ = [
     "PullbackVerdict",
     "RationalFunction",
     "SeriesDVR",
-    "SeriesTrace",
     "ShannonClass",
     "StreamError",
     "ValuationProgram",

@@ -21,7 +21,7 @@ one leaves only a unit) and substitutes only the sides that are not one.
 A monomial state, num and den both one, thus advances with no
 substitution: x/z on ex3.7-3d crosses hundreds of stages without one.
 
-Directive sources are duck-typed: a ValuationProgram, a SeriesTrace or a
+Directive sources are duck-typed: a ValuationProgram, a SeriesDVR or a
 LiftedTrace, or anything with bases, directive_at and value_vector_at.
 """
 

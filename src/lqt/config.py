@@ -18,9 +18,8 @@ import re
 
 from .programs import (ProgramFormatError, program_from_sections,
                        split_sections)
-from .pullback import CoordinatePrime
-from .registry import (Example, make_program_example, make_pullback_example,
-                       make_series_example)
+from .pullback import CoordinatePrime, LiftedTrace
+from .registry import Example
 from .series import SeriesDVR, StreamError, parse_stream
 
 # configs are short hand-written files; anything longer is refused unread
@@ -61,8 +60,8 @@ def load_config_text(text: str, name: str) -> Example:
             return _pullback_example(sections, ambient, name)
         if "series" in sections:
             return _series_example(sections, ambient, name)
-        return make_program_example(name, f"program from config {name}",
-                                    program_from_sections(sections))
+        return Example(name, f"program from config {name}",
+                       program_from_sections(sections))
     except (ProgramFormatError, StreamError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -89,9 +88,8 @@ def _series_example(sections, ambient, name: str) -> Example:
     for key in ("values", "preperiod", "period"):
         if key in sections:
             raise ConfigError(f"[{key}] does not belong in a series config")
-    dvr = _parse_series(lines[0], ambient)
-    return make_series_example(name, f"series valuation from config {name}",
-                               dvr)
+    return Example(name, f"series valuation from config {name}",
+                   _parse_series(lines[0], ambient))
 
 
 def _pullback_example(sections, ambient, name: str) -> Example:
@@ -130,8 +128,8 @@ def _pullback_example(sections, ambient, name: str) -> Example:
     else:
         raise ConfigError("a pullback config needs a quotient: a series line "
                           "or program sections over the residue variables")
-    return make_pullback_example(name, f"pullback from config {name}", prime,
-                                 quotient)
+    return Example(name, f"pullback from config {name}",
+                   LiftedTrace(quotient, prime))
 
 
 def _parse_series(line_info, bases) -> SeriesDVR:

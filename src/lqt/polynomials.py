@@ -156,11 +156,6 @@ class Polynomial:
         """True iff the constant term is nonzero (unit of the local ring)."""
         return self.constant_term() != 0
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
-
     def order(self) -> int:
         """Minimal total degree of a term (order of vanishing at the origin)."""
         if not self.terms:

@@ -95,20 +95,20 @@ class Infinite:
     __rmul__ = __mul__
 
     def __lt__(self, other: object) -> bool:
-        if isinstance(other, Infinite):
-            return self.sign < other.sign
         if isinstance(other, (int, Fraction)):
             return self.sign < 0
+        if isinstance(other, Infinite):
+            return self.sign < other.sign
         return NotImplemented
 
     def __le__(self, other: object) -> bool:
         return self < other or self == other
 
     def __gt__(self, other: object) -> bool:
-        if isinstance(other, Infinite):
-            return self.sign > other.sign
         if isinstance(other, (int, Fraction)):
             return self.sign > 0
+        if isinstance(other, Infinite):
+            return self.sign > other.sign
         return NotImplemented
 
     def __ge__(self, other: object) -> bool:
@@ -400,7 +400,7 @@ def multiplicity_sequence(source, count: int) -> list[int | Fraction]:
     is a value, so an int when it is whole.
 
     Any source with `value_vector_at` works: a ValuationProgram, a
-    SeriesTrace, or a LiftedTrace, whose infinite prime coordinates never
+    SeriesDVR, or a LiftedTrace, whose infinite prime coordinates never
     reach the minimum."""
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -412,7 +412,8 @@ class MultiplicityClass:
 
     kind is "Divergent", "Convergent" or "Undecided"; limit is the exact sum
     when convergent, None otherwise.  nonscaling lists the coordinates whose
-    values do not shrink with the deciding pass ratio.
+    values do not shrink with the deciding pass ratio; it is filled only
+    once no period step pivots or translates any of them.
     """
 
     __slots__ = ("kind", "limit", "detail", "nonscaling")

@@ -7,7 +7,8 @@ one: the pullback consists of the local elements whose residue the smaller
 valuation accepts.  Composing with the order along the prime itself gives a
 rank-two value, a lexicographic pair (prime order, residue value).
 
-A transform sequence of the residue field lifts along the prime: the prime
+A quotient valuation, a ValuationProgram or a SeriesDVR, is itself a walk
+of the residue field, and a LiftedTrace lifts it along the prime: the prime
 coordinates are never pivoted or translated, and they carry an infinite
 value in every stage vector.
 
@@ -25,7 +26,7 @@ from .functions import RationalFunction
 from .polynomials import Polynomial
 from .programs import (POS_INF, Directive, Infinite, MultiplicityClass,
                        ValuationProgram, classify_multiplicity)
-from .series import DEFAULT_PRECISION, SeriesDVR, SeriesTrace, series_value
+from .series import DEFAULT_PRECISION, SeriesDVR, series_value
 
 QuotientValuation = Union[ValuationProgram, SeriesDVR]
 
@@ -230,7 +231,7 @@ def composite_value(f: RationalFunction, prime: CoordinatePrime,
 # -- lifted sequences ---------------------------------------------------------
 
 class LiftedTrace:
-    """A residue-field transform sequence viewed in the ambient field.
+    """A quotient valuation's walk viewed in the ambient field.
 
     Prime coordinates are never pivoted or translated and carry an infinite
     value at every stage.  This is deliberately not a ValuationProgram: its
@@ -239,8 +240,7 @@ class LiftedTrace:
 
     __slots__ = ("quotient", "prime", "bases", "_ambient_index", "_steps")
 
-    def __init__(self, quotient: ValuationProgram | SeriesTrace,
-                 prime: CoordinatePrime):
+    def __init__(self, quotient: QuotientValuation, prime: CoordinatePrime):
         if tuple(quotient.bases) != prime.residue_bases:
             raise ValueError(
                 f"quotient sequence over {tuple(quotient.bases)} does not "
@@ -308,7 +308,7 @@ class ShannonClass:
 
 
 def classify_shannon(source, max_passes: int = 8) -> ShannonClass:
-    """Classify the union ring of a ValuationProgram, a SeriesTrace or a
+    """Classify the union ring of a ValuationProgram, a SeriesDVR or a
     LiftedTrace.
 
     A divergent multiplicity sum forces the union to be a valuation ring.  A
@@ -321,7 +321,7 @@ def classify_shannon(source, max_passes: int = 8) -> ShannonClass:
     if isinstance(source, LiftedTrace):
         return _classify_lifted(source, max_passes)
     outcome = _sum_class(source, max_passes, "stage")
-    if isinstance(source, SeriesTrace):
+    if isinstance(source, SeriesDVR):
         return ShannonClass(
             "ValuationRing",
             "every stage has multiplicity 1, so the multiplicity sum "
@@ -333,8 +333,10 @@ def classify_shannon(source, max_passes: int = 8) -> ShannonClass:
             f"the multiplicity sum diverges ({outcome.detail})",
             multiplicity=outcome)
     if outcome.kind == "Convergent":
-        spared = _never_pivoted(source, outcome)
-        if spared is not None:
+        # classify_multiplicity names nonscaling coordinates only once it
+        # has seen that no period step pivots them
+        if outcome.nonscaling:
+            spared = source.bases[outcome.nonscaling[0]]
             return ShannonClass(
                 "ArchimedeanNonValuation",
                 f"the multiplicity sum converges to {outcome.limit} while "
@@ -369,17 +371,10 @@ def _classify_lifted(source: LiftedTrace, max_passes: int) -> ShannonClass:
 def _sum_class(source, max_passes: int, stage: str) -> MultiplicityClass:
     """The multiplicity class of an unlifted walk; `stage` names its stages
     in the detail of a series walk, whose multiplicities are all 1."""
-    if isinstance(source, SeriesTrace):
+    if isinstance(source, SeriesDVR):
         return MultiplicityClass(
             "Divergent", detail=f"every {stage} has multiplicity 1")
     if isinstance(source, ValuationProgram):
         return classify_multiplicity(source, max_passes)
     raise TypeError(f"cannot classify {type(source).__name__}")
 
-
-def _never_pivoted(program: ValuationProgram,
-                   outcome: MultiplicityClass) -> str | None:
-    for j in outcome.nonscaling:
-        if all(step.pivot != j for step in program.period):
-            return program.bases[j]
-    return None

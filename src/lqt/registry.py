@@ -1,9 +1,9 @@
 """Built-in examples and the runtime bundle the CLI works with.
 
-An Example ties together everything a command needs: the ambient variables,
-the directive source driving the union ring (a ValuationProgram, a
-SeriesTrace or a LiftedTrace), and, for a pullback construction, the
-prime/quotient pair.
+An Example is a name, a description and a walk: a ValuationProgram, a
+SeriesDVR, or a LiftedTrace, which also holds the prime and the quotient
+valuation of a pullback construction.  Everything else a command needs is
+read from the walk.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import Callable
 
 from .analysis import AnalysisSession
-from .programs import ValuationProgram, parse_program
+from .programs import parse_program
 from .pullback import CoordinatePrime, LiftedTrace
-from .series import FactorialGaps, GeometricGaps, SeriesDVR, SeriesTrace
+from .series import FactorialGaps, GeometricGaps, SeriesDVR
 
 
 class Example:
@@ -22,15 +22,16 @@ class Example:
     __slots__ = ("name", "description", "kind", "ambient", "source",
                  "prime", "quotient", "_session")
 
-    def __init__(self, name: str, description: str, kind: str, source,
-                 prime: CoordinatePrime | None = None, quotient=None):
+    def __init__(self, name: str, description: str, source):
         self.name = name
         self.description = description
-        self.kind = kind
         self.ambient = tuple(source.bases)
         self.source = source
-        self.prime = prime
-        self.quotient = quotient
+        lifted = isinstance(source, LiftedTrace)
+        self.kind = ("pullback" if lifted else
+                     "series" if isinstance(source, SeriesDVR) else "program")
+        self.prime = source.prime if lifted else None
+        self.quotient = source.quotient if lifted else None
         self._session: AnalysisSession | None = None
 
     @property
@@ -45,26 +46,6 @@ class Example:
 
     def __repr__(self) -> str:
         return f"Example({self.name}, kind={self.kind})"
-
-
-def make_program_example(name: str, description: str,
-                         program: ValuationProgram) -> Example:
-    return Example(name, description, "program", program)
-
-
-def make_series_example(name: str, description: str,
-                        dvr: SeriesDVR) -> Example:
-    return Example(name, description, "series", SeriesTrace(dvr))
-
-
-def make_pullback_example(name: str, description: str,
-                          prime: CoordinatePrime, quotient) -> Example:
-    if isinstance(quotient, SeriesDVR):
-        walk = SeriesTrace(quotient)
-    else:
-        walk = quotient
-    return Example(name, description, "pullback", LiftedTrace(walk, prime),
-                   prime=prime, quotient=quotient)
 
 
 _TWO_VAR = """\
@@ -101,14 +82,14 @@ pivot=x
 
 
 def _build_ex37_2d() -> Example:
-    return make_program_example(
+    return Example(
         "ex3.7-2d",
         "two coordinates, alternating pivot with halving assigned values",
         parse_program(_TWO_VAR))
 
 
 def _build_ex37_3d() -> Example:
-    return make_program_example(
+    return Example(
         "ex3.7-3d",
         "the alternating pair plus a third coordinate that never pivots",
         parse_program(_THREE_VAR))
@@ -116,28 +97,27 @@ def _build_ex37_3d() -> Example:
 
 def _build_ex53_shape() -> Example:
     prime = CoordinatePrime(("x", "y", "z"), ("z",))
-    dvr = SeriesDVR(("x", "y"), GeometricGaps(2))
-    return make_pullback_example(
+    quotient = SeriesDVR(("x", "y"), GeometricGaps(2))
+    return Example(
         "ex5.3-shape",
         "series valuation with doubling exponent gaps, lifted along (z)",
-        prime, dvr)
+        LiftedTrace(quotient, prime))
 
 
 def _build_nonarch2d() -> Example:
     prime = CoordinatePrime(("x", "y"), ("y",))
     quotient = parse_program(_XADIC)
-    return make_pullback_example(
+    return Example(
         "nonarch2d",
         "the x-adic valuation lifted along (y); y is divided out forever",
-        prime, quotient)
+        LiftedTrace(quotient, prime))
 
 
 def _build_dvr_curve() -> Example:
-    dvr = SeriesDVR(("x", "y"), FactorialGaps())
-    return make_series_example(
+    return Example(
         "dvr-curve",
         "series valuation with factorial exponent gaps, followed directly",
-        dvr)
+        SeriesDVR(("x", "y"), FactorialGaps()))
 
 
 REGISTRY: dict[str, Callable[[], Example]] = {

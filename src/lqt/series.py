@@ -6,10 +6,10 @@ of the result.  The series is a CoefficientStream, an infinite-support
 coefficient sequence with computable gaps, which keeps every question about
 truncations exact.
 
-Such a valuation also induces an infinite transform sequence: x always
+Such a valuation also fixes an infinite transform sequence: x always
 pivots, and y is translated by the next series coefficient whenever that
-coefficient is nonzero.  SeriesTrace exposes that sequence in the same shape
-a ValuationProgram does, so the transform machinery can follow it.
+coefficient is nonzero.  A SeriesDVR is that walk too, in the same shape a
+ValuationProgram is, so the transform machinery follows it directly.
 """
 
 from __future__ import annotations
@@ -169,9 +169,14 @@ def _call_args(text: str, name: str) -> list[str] | None:
 
 
 class SeriesDVR:
-    """The valuation on k(x, y) defined by y -> tau(x)."""
+    """The valuation on k(x, y) defined by y -> tau(x), and its walk.
 
-    __slots__ = ("bases", "stream")
+    Every stage pivots on x; y is translated by coefficient a_n exactly when
+    a_n is nonzero.  All stage multiplicities are 1, so the multiplicity sum
+    diverges and the union of the stage rings is the valuation ring itself.
+    """
+
+    __slots__ = ("bases", "stream", "_steps")
 
     def __init__(self, bases: Iterable[str], stream: CoefficientStream):
         bs = tuple(bases)
@@ -180,14 +185,25 @@ class SeriesDVR:
                 f"a series valuation needs exactly two variables, got {bs}")
         self.bases = bs
         self.stream = stream
+        # one step per distinct coefficient, built when first asked for
+        self._steps: dict[Coefficient, Directive] = {}
 
-    @property
-    def x(self) -> str:
-        return self.bases[0]
+    def directive_at(self, n: int) -> Directive:
+        if n < 1:
+            raise ValueError(f"step index {n} out of range")
+        a = self.stream.coefficient(n)
+        step = self._steps.get(a)
+        if step is None:
+            step = self._steps[a] = Directive(0, [(1, a)] if a else ())
+        return step
 
-    @property
-    def y(self) -> str:
-        return self.bases[1]
+    def value_vector_at(self, n: int) -> tuple[int, int]:
+        """Values of the stage-n coordinates: x keeps 1, y carries the gap
+        to the next nonzero series coefficient.  Both are whole, so both
+        are ints, as the value rule of `programs` asks."""
+        if n < 0:
+            raise ValueError(f"stage {n} out of range")
+        return 1, self.stream.next_nonzero(n) - n
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeriesDVR):
@@ -195,7 +211,7 @@ class SeriesDVR:
         return self.bases == other.bases and self.stream == other.stream
 
     def __repr__(self) -> str:
-        return f"SeriesDVR({self.y} -> {self.stream.describe()})"
+        return f"SeriesDVR({self.bases[1]} -> {self.stream.describe()})"
 
 
 def series_value(dvr: SeriesDVR, f: RationalFunction,
@@ -270,42 +286,3 @@ def _nonzero(coeffs: dict[int, Coefficient]) -> dict[int, Coefficient]:
     """The nonzero coefficients, whole ones as ints."""
     return {k: coefficient(v) for k, v in coeffs.items() if v}
 
-
-class SeriesTrace:
-    """The transform sequence that follows a series valuation.
-
-    Every stage pivots on x; y is translated by coefficient a_n exactly when
-    a_n is nonzero.  All stage multiplicities are 1, so the multiplicity sum
-    diverges and the union of the stage rings is the valuation ring itself.
-    """
-
-    __slots__ = ("dvr", "_steps")
-
-    def __init__(self, dvr: SeriesDVR):
-        self.dvr = dvr
-        # one step per distinct coefficient, built when first asked for
-        self._steps: dict[Coefficient, Directive] = {}
-
-    @property
-    def bases(self) -> tuple[str, ...]:
-        return self.dvr.bases
-
-    def directive_at(self, n: int) -> Directive:
-        if n < 1:
-            raise ValueError(f"step index {n} out of range")
-        a = self.dvr.stream.coefficient(n)
-        step = self._steps.get(a)
-        if step is None:
-            step = self._steps[a] = Directive(0, [(1, a)] if a else ())
-        return step
-
-    def value_vector_at(self, n: int) -> tuple[int, int]:
-        """Values of the stage-n coordinates: x keeps 1, y carries the gap
-        to the next nonzero series coefficient.  Both are whole, so both
-        are ints, as the value rule of `programs` asks."""
-        if n < 0:
-            raise ValueError(f"stage {n} out of range")
-        return 1, self.dvr.stream.next_nonzero(n) - n
-
-    def __repr__(self) -> str:
-        return f"SeriesTrace({self.dvr!r})"

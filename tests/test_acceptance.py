@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from lqt import (AnalysisSession, CoordinatePrime, FactorialGaps, LiftedTrace,
-                 Polynomial, RationalFunction, SeriesDVR, SeriesTrace,
+                 Polynomial, RationalFunction, SeriesDVR,
                  classify_multiplicity, composite_value, get_example,
                  member_pullback, multiplicity_sequence, parse_expr)
 from lqt.cli import main
@@ -185,7 +185,7 @@ def test_04_union_and_pullback_memberships_agree_on_a_corpus():
     ambient = ("x", "y", "z")
     prime = CoordinatePrime(ambient, ("z",))
     dvr = SeriesDVR(("x", "y"), FactorialGaps())
-    session = AnalysisSession(LiftedTrace(SeriesTrace(dvr), prime))
+    session = AnalysisSession(LiftedTrace(dvr, prime))
     corpus = _agreement_corpus(random.Random(20260814), ambient, 220)
 
     start = time.monotonic()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lqt import (CoordinatePrime, LiftedTrace, LimitTrace, MembershipVerdict,
-                 POS_INF, RationalFunction, ShannonClass, SeriesTrace,
+                 POS_INF, RationalFunction, SeriesDVR, ShannonClass,
                  classify_shannon, get_example, parse_program)
 from conftest import el
 from helpers import (Chart, apply_directive, general_states, ord_n,
@@ -273,7 +273,7 @@ def test_classify_divergent_program_is_a_valuation_ring(nonarch):
 
 def test_classify_series_trace_is_a_valuation_ring(curve_dvr):
     source = curve_dvr.source
-    assert isinstance(source, SeriesTrace)
+    assert isinstance(source, SeriesDVR)
     outcome = classify_shannon(source)
     assert outcome.kind == "ValuationRing"
     assert "multiplicity 1" in outcome.reason

@@ -154,6 +154,37 @@ def test_walk_flags_are_capped(capsys, argv, flag, cap):
     assert err == f"error: {flag} must be at most {cap}\n"
 
 
+# config texts that describe the lifted builtins walk for walk
+LIFTED_CONFIGS = {
+    "ex5.3-shape": "[vars]\nx y z\n[pullback]\nprime = [z]\n"
+                   "series y = geometric(2)\n",
+    "nonarch2d": "[vars]\nx y\n[pullback]\nprime = [y]\n"
+                 "[values]\nx = 1\n[period]\npivot=x\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFTED_CONFIGS))
+def test_configs_build_the_builtin_walks(capsys, tmp_path, name):
+    """A config describing a lifted builtin gives the same `run` and
+    `classify` lines, apart from the example's name and description."""
+    path = tmp_path / "same.cfg"
+    path.write_text(LIFTED_CONFIGS[name], encoding="utf-8")
+
+    def lines(*argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        for record in records:
+            record.pop("example", None)
+            record.pop("description", None)
+        return records
+
+    for command in (["run", "--steps", "40"], ["classify"]):
+        builtin = lines(*command, "--example", name)
+        assert lines(*command, "--config", str(path)) == builtin
+        assert len(builtin) == (42 if command[0] == "run" else 1)
+
+
 def test_bad_config_reports_the_path(capsys, tmp_path):
     path = tmp_path / "broken.vp"
     path.write_text("[vars]\nx\n[period]\npivot=x\n", encoding="utf-8")

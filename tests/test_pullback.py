@@ -7,7 +7,7 @@ import pytest
 
 from lqt import (AnalysisSession, CompositeValue, CoordinatePrime, Directive,
                  FactorialGaps, GeometricGaps, LiftedTrace, POS_INF,
-                 ProgramError, PullbackVerdict, SeriesDVR, SeriesTrace,
+                 ProgramError, PullbackVerdict, SeriesDVR,
                  composite_value, get_example, member_RP, member_pullback,
                  multiplicity_sequence, parse_program, quotient_value,
                  residue)
@@ -252,7 +252,7 @@ def test_lifted_trace_reindexes_directives():
 
 
 def test_lifted_series_trace(prime_z):
-    lifted = LiftedTrace(SeriesTrace(SeriesDVR(XY, FactorialGaps())), prime_z)
+    lifted = LiftedTrace(SeriesDVR(XY, FactorialGaps()), prime_z)
     assert lifted.directive_at(1) == Directive(0, [(1, F(1))])
     assert lifted.value_vector_at(2) == (F(1), F(4), POS_INF)
     assert multiplicity_sequence(lifted, 3) == [F(1)] * 3
@@ -279,7 +279,7 @@ def test_lift_checks_the_residue_field():
 def test_membership_through_a_lifted_trace(prime_z):
     """The prime generator has infinite value, so dividing it by anything of
     finite value stays in the union; the reverse quotient never enters."""
-    lifted = LiftedTrace(SeriesTrace(SeriesDVR(XY, FactorialGaps())), prime_z)
+    lifted = LiftedTrace(SeriesDVR(XY, FactorialGaps()), prime_z)
     session = AnalysisSession(lifted)
     assert session.member(e3("z/(y - x)")).stage == 2
     assert not session.member(e3("1/(y - x)"), budget=10).decided

@@ -42,16 +42,21 @@ def test_builtin_shapes():
     assert shape.prime.generators == ("z",)
     assert shape.quotient == SeriesDVR(("x", "y"), GeometricGaps(2))
     assert shape.has_pullback
+    assert shape.prime is shape.source.prime
+    assert shape.quotient is shape.source.quotient
 
     curve = get_example("dvr-curve")
     assert curve.kind == "series"
-    assert curve.source.dvr == SeriesDVR(("x", "y"), FactorialGaps())
+    assert curve.source == SeriesDVR(("x", "y"), FactorialGaps())
     assert curve.prime is None
+    assert curve.quotient is None
 
     nonarch = get_example("nonarch2d")
     assert nonarch.kind == "pullback"
     assert isinstance(nonarch.quotient, ValuationProgram)
     assert nonarch.quotient.bases == ("x",)
+    assert nonarch.prime is nonarch.source.prime
+    assert nonarch.quotient is nonarch.source.quotient
 
 
 def test_alias_resolves_to_the_three_variable_example():
@@ -91,10 +96,10 @@ def test_series_config():
     example = load_config_text(
         "[vars]\nx y\n[series]\ny = geometric(3)\n", "geo")
     assert example.kind == "series"
-    assert example.source.dvr == SeriesDVR(("x", "y"), GeometricGaps(3))
+    assert example.source == SeriesDVR(("x", "y"), GeometricGaps(3))
     prefixed = load_config_text(
         "[vars]\nx y\n[series]\nseries y = factorial\n", "fac")
-    assert prefixed.source.dvr == SeriesDVR(("x", "y"), FactorialGaps())
+    assert prefixed.source == SeriesDVR(("x", "y"), FactorialGaps())
 
 
 def test_pullback_config_with_series_quotient():
@@ -104,6 +109,8 @@ def test_pullback_config_with_series_quotient():
     assert example.kind == "pullback"
     assert example.prime.generators == ("z",)
     assert example.quotient == SeriesDVR(("x", "y"), FactorialGaps())
+    assert example.prime is example.source.prime
+    assert example.quotient is example.source.quotient
     assert example.source.value_vector_at(0) == (F(1), F(1), POS_INF)
 
 
@@ -114,6 +121,8 @@ def test_pullback_config_with_program_quotient():
     assert example.kind == "pullback"
     assert isinstance(example.quotient, ValuationProgram)
     assert example.quotient.bases == ("x",)
+    assert example.prime is example.source.prime
+    assert example.quotient is example.source.quotient
     assert example.source.value_vector_at(0) == (F(1), POS_INF)
 
 
