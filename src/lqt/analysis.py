@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Protocol
 
 from .polynomials import Polynomial, _strip_monomial, substitute_terms
-from .functions import RationalFunction
+from .functions import RationalFunction, _check_field
 from .programs import Directive, Infinite
 
 DEFAULT_BUDGET = 24
@@ -209,9 +209,7 @@ class AnalysisSession:
     def initial_state(self, f: RationalFunction) -> ElementState:
         if f.is_zero():
             raise ValueError("cannot analyze the zero element")
-        if f.variables != self.bases:
-            raise ValueError(f"element over {f.variables} does not live in "
-                             f"the field over {self.bases}")
+        _check_field(f, self.bases)
         zero = (0,) * len(self.bases)
         return _normalized(zero, f.numerator, f.denominator)
 

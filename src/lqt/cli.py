@@ -8,7 +8,10 @@ counters as integers, so output is byte-stable across runs.
 Exit codes: 0 success, 2 usage or config errors, 3 consistency failures
 (a stage that contradicts its program, or cross-checks that disagree),
 4 undecided results under --strict.  Every failure, argparse's usage errors
-included, writes exactly one line to stderr.
+included, writes exactly one line to stderr.  Commands let faults propagate;
+main alone maps them to a code, whichever command raised them:
+ProgramConsistencyError to 3, any other ValueError or ArithmeticError to 2
+(bar argparse's usage errors, which _ArgumentParser.error reports itself).
 """
 
 from __future__ import annotations
@@ -21,14 +24,13 @@ import sys
 from fractions import Fraction
 
 from .analysis import DEFAULT_BUDGET, LimitTrace, MembershipVerdict
-from .config import ConfigError, load_config_file
+from .config import load_config_file
 from .parsing import ParseError, parse_expr
-from .programs import (Infinite, ProgramConsistencyError, ProgramError,
-                       multiplicity_sequence)
+from .programs import Infinite, ProgramConsistencyError, multiplicity_sequence
 from .pullback import (classify_shannon, composite_value, member_pullback,
                        member_RP, residue)
 from .registry import Example, get_example
-from .series import DEFAULT_PRECISION, MAX_PRECISION, StreamError
+from .series import DEFAULT_PRECISION, MAX_PRECISION
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,12 +47,9 @@ ECHO_LIMIT = 60
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-class CLIError(Exception):
-    """User-facing failure with a dedicated exit code."""
-
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+class CLIError(ValueError):
+    """A usage fault found by the CLI itself; main reports it like any other
+    ValueError, with exit code 2."""
 
 
 class Reporter:
@@ -227,10 +226,7 @@ def _exact_sum(values) -> int | Fraction:
 def cmd_value(example: Example, args, rep: Reporter) -> None:
     for expr in args.elements:
         f = _parse_element(expr, example)
-        try:
-            res = example.session.value_of(f, args.budget)
-        except (ValueError, ArithmeticError) as exc:
-            raise CLIError(str(exc)) from None
+        res = example.session.value_of(f, args.budget)
         line = {"schema": "value", "element": expr, "example": example.name,
                 "budget": args.budget}
         if res is None:
@@ -248,10 +244,7 @@ def cmd_wapprox(example: Example, args, rep: Reporter) -> None:
     ref = _parse_element(ref_expr, example)
     for expr in args.elements:
         f = _parse_element(expr, example)
-        try:
-            trace = example.session.w_approx(f, ref, args.budget)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
+        trace = example.session.w_approx(f, ref, args.budget)
         rep.emit(_trace_dict(trace, {"schema": "wapprox", "element": expr,
                                      "reference": ref_expr,
                                      "example": example.name,
@@ -263,10 +256,7 @@ def cmd_wapprox(example: Example, args, rep: Reporter) -> None:
 def cmd_eapprox(example: Example, args, rep: Reporter) -> None:
     for expr in args.elements:
         f = _parse_element(expr, example)
-        try:
-            result = example.session.e_approx(f, args.budget)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
+        result = example.session.e_approx(f, args.budget)
         line = {"schema": "eapprox", "element": expr,
                 "example": example.name, "budget": args.budget}
         if isinstance(result, MembershipVerdict):
@@ -297,11 +287,8 @@ def cmd_composite(example: Example, args, rep: Reporter) -> None:
                        f"composite values do not apply")
     for expr in args.elements:
         f = _parse_element(expr, example)
-        try:
-            cv = composite_value(f, example.prime, example.quotient,
-                                 args.budget, args.precision)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
+        cv = composite_value(f, example.prime, example.quotient,
+                             args.budget, args.precision)
         line = {"schema": "composite", "element": expr,
                 "example": example.name,
                 "prime_order": cv.prime_order,
@@ -352,7 +339,7 @@ def _resolve_example(args) -> Example:
             reason = getattr(exc, "strerror", None) or exc
             raise CLIError(f"cannot read config {args.config}: "
                            f"{reason}") from None
-        except (ConfigError, ProgramError, StreamError) as exc:
+        except ValueError as exc:
             raise CLIError(f"bad config {args.config}: {exc}") from None
     raise CLIError("an example is required: --example NAME or --config FILE")
 
@@ -461,13 +448,10 @@ def main(argv: list[str] | None = None) -> int:
         example = _resolve_example(args)
         # looked up at each call, so that a wrapped or patched command runs
         globals()[f"cmd_{args.command}"](example, args, rep)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ProgramConsistencyError as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (ProgramError, ParseError, StreamError, ConfigError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return rep.exit_code()

@@ -178,6 +178,13 @@ class RationalFunction:
         return f"RationalFunction({str(self)!r})"
 
 
+def _check_field(f: RationalFunction, bases: tuple[str, ...]) -> None:
+    """Refuse an element of any field but the one over bases."""
+    if f.variables != bases:
+        raise ValueError(f"element over {f.variables} does not live in the "
+                         f"field over {bases}")
+
+
 def _safe_as_divisor(p: Polynomial) -> bool:
     """True when `num/<str(p)>` reparses correctly without parentheses.
 

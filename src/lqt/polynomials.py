@@ -204,17 +204,7 @@ class Polynomial:
         return Polynomial._make(self.variables, _wholes(res))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        self._check(other)
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e)
-            if s is None:
-                res[e] = -c
-            elif s := s - c:
-                res[e] = s
-            else:
-                del res[e]
-        return Polynomial._make(self.variables, _wholes(res))
+        return self + -other
 
     def __neg__(self) -> Polynomial:
         return Polynomial._make(self.variables,
@@ -467,7 +457,7 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial | None:
             return None
         qc = Fraction(rc, lead_c)
         quo[qe] = qc
-        rem = rem - b.mul_monomial(qe, qc)
+        rem = rem + b.mul_monomial(qe, -qc)
     return Polynomial(a.variables, quo)
 
 

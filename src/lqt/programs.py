@@ -614,12 +614,12 @@ def program_from_sections(
         return [parse_step(line, bases, lineno)
                 for lineno, line in sections.get(section, [])]
 
+    # a bad step keeps its line number; only the program's own check is wrapped
+    preperiod, period = steps_of("preperiod"), steps_of("period")
     try:
         return ValuationProgram(bases, [values[b] for b in bases],
-                                steps_of("preperiod"), steps_of("period"))
+                                preperiod, period)
     except ProgramError as exc:
-        if isinstance(exc, ProgramFormatError):
-            raise
         raise ProgramFormatError(str(exc)) from None
 
 

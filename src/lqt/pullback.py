@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .analysis import DEFAULT_BUDGET, AnalysisSession
-from .functions import RationalFunction
+from .functions import RationalFunction, _check_field
 from .polynomials import Polynomial
 from .programs import (POS_INF, Directive, Infinite, MultiplicityClass,
                        ValuationProgram, classify_multiplicity)
@@ -76,13 +76,12 @@ class CoordinatePrime:
 
 def member_RP(f: RationalFunction, prime: CoordinatePrime) -> bool:
     """Whether f lies in the localization at the prime."""
-    _check_field(f, prime)
+    _check_field(f, prime.bases)
     return not prime.contains_poly(f.denominator)
 
 
 def residue(f: RationalFunction, prime: CoordinatePrime) -> RationalFunction:
     """The image of f in the residue field at the prime."""
-    _check_field(f, prime)
     if not member_RP(f, prime):
         raise ValueError(f"{f} is not in the local ring at "
                          f"({', '.join(prime.generators)}); it has no residue")
@@ -90,12 +89,6 @@ def residue(f: RationalFunction, prime: CoordinatePrime) -> RationalFunction:
     num = f.numerator.set_zero(kill).restrict(prime.residue_bases)
     den = f.denominator.set_zero(kill).restrict(prime.residue_bases)
     return RationalFunction(num, den)
-
-
-def _check_field(f: RationalFunction, prime: CoordinatePrime) -> None:
-    if f.variables != prime.bases:
-        raise ValueError(f"element over {f.variables} does not live in the "
-                         f"field over {prime.bases}")
 
 
 # -- quotient values ---------------------------------------------------------
@@ -153,7 +146,6 @@ def member_pullback(f: RationalFunction, prime: CoordinatePrime,
     f must be local at the prime and its residue must have nonnegative
     quotient value; a zero residue is always accepted.
     """
-    _check_field(f, prime)
     if not member_RP(f, prime):
         return PullbackVerdict(
             "NotIn", "the denominator lies in the prime, so the element is "
@@ -215,7 +207,7 @@ def composite_value(f: RationalFunction, prime: CoordinatePrime,
     """The rank-two value of f: order along the prime, then the quotient
     value of what remains.  Needs a single-generator prime, since only there
     is the leading part along the prime a well-defined residue element."""
-    _check_field(f, prime)
+    _check_field(f, prime.bases)
     if f.is_zero():
         raise ValueError("the value of zero is undefined")
     if len(prime.generators) != 1:

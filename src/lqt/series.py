@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .functions import RationalFunction
+from .functions import RationalFunction, _check_field
 from .parsing import parse_rational
 from .polynomials import Coefficient, Polynomial, coefficient
 from .programs import Directive
@@ -225,9 +225,7 @@ def series_value(dvr: SeriesDVR, f: RationalFunction,
     """
     if f.is_zero():
         raise ValueError("the valuation of zero is undefined")
-    if f.variables != dvr.bases:
-        raise ValueError(f"element over {f.variables} does not live in the "
-                         f"field over {dvr.bases}")
+    _check_field(f, dvr.bases)
     cap = max(1, precision)
     while cap <= max_precision:
         num = _certified_order(f.numerator, dvr, cap)

@@ -1,18 +1,22 @@
 """Tests for the command line interface: golden outputs, exit codes, the
 table format, and config handling."""
 
+import argparse
 import json
 import os
+import shlex
 import time
 from fractions import Fraction
 
 import pytest
 
-from lqt.cli import MAX_BUDGET, MAX_STEPS, Reporter, _agreement, enc, main
+from lqt import cli
+from lqt.cli import (MAX_BUDGET, MAX_STEPS, Reporter, _agreement,
+                     build_parser, enc, main)
 from lqt.config import MAX_CONFIG_BYTES
 from lqt.series import MAX_PRECISION
 from lqt.analysis import MembershipVerdict
-from lqt.programs import POS_INF, ProgramStep
+from lqt.programs import POS_INF, ProgramConsistencyError, ProgramStep
 from lqt.pullback import PullbackVerdict
 from golden_cases import GOLDEN_CASES
 from helpers import BAD_STEP_LINES, bad_step_program, record_calls
@@ -39,6 +43,12 @@ v = 3/2
 [period]
 pivot=u
 """
+
+
+COMMANDS = {name[len("cmd_"):] for name in vars(cli)
+            if name.startswith("cmd_")}
+# the commands that require at least one -e EXPR
+ELEMENT_COMMANDS = {"member", "value", "wapprox", "eapprox", "composite"}
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -333,16 +343,108 @@ def test_repeated_calls_share_no_parser_state(capsys):
 
 # -- consistency failures (exit 3) ----------------------------------------------------
 
-def test_inconsistent_program_stops_with_exit_3(capsys, tmp_path):
+# the inconsistent program as the quotient of a pullback along w
+INCONSISTENT_LIFTED_TEXT = INCONSISTENT_TEXT.replace(
+    "u v\n", "u v w\n[pullback]\nprime = [w]\n", 1)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["run", "--steps", "2"], INCONSISTENT_TEXT),
+    (["multiplicity", "--steps", "3"], INCONSISTENT_TEXT),
+    (["classify"], INCONSISTENT_TEXT),
+    (["value", "-e", "v - u^2"], INCONSISTENT_TEXT),
+    (["member", "--mode", "pullback", "-e", "v - u^2"],
+     INCONSISTENT_LIFTED_TEXT),
+    (["composite", "-e", "v - u^2"], INCONSISTENT_LIFTED_TEXT),
+], ids=["run", "multiplicity", "classify", "value", "member-pullback",
+        "composite"])
+def test_inconsistent_program_stops_with_exit_3(capsys, tmp_path, argv, text):
+    """Whichever command reaches the inconsistent stage exits 3."""
+    path = tmp_path / "drift.vp"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 3
+    assert err.startswith("inconsistent: stage 2, coordinate u")
+    assert err.count("\n") == 1
+
+
+def test_inconsistent_program_runs_clean_before_stage_2(capsys, tmp_path):
     path = tmp_path / "drift.vp"
     path.write_text(INCONSISTENT_TEXT, encoding="utf-8")
     code, out, err = run_cli(capsys, "run", "--config", str(path),
-                             "--steps", "2")
-    assert code == 3
-    assert err.startswith("inconsistent: stage 2, coordinate u")
-    code, out, err = run_cli(capsys, "run", "--config", str(path),
                              "--steps", "1")
     assert code == 0
+    assert err == ""
+
+
+def test_opposite_infinite_values_are_a_one_line_usage_error(capsys,
+                                                             tmp_path):
+    """y/z along the prime (y, z) carries +inf - inf at stage 0: the
+    ArithmeticError from Infinite ends in exit 2 like any other fault."""
+    path = tmp_path / "two-prime.vp"
+    path.write_text("[vars]\nx y z\n[pullback]\nprime = [y, z]\n"
+                    "[values]\nx = 1\n[period]\npivot=x\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "value", "--config", str(path),
+                             "-e", "y/z")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot add opposite infinite values\n"
+
+
+# -- main alone maps a fault to its exit code ----------------------------------------
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("fault, expected", [
+    (ValueError("bad input"), "error: bad input"),
+    (ArithmeticError("no answer"), "error: no answer"),
+    (ProgramConsistencyError(1, "x", "drift"),
+     "inconsistent: stage 1, coordinate x: drift"),
+], ids=["ValueError", "ArithmeticError", "ProgramConsistencyError"])
+def test_main_maps_every_commands_faults(capsys, monkeypatch, command, fault,
+                                        expected):
+    def fail(example, args, rep):
+        raise fault
+
+    monkeypatch.setattr(cli, f"cmd_{command}", fail)
+    argv = [command, "--example", "ex3.7-2d"]
+    if command in ELEMENT_COMMANDS:
+        argv += ["-e", "x"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == (3 if isinstance(fault, ProgramConsistencyError) else 2)
+    assert err == expected + "\n"
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Each `$ lqt ...` line of README.md with the output lines under it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ lqt "):
+            rest = lines[i + 1:]
+            end = next(k for k, out in enumerate(rest)
+                       if out.startswith(("$ ", "```")))
+            examples.append((line[len("$ lqt "):], rest[:end]))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command, expected", README_EXAMPLES,
+                         ids=[command for command, _ in README_EXAMPLES])
+def test_readme_examples_print_what_they_show(capsys, command, expected):
+    code, out, err = run_cli(capsys, *shlex.split(command))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == expected
+
+
+def test_every_subcommand_has_its_function():
+    """main dispatches to cmd_<name> through the module globals, so a
+    subcommand without its function would end in a KeyError traceback."""
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert set(subcommands) == COMMANDS
 
 
 # -- the walk primitive --------------------------------------------------------------
