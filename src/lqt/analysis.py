@@ -93,16 +93,16 @@ class LimitTrace:
     approximant.
     """
 
-    __slots__ = ("quantity", "start", "approximants", "window", "stabilized")
+    __slots__ = ("quantity", "start", "approximants", "stabilized")
+    window = STABLE_WINDOW
 
     def __init__(self, quantity: str, start: int,
-                 approximants: list[Fraction], window: int = STABLE_WINDOW):
+                 approximants: list[Fraction]):
         self.quantity = quantity
         self.start = start
         self.approximants = approximants
-        self.window = window
-        self.stabilized = (len(approximants) >= window
-                           and len(set(approximants[-window:])) == 1)
+        self.stabilized = (len(approximants) >= self.window
+                           and len(set(approximants[-self.window:])) == 1)
 
     @property
     def last(self) -> Fraction | None:

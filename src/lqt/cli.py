@@ -30,7 +30,6 @@ from .programs import Infinite, ProgramConsistencyError, multiplicity_sequence
 from .pullback import (classify_shannon, composite_value, member_pullback,
                        member_RP, residue)
 from .registry import Example, get_example
-from .series import DEFAULT_PRECISION, MAX_PRECISION
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,11 +44,6 @@ ECHO_LIMIT = 60
 
 # json.dumps with any non-default argument builds a new encoder per call
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-class CLIError(ValueError):
-    """A usage fault found by the CLI itself; main reports it like any other
-    ValueError, with exit code 2."""
 
 
 class Reporter:
@@ -132,8 +126,8 @@ def cmd_run(example: Example, args, rep: Reporter) -> None:
 def cmd_member(example: Example, args, rep: Reporter) -> None:
     mode = args.mode
     if mode in ("pullback", "both") and not example.has_pullback:
-        raise CLIError(f"example {example.name} has no pullback side; "
-                       f"--mode {mode} does not apply")
+        raise ValueError(f"example {example.name} has no pullback side; "
+                         f"--mode {mode} does not apply")
     for expr in args.elements:
         f = _parse_element(expr, example)
         line: dict = {"schema": "member", "element": expr,
@@ -147,7 +141,7 @@ def cmd_member(example: Example, args, rep: Reporter) -> None:
                 rep.undecided += 1
         if mode in ("pullback", "both"):
             pull = member_pullback(f, example.prime, example.quotient,
-                                   args.budget, args.precision)
+                                   args.budget)
             line["pullback"] = {"status": pull.status, "detail": pull.detail}
             if not pull.decided:
                 rep.undecided += 1
@@ -283,12 +277,11 @@ def _trace_dict(trace: LimitTrace, line: dict) -> dict:
 
 def cmd_composite(example: Example, args, rep: Reporter) -> None:
     if not example.has_pullback:
-        raise CLIError(f"example {example.name} has no prime/quotient pair; "
-                       f"composite values do not apply")
+        raise ValueError(f"example {example.name} has no prime/quotient pair; "
+                         f"composite values do not apply")
     for expr in args.elements:
         f = _parse_element(expr, example)
-        cv = composite_value(f, example.prime, example.quotient,
-                             args.budget, args.precision)
+        cv = composite_value(f, example.prime, example.quotient, args.budget)
         line = {"schema": "composite", "element": expr,
                 "example": example.name,
                 "prime_order": cv.prime_order,
@@ -302,7 +295,7 @@ def cmd_composite(example: Example, args, rep: Reporter) -> None:
             if local:
                 diag["residue"] = str(residue(f, example.prime))
             verdict = member_pullback(f, example.prime, example.quotient,
-                                      args.budget, args.precision)
+                                      args.budget)
             diag["pullback"] = verdict.status
             line["diagnostic"] = diag
         rep.emit(line)
@@ -314,7 +307,7 @@ def _parse_element(expr: str, example: Example):
     try:
         f = parse_expr(expr, example.ambient)
     except ParseError as exc:
-        raise CLIError(f"bad element {_shorten(expr)!r}: {exc}") from None
+        raise ValueError(f"bad element {_shorten(expr)!r}: {exc}") from None
     return f
 
 
@@ -324,24 +317,24 @@ def _shorten(text: str, limit: int = ECHO_LIMIT) -> str:
 
 def _resolve_example(args) -> Example:
     if args.example and args.config:
-        raise CLIError("give either --example or --config, not both")
+        raise ValueError("give either --example or --config, not both")
     if args.example:
         try:
             return get_example(args.example)
         except KeyError as exc:
-            raise CLIError(str(exc.args[0])) from None
+            raise ValueError(str(exc.args[0])) from None
     if args.config:
         try:
             return load_config_file(args.config)
         except FileNotFoundError:
-            raise CLIError(f"config file not found: {args.config}") from None
+            raise ValueError(f"config file not found: {args.config}") from None
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
-            raise CLIError(f"cannot read config {args.config}: "
-                           f"{reason}") from None
+            raise ValueError(f"cannot read config {args.config}: "
+                             f"{reason}") from None
         except ValueError as exc:
-            raise CLIError(f"bad config {args.config}: {exc}") from None
-    raise CLIError("an example is required: --example NAME or --config FILE")
+            raise ValueError(f"bad config {args.config}: {exc}") from None
+    raise ValueError("an example is required: --example NAME or --config FILE")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -364,8 +357,6 @@ def _add_common(parser: argparse.ArgumentParser, elements: bool = False) -> None
                         default="json", help="output format")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="maximum stage to explore")
-    parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                        help="starting series precision")
     parser.add_argument("--strict", action="store_true",
                         help="exit with status 4 if anything stays undecided")
     if elements:
@@ -428,15 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_args(args) -> None:
-    for flag, value, low, cap in (
-            ("--budget", args.budget, 0, MAX_BUDGET),
-            ("--precision", args.precision, 1, MAX_PRECISION),
-            ("--steps", getattr(args, "steps", 0), 0, MAX_STEPS)):
-        if value < low:
-            raise CLIError(f"{flag} must be "
-                           f"{'positive' if low else 'nonnegative'}")
+    for flag, value, cap in (
+            ("--budget", args.budget, MAX_BUDGET),
+            ("--steps", getattr(args, "steps", 0), MAX_STEPS)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative")
         if value > cap:
-            raise CLIError(f"{flag} must be at most {cap}")
+            raise ValueError(f"{flag} must be at most {cap}")
 
 
 def main(argv: list[str] | None = None) -> int:

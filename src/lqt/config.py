@@ -20,7 +20,7 @@ from .programs import (ProgramFormatError, program_from_sections,
                        split_sections)
 from .pullback import CoordinatePrime, LiftedTrace
 from .registry import Example
-from .series import SeriesDVR, StreamError, parse_stream
+from .series import SeriesDVR, parse_stream
 
 # configs are short hand-written files; anything longer is refused unread
 MAX_CONFIG_BYTES = 1 << 20
@@ -62,9 +62,9 @@ def load_config_text(text: str, name: str) -> Example:
             return _series_example(sections, ambient, name)
         return Example(name, f"program from config {name}",
                        program_from_sections(sections))
-    except (ProgramFormatError, StreamError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ConfigError:
+        raise
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 

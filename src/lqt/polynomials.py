@@ -274,26 +274,6 @@ class Polynomial:
         target = imgs[0].variables if imgs else self.variables
         return substitute_terms([self.terms.items()], imgs, target)[0]
 
-    def restrict(self, keep: Iterable[str]) -> Polynomial:
-        """Project onto a variable subset; dropped variables must not occur."""
-        ks = tuple(keep)
-        idx = [self.variables.index(v) for v in ks]
-        dropped = [i for i in range(len(self.variables)) if i not in idx]
-        res: dict[Exponents, Coefficient] = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in dropped):
-                raise ValueError("polynomial involves a dropped variable")
-            res[tuple(e[i] for i in idx)] = c
-        return Polynomial(ks, res)
-
-    def set_zero(self, names: Iterable[str]) -> Polynomial:
-        """Set the named variables to zero, staying in the same ring."""
-        drop = [self.variables.index(v) for v in names]
-        # surviving terms keep their exponents, so none of them collide
-        return Polynomial._make(self.variables, {
-            e: c for e, c in self.terms.items()
-            if not any(e[i] for i in drop)})
-
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -26,7 +26,7 @@ from .functions import RationalFunction, _check_field
 from .polynomials import Polynomial
 from .programs import (POS_INF, Directive, Infinite, MultiplicityClass,
                        ValuationProgram, classify_multiplicity)
-from .series import DEFAULT_PRECISION, SeriesDVR, series_value
+from .series import SeriesDVR, series_value
 
 QuotientValuation = Union[ValuationProgram, SeriesDVR]
 
@@ -85,9 +85,12 @@ def residue(f: RationalFunction, prime: CoordinatePrime) -> RationalFunction:
     if not member_RP(f, prime):
         raise ValueError(f"{f} is not in the local ring at "
                          f"({', '.join(prime.generators)}); it has no residue")
-    kill = list(prime.generators)
-    num = f.numerator.set_zero(kill).restrict(prime.residue_bases)
-    den = f.denominator.set_zero(kill).restrict(prime.residue_bases)
+    gens = prime.indices
+    keep = [i for i in range(len(prime.bases)) if i not in gens]
+    # the terms no generator divides keep distinct exponents on the rest
+    num, den = (Polynomial._make(prime.residue_bases, {
+        tuple(e[i] for i in keep): c for e, c in p.terms.items()
+        if not any(e[i] for i in gens)}) for p in (f.numerator, f.denominator))
     return RationalFunction(num, den)
 
 
@@ -95,13 +98,13 @@ def residue(f: RationalFunction, prime: CoordinatePrime) -> RationalFunction:
 
 def quotient_value(quotient: QuotientValuation, r: RationalFunction,
                    budget: int = DEFAULT_BUDGET,
-                   precision: int = DEFAULT_PRECISION,
                    session: AnalysisSession | None = None
                    ) -> Fraction | None:
     """Value of a residue-field element under the quotient valuation, or
-    None when undecided within the budget or precision cap."""
+    None when undecided: within the budget for a program, below the
+    truncation cap of series_value for a series."""
     if isinstance(quotient, SeriesDVR):
-        v = series_value(quotient, r, precision)
+        v = series_value(quotient, r)
         return None if v is None else Fraction(v)
     if session is None:
         session = AnalysisSession(quotient)
@@ -138,7 +141,6 @@ class PullbackVerdict:
 def member_pullback(f: RationalFunction, prime: CoordinatePrime,
                     quotient: QuotientValuation,
                     budget: int = DEFAULT_BUDGET,
-                    precision: int = DEFAULT_PRECISION,
                     session: AnalysisSession | None = None
                     ) -> PullbackVerdict:
     """Whether f lies in the pullback of the quotient valuation ring.
@@ -153,7 +155,7 @@ def member_pullback(f: RationalFunction, prime: CoordinatePrime,
     r = residue(f, prime)
     if r.is_zero():
         return PullbackVerdict("In", "the residue is zero")
-    v = quotient_value(quotient, r, budget, precision, session)
+    v = quotient_value(quotient, r, budget, session)
     if v is None:
         return PullbackVerdict(
             "Undecided", "the residue value did not resolve within budget")
@@ -202,7 +204,6 @@ class CompositeValue:
 def composite_value(f: RationalFunction, prime: CoordinatePrime,
                     quotient: QuotientValuation,
                     budget: int = DEFAULT_BUDGET,
-                    precision: int = DEFAULT_PRECISION,
                     session: AnalysisSession | None = None) -> CompositeValue:
     """The rank-two value of f: order along the prime, then the quotient
     value of what remains.  Needs a single-generator prime, since only there
@@ -216,7 +217,7 @@ def composite_value(f: RationalFunction, prime: CoordinatePrime,
     k = prime.poly_order(f.numerator) - prime.poly_order(f.denominator)
     shift = RationalFunction.variable(gen, prime.bases) ** (-k)
     leading = residue(f * shift, prime)
-    v = quotient_value(quotient, leading, budget, precision, session)
+    v = quotient_value(quotient, leading, budget, session)
     return CompositeValue(k, v)
 
 

@@ -4,7 +4,8 @@ A SeriesDVR describes the valuation on k(x, y) obtained by sending y to a
 power series tau(x) with zero constant term and reading off the x-adic order
 of the result.  The series is a CoefficientStream, an infinite-support
 coefficient sequence with computable gaps, which keeps every question about
-truncations exact.
+truncations exact: series_value reads an exact value off a truncation of
+degree at most MAX_PRECISION, or leaves it undecided.
 
 Such a valuation also fixes an infinite transform sequence: x always
 pivots, and y is translated by the next series coefficient whenever that
@@ -22,7 +23,10 @@ from .parsing import parse_rational
 from .polynomials import Coefficient, Polynomial, coefficient
 from .programs import Directive
 
-DEFAULT_PRECISION = 16
+# Certification is monotone in the degree: an order certified at one
+# truncation is certified, with the same value, at every larger one.  So the
+# starting degree moves only the time an answer takes, never the answer.
+START_PRECISION = 16
 MAX_PRECISION = 1024
 
 
@@ -214,33 +218,31 @@ class SeriesDVR:
         return f"SeriesDVR({self.bases[1]} -> {self.stream.describe()})"
 
 
-def series_value(dvr: SeriesDVR, f: RationalFunction,
-                 precision: int = DEFAULT_PRECISION,
-                 max_precision: int = MAX_PRECISION) -> int | None:
-    """The valuation of f, or None if undecided within the precision cap.
+def series_value(dvr: SeriesDVR, f: RationalFunction) -> int | None:
+    """The valuation of f, or None if undecided below the degree cap.
 
     Substituting a degree-N truncation of the series perturbs the result
     only above degree N, so an order found at or below N is exact.  The
-    precision doubles until both numerator and denominator certify.
+    numerator certifies first; the denominator is tried only once it has.
     """
     if f.is_zero():
         raise ValueError("the valuation of zero is undefined")
     _check_field(f, dvr.bases)
-    cap = max(1, precision)
-    while cap <= max_precision:
-        num = _certified_order(f.numerator, dvr, cap)
-        den = _certified_order(f.denominator, dvr, cap)
-        if num is not None and den is not None:
-            return num - den
+    num = _certified_order(f.numerator, dvr)
+    den = None if num is None else _certified_order(f.denominator, dvr)
+    return None if den is None else num - den
+
+
+def _certified_order(p: Polynomial, dvr: SeriesDVR) -> int | None:
+    """The order of p(x, tau(x)) at the first truncation, of degree
+    START_PRECISION doubled up to MAX_PRECISION, that shows it; or None."""
+    cap = START_PRECISION
+    while cap <= MAX_PRECISION:
+        coeffs = _evaluate_truncated(p, dvr, cap)
+        if coeffs:
+            return min(coeffs)
         cap *= 2
     return None
-
-
-def _certified_order(p: Polynomial, dvr: SeriesDVR, cap: int) -> int | None:
-    coeffs = _evaluate_truncated(p, dvr, cap)
-    if not coeffs:
-        return None
-    return min(coeffs)
 
 
 def _evaluate_truncated(p: Polynomial, dvr: SeriesDVR,

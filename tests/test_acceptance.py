@@ -192,7 +192,7 @@ def test_04_union_and_pullback_memberships_agree_on_a_corpus():
     both_decided = agreeing = pullback_rejections = 0
     for f in corpus:
         union = session.member(f, 100)
-        pulled = member_pullback(f, prime, dvr, budget=100, precision=1024)
+        pulled = member_pullback(f, prime, dvr, budget=100)
         if pulled.status == "NotIn":
             pullback_rejections += 1
         if union.decided and pulled.decided:

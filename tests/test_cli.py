@@ -4,6 +4,7 @@ table format, and config handling."""
 import argparse
 import json
 import os
+import re
 import shlex
 import time
 from fractions import Fraction
@@ -14,7 +15,6 @@ from lqt import cli
 from lqt.cli import (MAX_BUDGET, MAX_STEPS, Reporter, _agreement,
                      build_parser, enc, main)
 from lqt.config import MAX_CONFIG_BYTES
-from lqt.series import MAX_PRECISION
 from lqt.analysis import MembershipVerdict
 from lqt.programs import POS_INF, ProgramConsistencyError, ProgramStep
 from lqt.pullback import PullbackVerdict
@@ -88,8 +88,8 @@ def test_golden_lines_are_valid_json():
     (["value", "--example", "ex3.7-2d", "-e", "w + 1"], "bad element"),
     (["run", "--example", "ex3.7-2d", "--budget", "-1"],
      "--budget must be nonnegative"),
-    (["run", "--example", "ex3.7-2d", "--precision", "0"],
-     "--precision must be positive"),
+    (["member", "--example", "ex3.7-2d", "--mode", "both", "-e", "x"],
+     "--mode both does not apply"),
     (["run", "--example", "ex3.7-2d", "--steps", "-2"],
      "--steps must be nonnegative"),
     (["member", "--example", "ex3.7-2d", "--mode", "pullback", "-e", "x"],
@@ -146,8 +146,6 @@ def test_huge_constant_power_is_a_prompt_one_line_usage_error(capsys):
     (["run", "--example", "ex3.7-2d"], "--steps", MAX_STEPS),
     (["value", "--example", "ex3.7-2d", "-e", "y - x"], "--budget",
      MAX_BUDGET),
-    (["composite", "--example", "ex5.3-shape", "-e", "(y - x)/z"],
-     "--precision", MAX_PRECISION),
 ])
 def test_walk_flags_are_capped(capsys, argv, flag, cap):
     code, out, err = run_cli(capsys, *argv, flag, str(cap))
@@ -230,6 +228,8 @@ def test_argparse_rejects_missing_pieces(capsys):
     (["run", "--example", "ex3.7-2d", "--format", "xml"],
      "invalid choice: 'xml'"),
     (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["composite", "--example", "ex5.3-shape", "-e", "x", "--precision",
+      "16"], "unrecognized arguments: --precision 16"),
 ])
 def test_argparse_usage_errors_are_one_line(capsys, argv, fragment):
     with pytest.raises(SystemExit) as info:
@@ -413,10 +413,12 @@ def test_main_maps_every_commands_faults(capsys, monkeypatch, command, fault,
     assert err == expected + "\n"
 
 
+README_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def _readme_examples() -> list[tuple[str, list[str]]]:
     """Each `$ lqt ...` line of README.md with the output lines under it."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(path, encoding="utf-8") as handle:
+    with open(README_PATH, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     examples = []
     for i, line in enumerate(lines):
@@ -439,12 +441,35 @@ def test_readme_examples_print_what_they_show(capsys, command, expected):
     assert out.splitlines() == expected
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def test_every_subcommand_has_its_function():
     """main dispatches to cmd_<name> through the module globals, so a
     subcommand without its function would end in a KeyError traceback."""
-    subcommands = next(action.choices for action in build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction))
-    assert set(subcommands) == COMMANDS
+    assert set(_subparsers()) == COMMANDS
+
+
+def test_readme_and_parser_name_the_same_flags():
+    """Every option of every subcommand (bar --help) is named in an inline
+    code span of README.md, by one of its spellings, and every --flag such
+    a span names is one of those options."""
+    with open(README_PATH, encoding="utf-8") as handle:
+        text = re.sub(r"```.*?```", "", handle.read(), flags=re.S)
+    words = {word for span in re.findall(r"`([^`\n]+)`", text)
+             for word in span.split()}
+    options = {tuple(action.option_strings)
+               for parser in _subparsers().values()
+               for action in parser._actions
+               if action.option_strings and "--help" not in
+               action.option_strings}
+    assert sorted(spellings[-1] for spellings in options
+                  if not words & set(spellings)) == []
+    known = {flag for spellings in options for flag in spellings}
+    assert sorted(word for word in words
+                  if word.startswith("--") and word not in known) == []
 
 
 # -- the walk primitive --------------------------------------------------------------

@@ -214,14 +214,9 @@ def test_walk_step_substitution_takes_no_product_per_term(monkeypatch):
     assert to_sympy(got) == want
 
 
-def test_rename_restrict_set_zero():
+def test_rename():
     p = Polynomial(XYZ, {(1, 0, 0): 1, (0, 0, 2): 3})
     assert str(rename(p, ("a", "b", "c"))) == "3*c^2 + a"
-    assert p.set_zero(["z"]) == Polynomial(XYZ, {(1, 0, 0): 1})
-    q = Polynomial(XYZ, {(1, 0, 0): 1, (0, 2, 0): 5})
-    assert q.restrict(XY) == Polynomial(XY, {(1, 0): 1, (0, 2): 5})
-    with pytest.raises(ValueError):
-        p.restrict(XY)
 
 
 # -- exact division and gcd ---------------------------------------------------

@@ -90,6 +90,16 @@ def test_residue_hand_cases(prime_z):
     assert residue(e3("x*z/y"), prime_z).is_zero()
 
 
+def test_residue_sets_the_generators_to_zero(prime_z):
+    """The residue map drops every term a generator divides and reads the
+    rest over the residue variables, wherever the generators sit."""
+    assert residue(e3("x + 3*z^2"), prime_z) == el_on("x", XY)
+    assert residue(e3("x + 5*y^2"), prime_z) == el_on("x + 5*y^2", XY)
+    prime_y = CoordinatePrime(XYZ, ("y",))
+    assert residue(e3("2*x + 5*y^2 + 3*z^2"), prime_y) \
+        == el_on("2*x + 3*z^2", ("x", "z"))
+
+
 def test_residue_needs_a_local_element(prime_z):
     with pytest.raises(ValueError, match="no residue"):
         residue(e3("x/z"), prime_z)

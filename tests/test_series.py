@@ -3,13 +3,15 @@ with certified precision, and the induced transform sequence."""
 
 from fractions import Fraction
 from math import factorial
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings
 
-from lqt import (Directive, FactorialGaps, GeometricGaps,
+import lqt.series
+from lqt import (AnalysisSession, Directive, FactorialGaps, GeometricGaps,
                  PeriodicCoefficients, Polynomial, RationalFunction,
                  SeriesDVR, StreamError, multiplicity_sequence, parse_stream,
                  series_value)
@@ -142,11 +144,13 @@ def test_series_value_factorial_hand_values(text, want):
 
 
 def test_series_value_escalates_precision():
+    """The value 24 lies past the first truncation, of degree 16: doubling
+    reaches it, and a cap of 16 cannot."""
     dvr = factorial_dvr()
     f = el_on("y - x - x^2 - x^6", XY)
-    assert series_value(dvr, f, precision=16, max_precision=16) is None
-    assert series_value(dvr, f, precision=16) == 24
-    assert series_value(dvr, f, precision=1) == 24
+    with patch.object(lqt.series, "MAX_PRECISION", 16):
+        assert series_value(dvr, f) is None
+    assert series_value(dvr, f) == 24
 
 
 def test_series_value_none_past_the_cap():
@@ -169,8 +173,9 @@ def test_series_value_input_checks():
 # -- series values against sympy ------------------------------------------------------
 
 # Each series with its truncation to degree n, written out from its
-# definition rather than read from the stream.  series_value doubles its
-# precision from 4, so ORACLE_DEGREE is the last truncation it looks at.
+# definition rather than read from the stream.  With MAX_PRECISION patched
+# to ORACLE_DEGREE, series_value looks at the truncations of degree 16 and
+# 32, so ORACLE_DEGREE is the last one it sees.
 ORACLE_DEGREE = 32
 SERIES = [
     (GeometricGaps(2), lambda n: {2 ** k: 1 for k in range(n.bit_length())
@@ -219,11 +224,11 @@ small_polys = st.dictionaries(
 
 
 @st.composite
-def series_elements(draw):
+def series_elements(draw, streams=SERIES):
     """A series with an element a*(y - tau_k)^e + b over c*(y - tau_l)^f + d:
     the truncations make the numerator or denominator vanish to high
     order, which is where a wrong truncation would show."""
-    series, truncation = draw(st.sampled_from(SERIES))
+    series, truncation = draw(st.sampled_from(streams))
     parts = []
     for _ in range(2):
         a = draw(small_polys.filter(lambda p: not p.is_zero()))
@@ -243,7 +248,8 @@ def test_series_value_matches_sympy(case):
     series, truncation, f = case
     assume(not f.is_zero())
     dvr = SeriesDVR(XY, series)
-    got = series_value(dvr, f, precision=4, max_precision=ORACLE_DEGREE)
+    with patch.object(lqt.series, "MAX_PRECISION", ORACLE_DEGREE):
+        got = series_value(dvr, f)
     tau = truncation(ORACLE_DEGREE)
     num = _sympy_order(f.numerator, tau)
     den = _sympy_order(f.denominator, tau)
@@ -252,6 +258,45 @@ def test_series_value_matches_sympy(case):
         assert got is None
     else:
         assert got == num - den
+
+
+@settings(deadline=None, max_examples=50)
+@given(series_elements())
+def test_series_value_agrees_with_the_stage_walk(case):
+    """A series valuation is also a walk, so the session's stage search
+    and the truncation certificate are two algorithms for one value: when
+    both decide, they agree."""
+    series, _, f = case
+    assume(not f.is_zero())
+    dvr = SeriesDVR(XY, series)
+    walked = AnalysisSession(dvr).value_of(f, 60)
+    certified = series_value(dvr, f)
+    if walked is not None and certified is not None:
+        assert walked[0] == certified
+
+
+@st.composite
+def started_elements(draw):
+    """A starting degree and a series element; the dense periodic stream
+    takes seconds per element at degree 1000, so only the sparse streams
+    start there."""
+    start = draw(st.sampled_from([1, 5, 1000]))
+    streams = SERIES if start < 1000 else SERIES[:2]
+    return start, draw(series_elements(streams))
+
+
+@settings(deadline=None, max_examples=50)
+@given(started_elements())
+def test_series_value_does_not_depend_on_the_start(started):
+    """Certification is monotone in the truncation degree, so any starting
+    degree gives the default's answer or no answer at all."""
+    start, (series, _, f) = started
+    assume(not f.is_zero())
+    dvr = SeriesDVR(XY, series)
+    want = series_value(dvr, f)
+    with patch.object(lqt.series, "START_PRECISION", start):
+        got = series_value(dvr, f)
+    assert got is None or got == want
 
 
 # -- the induced transform sequence ---------------------------------------------------
