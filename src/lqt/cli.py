@@ -350,16 +350,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(parser: argparse.ArgumentParser, elements: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, strict: bool = False,
+                elements: bool = False) -> None:
+    """--example, --config and --format; --strict for a command that can
+    leave an answer undecided; --budget and -e for one asked about elements."""
     parser.add_argument("--example", help="name of a built-in example")
     parser.add_argument("--config", help="path to a config file")
     parser.add_argument("--format", choices=("json", "table"),
                         default="json", help="output format")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="maximum stage to explore")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit with status 4 if anything stays undecided")
+    if strict or elements:
+        parser.add_argument("--strict", action="store_true",
+                            help="exit with status 4 if anything stays "
+                                 "undecided")
     if elements:
+        parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                            help="maximum stage to explore")
         parser.add_argument("-e", "--element", dest="elements",
                             action="append", required=True, metavar="EXPR",
                             help="element of the ambient field (repeatable)")
@@ -390,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check the stage union, the pullback ring, or both")
 
     p = sub.add_parser("classify", help="classify the union ring")
-    _add_common(p)
+    _add_common(p, strict=True)
 
     p = sub.add_parser("multiplicity", help="stage multiplicities")
     _add_common(p)
@@ -420,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate_args(args) -> None:
     for flag, value, cap in (
-            ("--budget", args.budget, MAX_BUDGET),
+            ("--budget", getattr(args, "budget", 0), MAX_BUDGET),
             ("--steps", getattr(args, "steps", 0), MAX_STEPS)):
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative")
@@ -431,7 +436,7 @@ def _validate_args(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    rep = Reporter(args.format, args.strict)
+    rep = Reporter(args.format, getattr(args, "strict", False))
     try:
         _validate_args(args)
         example = _resolve_example(args)

@@ -16,16 +16,14 @@ from __future__ import annotations
 import os
 import re
 
-from .programs import (ProgramFormatError, program_from_sections,
-                       split_sections)
+from .programs import (PROGRAM_SECTIONS, ProgramFormatError,
+                       program_from_sections, read_vars, split_sections)
 from .pullback import CoordinatePrime, LiftedTrace
 from .registry import Example
 from .series import SeriesDVR, parse_stream
 
 # configs are short hand-written files; anything longer is refused unread
 MAX_CONFIG_BYTES = 1 << 20
-
-_PROGRAM_SECTIONS = {"vars", "values", "preperiod", "period"}
 
 _SERIES_LINE = re.compile(
     r"(?:series\s+)?([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+)")
@@ -42,26 +40,20 @@ def load_config_text(text: str, name: str) -> Example:
         sections = split_sections(text)
     except ProgramFormatError as exc:
         raise ConfigError(str(exc)) from None
-    unknown = set(sections) - _PROGRAM_SECTIONS - {"pullback", "series"}
+    unknown = set(sections) - {*PROGRAM_SECTIONS, "pullback", "series"}
     if unknown:
         raise ConfigError(f"unknown section [{sorted(unknown)[0]}]")
     if "pullback" in sections and "series" in sections:
         raise ConfigError("[pullback] and [series] cannot be combined; put "
                           "the series line inside [pullback]")
-    if "vars" not in sections:
-        raise ConfigError("missing section [vars]")
-    names: list[str] = []
-    for _, line in sections["vars"]:
-        names.extend(line.replace(",", " ").split())
-    ambient = tuple(names)
-
     try:
+        ambient = read_vars(sections)
         if "pullback" in sections:
             return _pullback_example(sections, ambient, name)
         if "series" in sections:
             return _series_example(sections, ambient, name)
         return Example(name, f"program from config {name}",
-                       program_from_sections(sections))
+                       program_from_sections(sections, ambient))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -121,10 +113,7 @@ def _pullback_example(sections, ambient, name: str) -> Example:
     if series_line is not None:
         quotient = _parse_series(series_line, prime.residue_bases)
     elif has_program:
-        quotient_sections = dict(sections)
-        quotient_sections.pop("pullback")
-        quotient_sections["vars"] = [(0, " ".join(prime.residue_bases))]
-        quotient = program_from_sections(quotient_sections)
+        quotient = program_from_sections(sections, prime.residue_bases)
     else:
         raise ConfigError("a pullback config needs a quotient: a series line "
                           "or program sections over the residue variables")

@@ -436,8 +436,13 @@ class MultiplicityClass:
         return f"MultiplicityClass({self.kind})"
 
 
-def classify_multiplicity(program: ValuationProgram,
-                          max_passes: int = 8) -> MultiplicityClass:
+# Period passes classify_multiplicity looks at before it gives up.  Each
+# pass only extends the program's kept stage vectors, and every builtin
+# program or program quotient decides at pass 1.
+MAX_PASSES = 8
+
+
+def classify_multiplicity(program: ValuationProgram) -> MultiplicityClass:
     """Decide whether the multiplicity sum diverges, and its value if not.
 
     A period pass maps the value vector linearly, so once consecutive
@@ -447,7 +452,8 @@ def classify_multiplicity(program: ValuationProgram,
     strictly above every future scaled value they never pivot, the scaled
     part runs autonomously, and the subtraction stream itself is geometric,
     which keeps any one-off scaling coincidence self-sustaining.  Either way
-    one observed scaling pass decides the sum.
+    one observed scaling pass decides the sum; none within MAX_PASSES
+    passes leaves it Undecided.
     """
     p = len(program.preperiod)
     length = len(program.period)
@@ -456,7 +462,7 @@ def classify_multiplicity(program: ValuationProgram,
     head_sum = sum((min(at(n)) for n in range(p)), Fraction(0))
     prev = at(p)
 
-    for k in range(1, max_passes + 1):
+    for k in range(1, MAX_PASSES + 1):
         start = p + (k - 1) * length
         vectors = [at(start + i) for i in range(1, length + 1)]
         end = vectors[-1]
@@ -491,7 +497,7 @@ def classify_multiplicity(program: ValuationProgram,
         head_sum += pass_sum
         prev = end
     return MultiplicityClass(
-        "Undecided", detail=f"no stable pass ratio within {max_passes} passes")
+        "Undecided", detail=f"no stable pass ratio within {MAX_PASSES} passes")
 
 
 def _rest_stays_clear(program: ValuationProgram, scaled: list[int],
@@ -516,7 +522,7 @@ def _rest_stays_clear(program: ValuationProgram, scaled: list[int],
 
 # -- text format -------------------------------------------------------------
 
-_SECTIONS = ("vars", "values", "preperiod", "period")
+PROGRAM_SECTIONS = ("vars", "values", "preperiod", "period")
 _TRANSLATE = re.compile(
     r"translate\s+([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(-?\d+(?:/\d+)?)\s*->\s*"
     r"(-?\d+(?:/\d+)?)")
@@ -550,8 +556,7 @@ def _parse_fraction(text: str, lineno: int) -> Fraction:
         raise ProgramFormatError(str(exc), lineno) from None
 
 
-def parse_step(line: str, bases: tuple[str, ...],
-               lineno: int | None = None) -> ProgramStep:
+def parse_step(line: str, bases: tuple[str, ...], lineno: int) -> ProgramStep:
     m = re.match(r"pivot\s*=\s*([A-Za-z_][A-Za-z_0-9]*)\s*", line)
     if not m:
         raise ProgramFormatError(f"expected pivot=<var>, got {line!r}", lineno)
@@ -571,8 +576,8 @@ def parse_step(line: str, bases: tuple[str, ...],
         name = t.group(1)
         if name not in bases:
             raise ProgramFormatError(f"unknown variable {name!r}", lineno)
-        c = _parse_fraction(t.group(2), lineno or 0)
-        r = _parse_fraction(t.group(3), lineno or 0)
+        c = _parse_fraction(t.group(2), lineno)
+        r = _parse_fraction(t.group(3), lineno)
         translations.append((bases.index(name), c, r))
         pos = t.end()
         while pos < len(rest) and rest[pos].isspace():
@@ -583,17 +588,21 @@ def parse_step(line: str, bases: tuple[str, ...],
         raise ProgramFormatError(str(exc), lineno) from None
 
 
-def program_from_sections(
-        sections: dict[str, list[tuple[int, str]]]) -> ValuationProgram:
-    for name in ("vars", "values", "period"):
+def read_vars(sections: dict[str, list[tuple[int, str]]]) -> tuple[str, ...]:
+    """The variable names of a [vars] section, split at spaces and commas."""
+    if "vars" not in sections:
+        raise ProgramFormatError("missing section [vars]")
+    return tuple(name for _, line in sections["vars"]
+                 for name in line.replace(",", " ").split())
+
+
+def program_from_sections(sections: dict[str, list[tuple[int, str]]],
+                          bases: tuple[str, ...]) -> ValuationProgram:
+    """The program the [values], [preperiod] and [period] sections describe
+    over the variables `bases`; every other section is left unread."""
+    for name in ("values", "period"):
         if name not in sections:
             raise ProgramFormatError(f"missing section [{name}]")
-    var_lines = sections["vars"]
-    names: list[str] = []
-    for lineno, line in var_lines:
-        names.extend(line.replace(",", " ").split())
-    bases = tuple(names)
-
     values: dict[str, Fraction] = {}
     for lineno, line in sections["values"]:
         if "=" not in line:
@@ -626,8 +635,8 @@ def program_from_sections(
 def parse_program(text: str) -> ValuationProgram:
     """The program a text in the program format describes."""
     sections = split_sections(text)
-    unknown = set(sections) - set(_SECTIONS)
+    unknown = set(sections) - set(PROGRAM_SECTIONS)
     if unknown:
         raise ProgramFormatError(
             f"unknown section [{sorted(unknown)[0]}] in a program file")
-    return program_from_sections(sections)
+    return program_from_sections(sections, read_vars(sections))

@@ -300,7 +300,7 @@ class ShannonClass:
         return f"ShannonClass({self.kind}, witness={self.witness})"
 
 
-def classify_shannon(source, max_passes: int = 8) -> ShannonClass:
+def classify_shannon(source) -> ShannonClass:
     """Classify the union ring of a ValuationProgram, a SeriesDVR or a
     LiftedTrace.
 
@@ -309,11 +309,12 @@ def classify_shannon(source, max_passes: int = 8) -> ShannonClass:
     that coordinate's transforms at a positive value bound, so the union is
     archimedean but not a valuation ring.  Along a lifted trace, a divergent
     quotient sum makes the union the full pullback, which is not archimedean.
-    Anything subtler stays Unknown.
+    Anything subtler stays Unknown, as does a program whose sum no pass
+    ratio decides within programs.MAX_PASSES passes.
     """
     if isinstance(source, LiftedTrace):
-        return _classify_lifted(source, max_passes)
-    outcome = _sum_class(source, max_passes, "stage")
+        return _classify_lifted(source)
+    outcome = _sum_class(source, "stage")
     if isinstance(source, SeriesDVR):
         return ShannonClass(
             "ValuationRing",
@@ -344,8 +345,8 @@ def classify_shannon(source, max_passes: int = 8) -> ShannonClass:
     return ShannonClass("Unknown", outcome.detail, multiplicity=outcome)
 
 
-def _classify_lifted(source: LiftedTrace, max_passes: int) -> ShannonClass:
-    outcome = _sum_class(source.quotient, max_passes, "quotient stage")
+def _classify_lifted(source: LiftedTrace) -> ShannonClass:
+    outcome = _sum_class(source.quotient, "quotient stage")
     prime = ", ".join(source.prime.generators)
     if outcome.kind == "Divergent":
         return ShannonClass(
@@ -361,13 +362,13 @@ def _classify_lifted(source: LiftedTrace, max_passes: int) -> ShannonClass:
         multiplicity=outcome, union_is_pullback=False)
 
 
-def _sum_class(source, max_passes: int, stage: str) -> MultiplicityClass:
+def _sum_class(source, stage: str) -> MultiplicityClass:
     """The multiplicity class of an unlifted walk; `stage` names its stages
     in the detail of a series walk, whose multiplicities are all 1."""
     if isinstance(source, SeriesDVR):
         return MultiplicityClass(
             "Divergent", detail=f"every {stage} has multiplicity 1")
     if isinstance(source, ValuationProgram):
-        return classify_multiplicity(source, max_passes)
+        return classify_multiplicity(source)
     raise TypeError(f"cannot classify {type(source).__name__}")
 

@@ -81,51 +81,25 @@ pivot=x
 """
 
 
-def _build_ex37_2d() -> Example:
-    return Example(
-        "ex3.7-2d",
+# name -> (description, builder of a fresh walk)
+REGISTRY: dict[str, tuple[str, Callable[[], object]]] = {
+    "ex3.7-2d": (
         "two coordinates, alternating pivot with halving assigned values",
-        parse_program(_TWO_VAR))
-
-
-def _build_ex37_3d() -> Example:
-    return Example(
-        "ex3.7-3d",
+        lambda: parse_program(_TWO_VAR)),
+    "ex3.7-3d": (
         "the alternating pair plus a third coordinate that never pivots",
-        parse_program(_THREE_VAR))
-
-
-def _build_ex53_shape() -> Example:
-    prime = CoordinatePrime(("x", "y", "z"), ("z",))
-    quotient = SeriesDVR(("x", "y"), GeometricGaps(2))
-    return Example(
-        "ex5.3-shape",
+        lambda: parse_program(_THREE_VAR)),
+    "ex5.3-shape": (
         "series valuation with doubling exponent gaps, lifted along (z)",
-        LiftedTrace(quotient, prime))
-
-
-def _build_nonarch2d() -> Example:
-    prime = CoordinatePrime(("x", "y"), ("y",))
-    quotient = parse_program(_XADIC)
-    return Example(
-        "nonarch2d",
+        lambda: LiftedTrace(SeriesDVR(("x", "y"), GeometricGaps(2)),
+                            CoordinatePrime(("x", "y", "z"), ("z",)))),
+    "nonarch2d": (
         "the x-adic valuation lifted along (y); y is divided out forever",
-        LiftedTrace(quotient, prime))
-
-
-def _build_dvr_curve() -> Example:
-    return Example(
-        "dvr-curve",
+        lambda: LiftedTrace(parse_program(_XADIC),
+                            CoordinatePrime(("x", "y"), ("y",)))),
+    "dvr-curve": (
         "series valuation with factorial exponent gaps, followed directly",
-        SeriesDVR(("x", "y"), FactorialGaps()))
-
-
-REGISTRY: dict[str, Callable[[], Example]] = {
-    "ex3.7-2d": _build_ex37_2d,
-    "ex3.7-3d": _build_ex37_3d,
-    "ex5.3-shape": _build_ex53_shape,
-    "nonarch2d": _build_nonarch2d,
-    "dvr-curve": _build_dvr_curve,
+        lambda: SeriesDVR(("x", "y"), FactorialGaps())),
 }
 
 ALIASES = {"ex3.7": "ex3.7-3d"}
@@ -139,8 +113,9 @@ def example_names() -> list[str]:
 def get_example(name: str) -> Example:
     """A freshly built builtin example, by name or alias."""
     target = ALIASES.get(name, name)
-    build = REGISTRY.get(target)
-    if build is None:
+    entry = REGISTRY.get(target)
+    if entry is None:
         known = ", ".join(example_names())
         raise KeyError(f"unknown example {name!r} (available: {known})")
-    return build()
+    description, build = entry
+    return Example(target, description, build())

@@ -279,14 +279,15 @@ def test_classify_series_trace_is_a_valuation_ring(curve_dvr):
     assert "multiplicity 1" in outcome.reason
 
 
-def test_classify_needs_enough_passes(two_var):
+def test_classify_needs_enough_passes(two_var, monkeypatch):
     program = parse_program(
         "[vars]\nx y z\n[values]\nx = 1\ny = 1\nz = 3073/1024\n"
         "[period]\npivot=x translate y:1->1/2\npivot=y\n")
     tight = classify_shannon(program)
     assert tight.kind == "Unknown"
     assert tight.reason == "no stable pass ratio within 8 passes"
-    roomy = classify_shannon(program, max_passes=12)
+    monkeypatch.setattr("lqt.programs.MAX_PASSES", 12)
+    roomy = classify_shannon(program)
     assert roomy.kind == "ArchimedeanNonValuation"
     assert roomy.witness == "z"
 

@@ -86,7 +86,7 @@ def test_golden_lines_are_valid_json():
     (["run"], "an example is required"),
     (["run", "--example", "nope"], "unknown example 'nope'"),
     (["value", "--example", "ex3.7-2d", "-e", "w + 1"], "bad element"),
-    (["run", "--example", "ex3.7-2d", "--budget", "-1"],
+    (["value", "--example", "ex3.7-2d", "-e", "x", "--budget", "-1"],
      "--budget must be nonnegative"),
     (["member", "--example", "ex3.7-2d", "--mode", "both", "-e", "x"],
      "--mode both does not apply"),
@@ -230,6 +230,12 @@ def test_argparse_rejects_missing_pieces(capsys):
     (["frobnicate"], "invalid choice: 'frobnicate'"),
     (["composite", "--example", "ex5.3-shape", "-e", "x", "--precision",
       "16"], "unrecognized arguments: --precision 16"),
+    (["run", "--example", "ex3.7-2d", "--budget", "5"],
+     "unrecognized arguments: --budget 5"),
+    (["multiplicity", "--example", "ex3.7-2d", "--strict"],
+     "unrecognized arguments: --strict"),
+    (["classify", "--example", "ex3.7-2d", "--budget", "5"],
+     "unrecognized arguments: --budget 5"),
 ])
 def test_argparse_usage_errors_are_one_line(capsys, argv, fragment):
     with pytest.raises(SystemExit) as info:
@@ -470,6 +476,25 @@ def test_readme_and_parser_name_the_same_flags():
     known = {flag for spellings in options for flag in spellings}
     assert sorted(word for word in words
                   if word.startswith("--") and word not in known) == []
+
+
+def test_each_command_takes_the_flags_it_reads():
+    """--strict goes only with a command that can leave an answer
+    undecided, and --budget and -e only with one asked about elements."""
+    common = {"--example", "--config", "--format"}
+    elements = common | {"--strict", "--budget", "-e", "--element"}
+    assert {name: {flag for action in parser._actions
+                   for flag in action.option_strings} - {"-h", "--help"}
+            for name, parser in _subparsers().items()} == {
+        "run": common | {"--steps"},
+        "member": elements | {"--mode"},
+        "classify": common | {"--strict"},
+        "multiplicity": common | {"--steps", "--sum"},
+        "value": elements,
+        "wapprox": elements | {"--ref"},
+        "eapprox": elements,
+        "composite": elements | {"--diagnostic"},
+    }
 
 
 # -- the walk primitive --------------------------------------------------------------

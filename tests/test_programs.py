@@ -324,16 +324,17 @@ def test_classify_constant_translation_is_divergent():
     assert result.detail == "pass ratio 1 from pass 1"
 
 
-def test_classify_needs_enough_passes_for_close_margins():
+def test_classify_needs_enough_passes_for_close_margins(monkeypatch):
     """An idle coordinate ending 1/1024 above the drained total separates
     from the scaled part only once the scaled values fall below that gap."""
     program = parse_program(
         "[vars]\nx y z\n[values]\nx = 1\ny = 1\nz = 3073/1024\n"
         "[period]\npivot=x translate y:1->1/2\npivot=y\n")
-    tight = classify_multiplicity(program, max_passes=8)
+    tight = classify_multiplicity(program)
     assert tight.kind == "Undecided"
     assert tight.detail == "no stable pass ratio within 8 passes"
-    roomy = classify_multiplicity(program, max_passes=12)
+    monkeypatch.setattr("lqt.programs.MAX_PASSES", 12)
+    roomy = classify_multiplicity(program)
     assert roomy.kind == "Convergent"
     assert roomy.limit == F(3)
     assert roomy.detail == "pass ratio 1/2 on 2 coordinates from pass 11"
