@@ -97,7 +97,7 @@ class LimitTrace:
     window = STABLE_WINDOW
 
     def __init__(self, quantity: str, start: int,
-                 approximants: list[Fraction]):
+                 approximants: list[int | Fraction]):
         self.quantity = quantity
         self.start = start
         self.approximants = approximants
@@ -105,7 +105,7 @@ class LimitTrace:
                            and len(set(approximants[-self.window:])) == 1)
 
     @property
-    def last(self) -> Fraction | None:
+    def last(self) -> int | Fraction | None:
         return self.approximants[-1] if self.approximants else None
 
     def __repr__(self) -> str:
@@ -241,19 +241,23 @@ class AnalysisSession:
         return MembershipVerdict(None, budget)
 
     def value_of(self, f: RationalFunction,
-                 budget: int = DEFAULT_BUDGET) -> tuple[Fraction | Infinite, int] | None:
+                 budget: int = DEFAULT_BUDGET
+                 ) -> tuple[int | Fraction | Infinite, int] | None:
         """Exact value of f under the source's values, with the deciding
-        stage, or None when f never reduces to monomial form in budget."""
+        stage, or None when f never reduces to monomial form in budget.
+        A whole value is an int, like every coefficient."""
         if f.is_zero():
             raise ValueError("the value of zero is undefined")
         for n in range(budget + 1):
             state = self.state_at(f, n)
             if state.is_monomial():
                 values = self.source.value_vector_at(n)
-                total: Fraction | Infinite = Fraction(0)
+                total: int | Fraction | Infinite = 0
                 for ej, vj in zip(state.exponents, values):
                     if ej:
                         total = total + ej * vj
+                if type(total) is Fraction and total.denominator == 1:
+                    total = total.numerator
                 return total, n
         return None
 
@@ -287,10 +291,10 @@ class AnalysisSession:
         start = verdict.stage
         assert start is not None
         state = self.state_at(f, start)
-        approx: list[Fraction] = []
+        approx: list[int | Fraction] = []
         for n in range(start, budget + 1):
             o = state.order()
-            approx.append(Fraction(o))
+            approx.append(o)
             if n == budget:
                 break
             state = self.advance_state(state, n + 1)

@@ -99,20 +99,19 @@ def residue(f: RationalFunction, prime: CoordinatePrime) -> RationalFunction:
 def quotient_value(quotient: QuotientValuation, r: RationalFunction,
                    budget: int = DEFAULT_BUDGET,
                    session: AnalysisSession | None = None
-                   ) -> Fraction | None:
+                   ) -> int | Fraction | None:
     """Value of a residue-field element under the quotient valuation, or
     None when undecided: within the budget for a program, below the
     truncation cap of series_value for a series."""
     if isinstance(quotient, SeriesDVR):
-        v = series_value(quotient, r)
-        return None if v is None else Fraction(v)
+        return series_value(quotient, r)
     if session is None:
         session = AnalysisSession(quotient)
     res = session.value_of(r, budget)
     if res is None:
         return None
     value, _ = res
-    assert isinstance(value, Fraction)
+    assert not isinstance(value, Infinite)
     return value
 
 
@@ -174,7 +173,8 @@ class CompositeValue:
 
     __slots__ = ("prime_order", "residue_value")
 
-    def __init__(self, prime_order: int, residue_value: Fraction | None):
+    def __init__(self, prime_order: int,
+                 residue_value: int | Fraction | None):
         self.prime_order = prime_order
         self.residue_value = residue_value
 
@@ -182,7 +182,7 @@ class CompositeValue:
     def decided(self) -> bool:
         return self.residue_value is not None
 
-    def sort_key(self) -> tuple[int, Fraction]:
+    def sort_key(self) -> tuple[int, int | Fraction]:
         if self.residue_value is None:
             raise ValueError("cannot order a partially known value")
         return (self.prime_order, self.residue_value)

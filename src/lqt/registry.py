@@ -3,15 +3,18 @@
 An Example is a name, a description and a walk: a ValuationProgram, a
 SeriesDVR, or a LiftedTrace, which also holds the prime and the quotient
 valuation of a pullback construction.  Everything else a command needs is
-read from the walk.
+read from the walk.  The builtins are built from values: their programs
+from ProgramStep values, their series from coefficient streams.  No builtin
+reads program text.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable
 
 from .analysis import AnalysisSession
-from .programs import parse_program
+from .programs import ProgramStep, ValuationProgram
 from .pullback import CoordinatePrime, LiftedTrace
 from .series import FactorialGaps, GeometricGaps, SeriesDVR
 
@@ -48,55 +51,29 @@ class Example:
         return f"Example({self.name}, kind={self.kind})"
 
 
-_TWO_VAR = """\
-[vars]
-x y
-[values]
-x = 1
-y = 1
-[period]
-pivot=x translate y:1->1/2
-pivot=y
-"""
-
-_THREE_VAR = """\
-[vars]
-x y z
-[values]
-x = 1
-y = 1
-z = 4
-[period]
-pivot=x translate y:1->1/2
-pivot=y
-"""
-
-_XADIC = """\
-[vars]
-x
-[values]
-x = 1
-[period]
-pivot=x
-"""
+# Both ex3.7 programs use this period.  Steps are immutable, so the two can
+# share it; each builder makes a fresh program, since its _vectors cache
+# grows as it is walked.
+_HALVING = (ProgramStep(0, [(1, 1, Fraction(1, 2))]), ProgramStep(1))
 
 
 # name -> (description, builder of a fresh walk)
 REGISTRY: dict[str, tuple[str, Callable[[], object]]] = {
     "ex3.7-2d": (
         "two coordinates, alternating pivot with halving assigned values",
-        lambda: parse_program(_TWO_VAR)),
+        lambda: ValuationProgram(("x", "y"), (1, 1), (), _HALVING)),
     "ex3.7-3d": (
         "the alternating pair plus a third coordinate that never pivots",
-        lambda: parse_program(_THREE_VAR)),
+        lambda: ValuationProgram(("x", "y", "z"), (1, 1, 4), (), _HALVING)),
     "ex5.3-shape": (
         "series valuation with doubling exponent gaps, lifted along (z)",
         lambda: LiftedTrace(SeriesDVR(("x", "y"), GeometricGaps(2)),
                             CoordinatePrime(("x", "y", "z"), ("z",)))),
     "nonarch2d": (
         "the x-adic valuation lifted along (y); y is divided out forever",
-        lambda: LiftedTrace(parse_program(_XADIC),
-                            CoordinatePrime(("x", "y"), ("y",)))),
+        lambda: LiftedTrace(
+            ValuationProgram(("x",), (1,), (), (ProgramStep(0),)),
+            CoordinatePrime(("x", "y"), ("y",)))),
     "dvr-curve": (
         "series valuation with factorial exponent gaps, followed directly",
         lambda: SeriesDVR(("x", "y"), FactorialGaps())),

@@ -38,8 +38,9 @@ class CoefficientStream:
     """Coefficients a_1, a_2, ... of a series sum(a_i x^i) with a_0 = 0."""
 
     def coefficient(self, i: int) -> Coefficient:
-        """a_i: an int when it is whole, else a Fraction."""
-        raise NotImplementedError
+        """a_i: an int when it is whole, else a Fraction.  This default is
+        for a gap stream, whose nonzero coefficients are all 1."""
+        return 1 if i >= 1 and self.next_nonzero(i - 1) == i else 0
 
     def next_nonzero(self, after: int) -> int:
         """Smallest index > after with a nonzero coefficient."""
@@ -77,12 +78,6 @@ class GeometricGaps(CoefficientStream):
             raise StreamError(f"geometric gap base must be >= 2, got {base}")
         self.base = base
 
-    def coefficient(self, i: int) -> Coefficient:
-        e = 1
-        while e < i:
-            e *= self.base
-        return 1 if e == i and i >= 1 else 0
-
     def next_nonzero(self, after: int) -> int:
         e = 1
         while e <= after:
@@ -95,13 +90,6 @@ class GeometricGaps(CoefficientStream):
 
 class FactorialGaps(CoefficientStream):
     """Coefficient 1 at the factorials: x + x^2 + x^6 + x^24 + ..."""
-
-    def coefficient(self, i: int) -> Coefficient:
-        e, k = 1, 1
-        while e < i:
-            k += 1
-            e *= k
-        return 1 if e == i and i >= 1 else 0
 
     def next_nonzero(self, after: int) -> int:
         e, k = 1, 1

@@ -90,6 +90,15 @@ def test_infinite_value_coordinate_divides_forever(nonarch):
 
 # -- exact values ---------------------------------------------------------------------
 
+def value_and_stage(session, text, **kwargs):
+    """value_of an element given as text, checking the coefficient rule: a
+    whole value is an int, never a whole Fraction."""
+    result = session.value_of(el(text, session), **kwargs)
+    value = result[0]
+    assert type(value) is not Fraction or value.denominator != 1
+    return result
+
+
 @pytest.mark.parametrize("text, value, stage", [
     ("x", F(1), 0),
     ("y/x", F(0), 0),
@@ -99,26 +108,31 @@ def test_infinite_value_coordinate_divides_forever(nonarch):
     ("x*y^2", F(3), 0),
 ])
 def test_value_hand_cases(two_var, text, value, stage):
-    assert two_var.value_of(el(text, two_var)) == (value, stage)
+    assert value_and_stage(two_var, text) == (value, stage)
 
 
 def test_value_undecided_for_stubborn_elements(two_var):
     """1 + x never reduces to a monomial: it is a unit, normalized to 1 with
     exponent zero, so it resolves immediately instead."""
-    assert two_var.value_of(el("1 + x", two_var)) == (F(0), 0)
-    assert two_var.value_of(el("y - x - x^2", two_var),
-                            budget=2) == (F(3, 2), 2)
+    assert value_and_stage(two_var, "1 + x") == (0, 0)
+    assert value_and_stage(two_var, "y - x - x^2", budget=2) == (F(3, 2), 2)
 
 
 def test_value_in_three_variables(three_var):
-    assert three_var.value_of(el("z", three_var)) == (F(4), 0)
-    assert three_var.value_of(el("(y - x)/z", three_var)) == (F(-5, 2), 1)
+    assert value_and_stage(three_var, "z") == (4, 0)
+    assert value_and_stage(three_var, "(y - x)/z") == (F(-5, 2), 1)
 
 
 def test_value_with_infinite_coordinate(nonarch):
-    assert nonarch.value_of(el("y", nonarch)) == (POS_INF, 0)
-    assert nonarch.value_of(el("x*y", nonarch)) == (POS_INF, 0)
-    assert nonarch.value_of(el("x", nonarch)) == (F(1), 0)
+    assert value_and_stage(nonarch, "y") == (POS_INF, 0)
+    assert value_and_stage(nonarch, "x*y") == (POS_INF, 0)
+    assert value_and_stage(nonarch, "x") == (1, 0)
+
+
+def test_whole_series_value_is_an_int():
+    """The stage walk of a series valuation gives a whole value as an int."""
+    session = get_example("dvr-curve").session
+    assert value_and_stage(session, "y - x - x^2") == (6, 2)
 
 
 # -- limit approximants ---------------------------------------------------------------

@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from lqt import cli
+from lqt import cli, get_example
 from lqt.cli import (MAX_BUDGET, MAX_STEPS, Reporter, _agreement,
                      build_parser, enc, main)
-from lqt.config import MAX_CONFIG_BYTES
+from lqt.config import MAX_CONFIG_BYTES, load_config_file
 from lqt.analysis import MembershipVerdict
 from lqt.programs import POS_INF, ProgramConsistencyError, ProgramStep
 from lqt.pullback import PullbackVerdict
@@ -162,8 +162,12 @@ def test_walk_flags_are_capped(capsys, argv, flag, cap):
     assert err == f"error: {flag} must be at most {cap}\n"
 
 
-# config texts that describe the lifted builtins walk for walk
-LIFTED_CONFIGS = {
+# config texts that describe the builtins walk for walk
+BUILTIN_CONFIGS = {
+    "ex3.7-2d": "[vars]\nx y\n[values]\nx = 1\ny = 1\n[period]\n"
+                "pivot=x translate y:1->1/2\npivot=y\n",
+    "ex3.7-3d": "[vars]\nx y z\n[values]\nx = 1\ny = 1\nz = 4\n[period]\n"
+                "pivot=x translate y:1->1/2\npivot=y\n",
     "ex5.3-shape": "[vars]\nx y z\n[pullback]\nprime = [z]\n"
                    "series y = geometric(2)\n",
     "nonarch2d": "[vars]\nx y\n[pullback]\nprime = [y]\n"
@@ -171,12 +175,19 @@ LIFTED_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LIFTED_CONFIGS))
+@pytest.mark.parametrize("name", sorted(BUILTIN_CONFIGS))
 def test_configs_build_the_builtin_walks(capsys, tmp_path, name):
-    """A config describing a lifted builtin gives the same `run` and
-    `classify` lines, apart from the example's name and description."""
+    """A config describing a builtin gives the same walk, and the same
+    `run` and `classify` lines apart from the example's name and
+    description."""
     path = tmp_path / "same.cfg"
-    path.write_text(LIFTED_CONFIGS[name], encoding="utf-8")
+    path.write_text(BUILTIN_CONFIGS[name], encoding="utf-8")
+    config, builtin = load_config_file(str(path)), get_example(name)
+    if builtin.has_pullback:
+        assert config.prime.generators == builtin.prime.generators
+        assert config.quotient == builtin.quotient
+    else:
+        assert config.source == builtin.source
 
     def lines(*argv):
         code, out, err = run_cli(capsys, *argv)
@@ -188,9 +199,9 @@ def test_configs_build_the_builtin_walks(capsys, tmp_path, name):
         return records
 
     for command in (["run", "--steps", "40"], ["classify"]):
-        builtin = lines(*command, "--example", name)
-        assert lines(*command, "--config", str(path)) == builtin
-        assert len(builtin) == (42 if command[0] == "run" else 1)
+        expected = lines(*command, "--example", name)
+        assert lines(*command, "--config", str(path)) == expected
+        assert len(expected) == (42 if command[0] == "run" else 1)
 
 
 def test_bad_config_reports_the_path(capsys, tmp_path):
@@ -445,6 +456,35 @@ def test_readme_examples_print_what_they_show(capsys, command, expected):
     code, out, err = run_cli(capsys, *shlex.split(command))
     assert (code, err) == (0, "")
     assert out.splitlines() == expected
+
+
+def _readme_python_blocks() -> list[list[str]]:
+    """The lines of each ```python block of README.md, in order."""
+    with open(README_PATH, encoding="utf-8") as handle:
+        text = handle.read()
+    return [block.splitlines()
+            for block in re.findall(r"```python\n(.*?)```", text, re.S)]
+
+
+def test_readme_python_examples_show_their_results():
+    """The ```python blocks of README.md run in order in one namespace, and
+    every `expr  # result` line shows `repr(expr)`."""
+    checked = re.compile(r"(.*\S)\s{2,}# (.+)")
+    namespace: dict = {}
+    shown = 0
+    for block in _readme_python_blocks():
+        pending = []
+        for line in block:
+            m = checked.fullmatch(line)
+            if m is None:
+                pending.append(line)
+                continue
+            exec("\n".join(pending), namespace)
+            pending = []
+            assert repr(eval(m.group(1), namespace)) == m.group(2), line
+            shown += 1
+        exec("\n".join(pending), namespace)
+    assert shown >= 8
 
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:

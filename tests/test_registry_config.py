@@ -75,7 +75,19 @@ def test_each_lookup_builds_a_fresh_example():
     a = get_example("ex3.7-2d")
     b = get_example("ex3.7-2d")
     assert a is not b
+    assert a.source is not b.source
     assert a.session is a.session
+
+
+def test_builtins_read_no_text(monkeypatch):
+    """Every builtin is built from values: none goes through the program
+    text reader."""
+    def refuse(text):
+        raise AssertionError("a builtin read program text")
+
+    monkeypatch.setattr("lqt.programs.split_sections", refuse)
+    for name in example_names():
+        get_example(name).source.value_vector_at(4)
 
 
 # -- program configs ------------------------------------------------------------------
