@@ -266,13 +266,16 @@ class AnalysisSession:
         """Approximants ord_n(f)/ord_n(reference) for n = 0..budget."""
         if f.is_zero() or reference.is_zero():
             raise ValueError("approximants of zero are undefined")
-        approx: list[Fraction] = []
+        approx: list[int | Fraction] = []
         for n in range(budget + 1):
             ref_ord = self.ord_at(reference, n)
             if ref_ord == 0:
                 raise ValueError(f"reference element has order 0 at stage "
                                  f"{n}; ratios are undefined")
-            approx.append(Fraction(self.ord_at(f, n), ref_ord))
+            # a whole ratio is an int, as in e_approx
+            o = self.ord_at(f, n)
+            q, r = divmod(o, ref_ord)
+            approx.append(Fraction(o, ref_ord) if r else q)
         return LimitTrace("w", 0, approx)
 
     def e_approx(self, f: RationalFunction,

@@ -4,14 +4,20 @@ A RationalFunction is a reduced fraction of Polynomials: numerator and
 denominator are coprime and the denominator is monic under graded lex.  That
 makes equality structural, so values can be compared and hashed directly.
 
-Reduce once: every operation that can create a common factor (sum, product,
-quotient, substitution) builds one unreduced polynomial fraction and hands it
-to the constructor, whose `_reduce` makes one `cofactors` call (the gcd and
-both quotients by it, with no polynomial division) and scales the
-denominator monic.  Operations that cannot create one take no gcd and keep
-the reduced parts as they are: negation, powers, inverses, scaling, and the
-sum or product of two polynomials (both denominators one), whose result
-over one is reduced with a monic denominator already.
+Gcds of the parts (Henrici's method, as in `Fraction`'s sum and product):
+a sum or product of reduced a/b and c/d never takes the gcd of a full
+product.  A product cancels the cross pairs (a, d) and (c, b), one
+`cofactors` call each whose denominator is not one.  A sum with b = d
+reduces (a + c)/b once; otherwise one call splits g = gcd(b, d) off both
+denominators, and only when g is not constant does a second call cancel it
+against the new numerator.  `cofactors` gives the gcd and both quotients by
+it, with no polynomial division, and quotients of monic denominators by a
+monic gcd are monic, so these results need no scaling.  The constructor
+and `substitute` build one unreduced fraction and reduce it once
+(`_reduce`).  Operations that cannot create a common factor take no gcd
+and keep the reduced parts as they are: negation, powers, inverses,
+scaling, and the sum or product of two polynomials (both denominators
+one), whose result over one is reduced with a monic denominator already.
 """
 
 from __future__ import annotations
@@ -87,7 +93,14 @@ class RationalFunction:
                 # a sum of polynomials is reduced already
                 return RationalFunction._make(a + c, b)
             return RationalFunction(a + c, b)
-        return RationalFunction(a * d + c * b, b * d)
+        # Henrici: with g = gcd(b, d), t = a*d/g + c*b/g is coprime to
+        # b/g and d/g, so only g can share a factor with t
+        g, b, d = cofactors(b, d)
+        t = a * d + c * b
+        if g.is_one():
+            return RationalFunction._make(t, b * d)
+        _, t, g = cofactors(t, g)
+        return RationalFunction._make(t, b * d * g)
 
     def __sub__(self, other: RationalFunction) -> RationalFunction:
         return self + (-other)
@@ -96,14 +109,23 @@ class RationalFunction:
         return RationalFunction._make(-self.numerator, self.denominator)
 
     def __mul__(self, other: RationalFunction) -> RationalFunction:
-        b, d = self.denominator, other.denominator
+        a, b = self.numerator, self.denominator
+        c, d = other.numerator, other.denominator
         if b.is_one() and d.is_one():
             # a product of polynomials is reduced already
-            return RationalFunction._make(self.numerator * other.numerator, b)
-        return RationalFunction(self.numerator * other.numerator,
-                                self.denominator * other.denominator)
+            return RationalFunction._make(a * c, b)
+        # Henrici: a/b and c/d are reduced, so only the cross pairs (a, d)
+        # and (c, b) can share a factor
+        if not d.is_one():
+            _, a, d = cofactors(a, d)
+        if not b.is_one():
+            _, c, b = cofactors(c, b)
+        return RationalFunction._make(a * c, b * d)
 
     def __truediv__(self, other: RationalFunction) -> RationalFunction:
+        # the field check comes first, so a zero divisor from another
+        # field is refused as foreign rather than as zero
+        self.numerator._check(other.numerator)
         return self * other.inverse()
 
     def inverse(self) -> RationalFunction:
@@ -201,8 +223,8 @@ def _safe_as_divisor(p: Polynomial) -> bool:
 
 
 def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """The one canonicalisation: one `cofactors` call cancels the gcd, then
-    den is made monic."""
+    """Canonical form of any fraction, for the constructor and `substitute`:
+    one `cofactors` call cancels the gcd, then den is made monic."""
     if num.is_zero():
         return num, Polynomial.one(num.variables)
     _, num, den = cofactors(num, den)

@@ -150,6 +150,15 @@ def test_w_approx_of_self_is_one(two_var):
     assert set(trace.approximants) == {F(1)}
 
 
+def test_whole_w_approximants_are_ints(two_var):
+    trace = two_var.w_approx(el("x^2", two_var), el("x", two_var))
+    assert set(trace.approximants) == {2}
+    assert all(type(a) is int for a in trace.approximants)
+    mixed = two_var.w_approx(el("(y - x)/x", two_var), el("x", two_var))
+    assert mixed.approximants[:3] == [0, 1, F(1, 2)]
+    assert [type(a) for a in mixed.approximants[:3]] == [int, int, F]
+
+
 def test_w_approx_rejects_order_zero_reference(two_var):
     with pytest.raises(ValueError, match="order 0 at stage 0"):
         two_var.w_approx(el("y - x", two_var), el("1 + x", two_var))

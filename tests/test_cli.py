@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -140,6 +142,31 @@ def test_huge_constant_power_is_a_prompt_one_line_usage_error(capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert "bits" in err
+
+
+EIGHT_FRACTIONS = ("x/(y+z+1) + y/(x+z+2) + z/(x+y+3) + (x+1)/(x+y+z+4)"
+                   " + x*y/(x-y+5) + (y+2)/(x+2*z+6) + z^2/(y-z+7)"
+                   " + (x-z)/(2*x+y+8)")
+
+
+@pytest.mark.parametrize("element", [
+    EIGHT_FRACTIONS,
+    EIGHT_FRACTIONS + " + 1/(x*z+9) + y/(y*z+x+10)",
+], ids=["eight-fractions", "ten-fractions"])
+def test_short_sums_of_fractions_are_prompt(element):
+    # a gcd of the full product of the denominators made these take seconds
+    # (eight fractions) and minutes (ten); the subprocess timeout stops a
+    # regression well before the suite would stall
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "lqt.cli", "value", "--example", "ex3.7-3d",
+         "-e", element], capture_output=True, text=True, env=env, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 0, done.stderr
+    line, = done.stdout.splitlines()
+    assert json.loads(line)["element"] == element
 
 
 @pytest.mark.parametrize("argv, flag, cap", [

@@ -7,6 +7,7 @@ rely on it.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -128,22 +129,122 @@ def test_substitute_raises_when_the_denominator_maps_to_zero():
 
 
 def test_each_operation_reduces_once(monkeypatch):
+    """Sums and products take gcds of their parts: one call on the
+    denominators of a sum, plus one on (t, g) when g = gcd(b, d) is not
+    constant; one per product cross pair whose denominator is not one; one
+    for the constructor's reduction (b == d, substitution); none for
+    operations that cannot create a common factor."""
     calls = record_calls(monkeypatch, functions, "cofactors")
     f = f_of("(x + y)/(x - 2*y)")
     g = f_of("(x^2 + 1)/(x*y + 3)")
+    p = f_of("x^2 - y")
+    # denominators sharing x: t = x*y + x + 1 stays coprime to it
+    h1, h2 = f_of("1/(x*(y + 1))"), f_of("(x - 1)/(x*(y + 2))")
+    same = f_of("x/(x - 2*y)")
     images = {"x": f_of("x/(y + 1)"), "y": f_of("(x - y)/(x + 2)")}
-    once = [lambda: f + g, lambda: f - g, lambda: f * g, lambda: f / g,
-            lambda: f.substitute(images)]
-    for op in once:
+    b, d = f.denominator, g.denominator
+    shapes = [
+        (lambda: f + g, [(b, d)]),
+        (lambda: f - g, [(b, d)]),
+        (lambda: h1 + h2, [(h1.denominator, h2.denominator),
+                           (f_of("x*y + x + 1").numerator,
+                            Polynomial.variable("x", XY))]),
+        (lambda: f + same, [(f_of("2*x + y").numerator, b)]),
+        (lambda: f * g, [(f.numerator, d), (g.numerator, b)]),
+        (lambda: f / g, [(f.numerator, g.numerator), (d, b)]),
+        (lambda: p * f, [(p.numerator, b)]),
+        (lambda: f * p, [(p.numerator, b)]),
+    ]
+    for op, expected in shapes:
         calls.clear()
         op()
-        assert len(calls) == 1
+        assert calls == expected
+    calls.clear()
+    f.substitute(images)
+    assert len(calls) == 1
     never = [lambda: -f, lambda: f.inverse(), lambda: f ** 3,
-             lambda: f ** -2, lambda: f.scale(3)]
+             lambda: f ** -2, lambda: f.scale(3), lambda: p * p,
+             lambda: p + p, lambda: p - p ** 2]
     for op in never:
         calls.clear()
         op()
         assert calls == []
+
+
+def _factor(rng: random.Random) -> Polynomial:
+    """A constant term and one or two others with small exponents, so that
+    no monomial divides it."""
+    terms = {(0, 0): rng.randint(1, 3)}
+    for _ in range(2):
+        e = (rng.randint(0, 2), rng.randint(0, 2))
+        if e != (0, 0):
+            terms[e] = rng.choice([-2, -1, 1, 2])
+    if len(terms) == 1:
+        terms[(1, 0)] = 1
+    return Polynomial(XY, terms)
+
+
+def _branch_pairs(rng: random.Random):
+    """Pairs of reduced fractions whose denominators share factors: equal
+    denominators, coprime ones, a shared q, a shared q that the sum's
+    numerator cancels, and numerators that cancel across a product."""
+    p1, p2, q, r1, r2 = (_factor(rng) for _ in range(5))
+    f = RationalFunction(p1, q * r1)
+    yield RationalFunction(p1, q), RationalFunction(p2, q)
+    yield RationalFunction(p1, r1), RationalFunction(p2, r2)
+    yield f, RationalFunction(p2, q * r2)
+    # g = p2/r2 - f by the constructor, so f + g = p2/r2 and t shares q*r1
+    a, b = f.numerator, f.denominator
+    yield f, RationalFunction(p2 * b - a * r2, b * r2)
+    yield RationalFunction(p1 * r2, q * r1), RationalFunction(p2 * r1, q * r2)
+
+
+def test_sums_and_products_match_the_constructor_on_every_branch():
+    """Henrici's sum and product against one reduction of the full
+    fraction, which is in turn checked against sympy's cancel."""
+    rng = random.Random(1717)
+    seen = set()
+    for _ in range(2):
+        for f, g in _branch_pairs(rng):
+            a, b = f.numerator, f.denominator
+            c, d = g.numerator, g.denominator
+            total = RationalFunction(a * d + c * b, b * d)
+            product = RationalFunction(a * c, b * d)
+            assert f + g == total
+            assert f * g == product
+            sf, sg = (to_sympy(h.numerator) / to_sympy(h.denominator)
+                      for h in (f, g))
+            assert to_sympy_rf(total) == sp.cancel(sf + sg)
+            assert to_sympy_rf(product) == sp.cancel(sf * sg)
+            # the branches the pair reaches
+            gcd = poly_gcd(b, d)
+            if b == d:
+                seen.add("b == d")
+            elif gcd.is_one():
+                seen.add("g constant")
+            else:
+                t = (a * polynomials.exact_div(d, gcd)
+                     + c * polynomials.exact_div(b, gcd))
+                seen.add("t cancels g" if not poly_gcd(t, gcd).is_one()
+                         else "t coprime to g")
+            if not poly_gcd(a, d).is_one():
+                seen.add("a cancels d")
+            if not poly_gcd(c, b).is_one():
+                seen.add("c cancels b")
+    assert seen == {"b == d", "g constant", "t coprime to g", "t cancels g",
+                    "a cancels d", "c cancels b"}
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+@pytest.mark.parametrize("zero_first", [True, False], ids=["zero-first",
+                                                           "zero-second"])
+def test_zero_from_another_field_is_refused(op, zero_first):
+    zero = f_of("0")
+    other = f_of("1/(z + 1)", XYZ)
+    left, right = (zero, other) if zero_first else (other, zero)
+    with pytest.raises(ValueError):
+        {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": operator.truediv}[op](left, right)
 
 
 def test_polynomial_products_take_no_gcd(monkeypatch):
@@ -174,16 +275,22 @@ def test_reduce_takes_no_exact_division(monkeypatch):
     reductions = record_calls(monkeypatch, functions, "cofactors")
     f = f_of("(x + y)/(x^2 - 2*x*y)")
     g = f_of("(x - 2*y)/(x^2*y + 3*x)")
+    # t = (x + y + 1)*(y + 2) + (x - y - 2)*(y + 1) vanishes at x = 0
+    h1 = f_of("(x + y + 1)/(x*(y + 1))")
+    h2 = f_of("(x - y - 2)/(x*(y + 2))")
+    # same denominator, and a + c = 2*(x - 2*y)
+    k = f_of("(x - 5*y)/(x^2 - 2*x*y)")
     images = {"x": f_of("x/(y + 1)"), "y": f_of("x*y")}
     for op in [lambda: f + g, lambda: f - g, lambda: f * g, lambda: f / g,
+               lambda: h1 + h2, lambda: h1 - (-h2), lambda: f + k,
                lambda: f.substitute(images)]:
         divisions.clear()
         reductions.clear()
         op()
         # a nontrivial common factor is cancelled, from the cofactors alone
-        (num, den), = reductions
-        assert not poly_gcd(num, den).is_one()
+        assert any(not poly_gcd(num, den).is_one() for num, den in reductions)
         assert divisions == []
+    assert (h1 + h2).denominator == f_of("(y + 1)*(y + 2)").numerator
 
 
 # -- order and monomial-times-unit shape ----------------------------------------
