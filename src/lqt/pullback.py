@@ -26,7 +26,7 @@ from .functions import RationalFunction, _check_field
 from .polynomials import Polynomial
 from .programs import (POS_INF, Directive, Infinite, MultiplicityClass,
                        ValuationProgram, classify_multiplicity)
-from .series import SeriesDVR, series_value
+from .series import PeriodicCoefficients, SeriesDVR, series_value
 
 QuotientValuation = Union[ValuationProgram, SeriesDVR]
 
@@ -101,8 +101,9 @@ def quotient_value(quotient: QuotientValuation, r: RationalFunction,
                    session: AnalysisSession | None = None
                    ) -> int | Fraction | None:
     """Value of a residue-field element under the quotient valuation, or
-    None when undecided: within the budget for a program, below the
-    truncation cap of series_value for a series."""
+    None when undecided: within the budget for a program; for a series,
+    below the truncation cap of series_value or on a rational series'
+    curve, where the element has no order."""
     if isinstance(quotient, SeriesDVR):
         return series_value(quotient, r)
     if session is None:
@@ -316,10 +317,14 @@ def classify_shannon(source) -> ShannonClass:
         return _classify_lifted(source)
     outcome = _sum_class(source, "stage")
     if isinstance(source, SeriesDVR):
+        union = ("a valuation ring; the series is rational, so the walk "
+                 "follows the curve it parametrizes"
+                 if isinstance(source.stream, PeriodicCoefficients)
+                 else "the series valuation ring")
         return ShannonClass(
             "ValuationRing",
-            "every stage has multiplicity 1, so the multiplicity sum "
-            "diverges and the union is the series valuation ring",
+            f"every stage has multiplicity 1, so the multiplicity sum "
+            f"diverges and the union is {union}",
             multiplicity=outcome)
     if outcome.kind == "Divergent":
         return ShannonClass(

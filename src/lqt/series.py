@@ -5,7 +5,8 @@ power series tau(x) with zero constant term and reading off the x-adic order
 of the result.  The series is a CoefficientStream, an infinite-support
 coefficient sequence with computable gaps, which keeps every question about
 truncations exact: series_value reads an exact value off a truncation of
-degree at most MAX_PRECISION, or leaves it undecided.
+degree at most MAX_PRECISION, or leaves it undecided.  A periodic series is
+rational: an element on its curve has no order, and is left undecided too.
 
 Such a valuation also fixes an infinite transform sequence: x always
 pivots, and y is translated by the next series coefficient whenever that
@@ -47,7 +48,8 @@ class CoefficientStream:
         raise NotImplementedError
 
     def truncate(self, cap: int) -> dict[int, Coefficient]:
-        """Sparse coefficients of the truncation to degree <= cap."""
+        """Sparse coefficients of the truncation to degree <= cap, keyed by
+        rising exponent; the early exit of _evaluate_truncated needs that."""
         out: dict[int, Coefficient] = {}
         i = self.next_nonzero(0)
         while i <= cap:
@@ -165,7 +167,8 @@ class SeriesDVR:
 
     Every stage pivots on x; y is translated by coefficient a_n exactly when
     a_n is nonzero.  All stage multiplicities are 1, so the multiplicity sum
-    diverges and the union of the stage rings is the valuation ring itself.
+    diverges and the union of the stage rings is a valuation ring: this one,
+    unless tau is rational and the walk follows the curve tau parametrizes.
     """
 
     __slots__ = ("bases", "stream", "_steps")
@@ -207,7 +210,8 @@ class SeriesDVR:
 
 
 def series_value(dvr: SeriesDVR, f: RationalFunction) -> int | None:
-    """The valuation of f, or None if undecided below the degree cap.
+    """The valuation of f, or None: undecided below the degree cap, or a
+    part of f vanishes on a rational series' curve (see _certified_order).
 
     Substituting a degree-N truncation of the series perturbs the result
     only above degree N, so an order found at or below N is exact.  The
@@ -223,54 +227,44 @@ def series_value(dvr: SeriesDVR, f: RationalFunction) -> int | None:
 
 def _certified_order(p: Polynomial, dvr: SeriesDVR) -> int | None:
     """The order of p(x, tau(x)) at the first truncation, of degree
-    START_PRECISION doubled up to MAX_PRECISION, that shows it; or None."""
+    START_PRECISION doubled up to MAX_PRECISION, that shows it; or None.
+
+    A periodic series of cycle length k is P/Q, deg P, deg Q <= k, Q(0) = 1.
+    If p has y-degree d, Q^d p(x, P/Q) is a polynomial of degree at most
+    deg_x(p) + d k with p's order, so no order by that degree means p = 0
+    on the curve Q y = P.
+    """
+    bound = MAX_PRECISION
+    if isinstance(dvr.stream, PeriodicCoefficients):
+        bound = (max(a for a, _ in p.terms)
+                 + max(b for _, b in p.terms) * len(dvr.stream.cycle))
     cap = START_PRECISION
     while cap <= MAX_PRECISION:
         coeffs = _evaluate_truncated(p, dvr, cap)
         if coeffs:
             return min(coeffs)
+        if cap >= bound:
+            break
         cap *= 2
     return None
 
 
 def _evaluate_truncated(p: Polynomial, dvr: SeriesDVR,
                         cap: int) -> dict[int, Coefficient]:
-    """p(x, tau(x)) as sparse coefficients modulo x^(cap+1)."""
+    """p(x, tau(x)) modulo x^(cap+1), by Horner's rule in y: its nonzero
+    coefficients, whole ones as ints."""
     tau = dvr.stream.truncate(cap)
-    by_y_degree: dict[int, dict[int, Coefficient]] = {}
+    rows: list[dict[int, Coefficient]] = [
+        {} for _ in range(max(b for _, b in p.terms) + 1)]
     for (a, b), c in p.terms.items():
         if a <= cap:
-            # each (a, b) is one term, so no two terms meet here
-            by_y_degree.setdefault(b, {})[a] = c
+            rows[b][a] = c
     out: dict[int, Coefficient] = {}
-    power: dict[int, Coefficient] = {0: 1}
-    degree = 0
-    for b in sorted(by_y_degree):
-        while degree < b:
-            power = _mul_truncated(power, tau, cap)
-            degree += 1
-            if not power:
-                break
-        for i, ci in by_y_degree[b].items():
-            for j, cj in power.items():
-                k = i + j
-                if k <= cap:
-                    out[k] = out.get(k, 0) + ci * cj
-    return _nonzero(out)
-
-
-def _mul_truncated(a: dict[int, Coefficient], b: dict[int, Coefficient],
-                   cap: int) -> dict[int, Coefficient]:
-    out: dict[int, Coefficient] = {}
-    for i, ci in a.items():
-        for j, cj in b.items():
-            k = i + j
-            if k <= cap:
-                out[k] = out.get(k, 0) + ci * cj
-    return _nonzero(out)
-
-
-def _nonzero(coeffs: dict[int, Coefficient]) -> dict[int, Coefficient]:
-    """The nonzero coefficients, whole ones as ints."""
-    return {k: coefficient(v) for k, v in coeffs.items() if v}
-
+    for row in reversed(rows):
+        for i, ci in out.items():
+            for j, cj in tau.items():
+                if i + j > cap:
+                    break  # the keys of tau rise
+                row[i + j] = row.get(i + j, 0) + ci * cj
+        out = {k: coefficient(v) for k, v in row.items() if v}
+    return out

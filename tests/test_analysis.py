@@ -7,7 +7,8 @@ import pytest
 
 from lqt import (CoordinatePrime, LiftedTrace, LimitTrace, MembershipVerdict,
                  POS_INF, RationalFunction, SeriesDVR, ShannonClass,
-                 classify_shannon, get_example, parse_program)
+                 classify_shannon, get_example, load_config_text,
+                 parse_program)
 from conftest import el
 from helpers import (Chart, apply_directive, general_states, ord_n,
                      record_calls)
@@ -300,6 +301,20 @@ def test_classify_series_trace_is_a_valuation_ring(curve_dvr):
     outcome = classify_shannon(source)
     assert outcome.kind == "ValuationRing"
     assert "multiplicity 1" in outcome.reason
+
+
+def test_classify_rational_series_follows_a_curve():
+    """y -> tau(x) sends (1 - x^2) y - x + x^2/2 to 0 when tau is
+    periodic(1,-1/2), so the union is no series valuation ring."""
+    source = load_config_text(
+        "[vars]\nx y\n[series]\ny = periodic(1,-1/2)\n", "curve").source
+    outcome = classify_shannon(source)
+    assert outcome.kind == "ValuationRing"
+    assert outcome.multiplicity.kind == "Divergent"
+    assert outcome.reason == (
+        "every stage has multiplicity 1, so the multiplicity sum diverges "
+        "and the union is a valuation ring; the series is rational, so the "
+        "walk follows the curve it parametrizes")
 
 
 def test_classify_needs_enough_passes(two_var, monkeypatch):

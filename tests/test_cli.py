@@ -169,6 +169,38 @@ def test_short_sums_of_fractions_are_prompt(element):
     assert json.loads(line)["element"] == element
 
 
+ON_THE_CURVE = "(y*(1-x^2) - x + x^2/2)^{}"
+
+
+@pytest.mark.parametrize("argv, keys, want", [
+    (["composite", "-e", ON_THE_CURVE.format(3)], ["decided"], False),
+    (["composite", "-e", ON_THE_CURVE.format(8)], ["decided"], False),
+    (["member", "--mode", "pullback", "-e", ON_THE_CURVE.format(8)],
+     ["pullback", "status"], "Undecided"),
+], ids=["composite-cube", "composite-eighth", "member-eighth"])
+def test_elements_on_a_rational_series_curve_are_prompt(tmp_path, argv, keys,
+                                                        want):
+    # the series periodic(1,-1/2) is x(1 - x/2)/(1 - x^2), so these residues
+    # vanish on its curve; dense truncations up to degree 1024 made them
+    # take 6 s (cube) and over 20 s (eighth power)
+    path = tmp_path / "curve.cfg"
+    path.write_text("[vars]\nx y z\n[pullback]\nprime = [z]\n"
+                    "series y = periodic(1,-1/2)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "lqt.cli", argv[0], "--config", str(path),
+         *argv[1:]], capture_output=True, text=True, env=env, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 0, done.stderr
+    line, = done.stdout.splitlines()
+    record = json.loads(line)
+    for key in keys:
+        record = record[key]
+    assert record == want
+
+
 @pytest.mark.parametrize("argv, flag, cap", [
     (["run", "--example", "ex3.7-2d"], "--steps", MAX_STEPS),
     (["value", "--example", "ex3.7-2d", "-e", "y - x"], "--budget",

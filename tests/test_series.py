@@ -11,11 +11,11 @@ import sympy as sp
 from hypothesis import assume, given, settings
 
 import lqt.series
-from lqt import (AnalysisSession, Directive, FactorialGaps, GeometricGaps,
-                 PeriodicCoefficients, Polynomial, RationalFunction,
-                 SeriesDVR, StreamError, multiplicity_sequence, parse_stream,
-                 series_value)
-from helpers import XY
+from lqt import (AnalysisSession, CoefficientStream, Directive,
+                 FactorialGaps, GeometricGaps, PeriodicCoefficients,
+                 Polynomial, RationalFunction, SeriesDVR, StreamError,
+                 multiplicity_sequence, parse_stream, series_value)
+from helpers import XY, record_calls
 from conftest import el_on
 
 F = Fraction
@@ -76,6 +76,20 @@ def test_truncate_collects_support_up_to_cap():
     s = GeometricGaps(2)
     assert s.truncate(8) == {1: F(1), 2: F(1), 4: F(1), 8: F(1)}
     assert s.truncate(3) == {1: F(1), 2: F(1)}
+
+
+@pytest.mark.parametrize("stream", [
+    GeometricGaps(2), GeometricGaps(3), FactorialGaps(),
+    PeriodicCoefficients([F(0), F(1), F(0)]),
+], ids=lambda s: s.describe())
+def test_truncate_keys_rise(stream):
+    """Horner's rule in _evaluate_truncated stops each row at the first
+    exponent past the cap, so truncate must hand its keys out in order.
+    The tracer wraps truncate where CoefficientStream defines it."""
+    assert "truncate" in CoefficientStream.__dict__
+    for cap in range(1, 65):
+        keys = list(stream.truncate(cap))
+        assert keys == sorted(keys)
 
 
 def test_stream_equality_follows_description():
@@ -160,6 +174,33 @@ def test_series_value_none_past_the_cap():
     g = el_on("y - x - x^2 - x^6 - x^24 - x^120", XY)
     assert series_value(dvr, g) == 720
     assert series_value(dvr, g * g) is None
+
+
+def rational_dvr() -> SeriesDVR:
+    """tau = x^5/(1 - x^5): cycle length k = 5, and tau has order 5."""
+    return SeriesDVR(XY, PeriodicCoefficients([0, 0, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("y", 5),
+    ("y^4", 20),  # exactly the degree bound 0 + 4*5, past degree 16
+    ("x^13*y", 18),
+    ("(1 - x^5)*y - x^5", None),
+    ("((1 - x^5)*y - x^5)^3*(x + y)", None),
+    ("(x + y)/((1 - x^5)*y - x^5)", None),
+])
+def test_series_value_rational_hand_values(text, want):
+    assert series_value(rational_dvr(), el_on(text, XY)) == want
+
+
+def test_series_value_stops_at_the_degree_bound(monkeypatch):
+    """The cube vanishes on the curve and has x-degree 15 and y-degree 3,
+    so its degree bound is 15 + 3*5 = 30: the truncations of degree 16
+    and 32 are the last it reads, not those up to MAX_PRECISION."""
+    caps = record_calls(monkeypatch, lqt.series, "_evaluate_truncated")
+    f = el_on("((1 - x^5)*y - x^5)^3", XY)
+    assert series_value(rational_dvr(), f) is None
+    assert [cap for _, _, cap in caps] == [16, 32]
 
 
 def test_series_value_input_checks():
@@ -297,6 +338,61 @@ def test_series_value_does_not_depend_on_the_start(started):
     with patch.object(lqt.series, "START_PRECISION", start):
         got = series_value(dvr, f)
     assert got is None or got == want
+
+
+# -- a rational series against exact substitution ------------------------------------
+
+def _sympy_rational_order(p: Polynomial, cycle: list[Fraction]) -> int | None:
+    """The x-adic order of p(x, P/Q), where P/Q is the periodic series of
+    this cycle, by exact substitution in sympy's field Q(x), which cancels
+    as it goes; None when p vanishes on the curve."""
+    _, x = sp.field("x", sp.QQ)
+    k = len(cycle)
+    tau = sum(sp.QQ(c.numerator, c.denominator) * x ** (i + 1)
+              for i, c in enumerate(cycle)) / (1 - x ** k)
+    value = 0
+    for d in range(max(j for _, j in p.terms), -1, -1):  # Horner's rule
+        value = value * tau + sum(sp.QQ(c.numerator, c.denominator) * x ** i
+                                  for (i, j), c in p.terms.items() if j == d)
+    if value == 0:
+        return None
+    return (min(m[0] for m in value.numer.monoms())
+            - min(m[0] for m in value.denom.monoms()))
+
+
+@st.composite
+def periodic_elements(draw):
+    """A cycle of 1-5 entries, so tau = P/Q with Q = 1 - x^k, and an
+    element a*(Q*y - P)^e + b over one of the same shape, b zero or x^m:
+    with b zero a part vanishes on the curve, and with m past the first
+    truncation its order shows only at a deeper one."""
+    cycle = draw(st.lists(st.fractions(min_value=-2, max_value=2,
+                                       max_denominator=3),
+                          min_size=1, max_size=5).filter(any))
+    curve = Polynomial(XY, {(i + 1, 0): -c for i, c in enumerate(cycle)})
+    curve += Polynomial(XY, {(0, 1): 1, (len(cycle), 1): -1})
+    parts = []
+    for _ in range(2):
+        a = draw(small_polys.filter(lambda p: not p.is_zero()))
+        e = draw(st.integers(1, 2))
+        m = draw(st.none() | st.integers(0, 40))
+        b = Polynomial(XY, {} if m is None else {(m, 0): 1})
+        parts.append(a * curve ** e + b)
+    return cycle, RationalFunction(*parts)
+
+
+@settings(deadline=None, max_examples=30)
+@given(periodic_elements())
+def test_rational_series_value_matches_exact_substitution(case):
+    """The degree bound of a periodic series never stops the search before
+    an order exists: series_value, at the default MAX_PRECISION, is the
+    order of the exact substitution y = P/Q, and None exactly when the
+    numerator or the denominator vanishes on the curve."""
+    cycle, f = case
+    got = series_value(SeriesDVR(XY, PeriodicCoefficients(cycle)), f)
+    num = _sympy_rational_order(f.numerator, cycle)
+    den = _sympy_rational_order(f.denominator, cycle)
+    assert got == (None if num is None or den is None else num - den)
 
 
 # -- the induced transform sequence ---------------------------------------------------
