@@ -27,8 +27,9 @@ LiftedTrace, or anything with bases, directive_at and value_vector_at.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol
+from typing import ClassVar, Protocol
 
 from .polynomials import Polynomial, _strip_monomial, substitute_terms
 from .functions import RationalFunction, _check_field
@@ -58,14 +59,12 @@ class DirectiveSource(Protocol):
             self, n: int) -> tuple[int | Fraction | Infinite, ...]: ...
 
 
+@dataclass(frozen=True, slots=True)
 class MembershipVerdict:
     """Outcome of a membership search: In(stage) or NotWithinBudget(budget)."""
 
-    __slots__ = ("stage", "budget")
-
-    def __init__(self, stage: int | None, budget: int):
-        self.stage = stage
-        self.budget = budget
+    stage: int | None
+    budget: int
 
     @property
     def decided(self) -> bool:
@@ -74,17 +73,13 @@ class MembershipVerdict:
     def __bool__(self) -> bool:
         return self.decided
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MembershipVerdict):
-            return NotImplemented
-        return (self.stage, self.budget) == (other.stage, other.budget)
-
     def __repr__(self) -> str:
         if self.decided:
             return f"In(stage={self.stage})"
         return f"NotWithinBudget(budget={self.budget})"
 
 
+@dataclass(frozen=True, slots=True)
 class LimitTrace:
     """Approximants of a limit quantity along the stages.
 
@@ -93,25 +88,19 @@ class LimitTrace:
     approximant.
     """
 
-    __slots__ = ("quantity", "start", "approximants", "stabilized")
-    window = STABLE_WINDOW
+    quantity: str
+    start: int
+    approximants: list[int | Fraction]
+    window: ClassVar[int] = STABLE_WINDOW
 
-    def __init__(self, quantity: str, start: int,
-                 approximants: list[int | Fraction]):
-        self.quantity = quantity
-        self.start = start
-        self.approximants = approximants
-        self.stabilized = (len(approximants) >= self.window
-                           and len(set(approximants[-self.window:])) == 1)
+    @property
+    def stabilized(self) -> bool:
+        return (len(self.approximants) >= self.window
+                and len(set(self.approximants[-self.window:])) == 1)
 
     @property
     def last(self) -> int | Fraction | None:
         return self.approximants[-1] if self.approximants else None
-
-    def __repr__(self) -> str:
-        tail = self.approximants[-3:]
-        return (f"LimitTrace({self.quantity}, start={self.start}, "
-                f"...{tail}, stabilized={self.stabilized})")
 
 
 class ElementState:

@@ -35,6 +35,7 @@ lifted along a prime (`pullback.LiftedTrace`) adds `Infinite` values.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -46,6 +47,7 @@ class ProgramError(ValueError):
     """A step or program that breaks a rule of the format or of the walk."""
 
 
+@dataclass(frozen=True, slots=True)
 class Infinite:
     """Signed infinite value, for coordinates inside a lifted prime.
 
@@ -54,24 +56,12 @@ class Infinite:
     comparisons.  Adding opposite infinities raises.
     """
 
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        object.__setattr__(self, "sign", sign)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Infinite is immutable")
+    sign: int
 
     def __repr__(self) -> str:
         return "inf" if self.sign > 0 else "-inf"
 
     __str__ = __repr__
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Infinite) and other.sign == self.sign
-
-    def __hash__(self) -> int:
-        return hash(("Infinite", self.sign))
 
     def __neg__(self) -> "Infinite":
         return NEG_INF if self.sign > 0 else POS_INF
@@ -407,6 +397,7 @@ def multiplicity_sequence(source, count: int) -> list[int | Fraction]:
     return [min(source.value_vector_at(n)) for n in range(count)]
 
 
+@dataclass(frozen=True, slots=True)
 class MultiplicityClass:
     """Outcome of classifying the multiplicity sum of a program.
 
@@ -416,24 +407,10 @@ class MultiplicityClass:
     once no period step pivots or translates any of them.
     """
 
-    __slots__ = ("kind", "limit", "detail", "nonscaling")
-
-    def __init__(self, kind: str, limit: Fraction | None = None,
-                 detail: str = "", nonscaling: tuple[int, ...] = ()):
-        self.kind = kind
-        self.limit = limit
-        self.detail = detail
-        self.nonscaling = nonscaling
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiplicityClass):
-            return NotImplemented
-        return (self.kind, self.limit) == (other.kind, other.limit)
-
-    def __repr__(self) -> str:
-        if self.kind == "Convergent":
-            return f"MultiplicityClass(Convergent, limit={self.limit})"
-        return f"MultiplicityClass({self.kind})"
+    kind: str
+    limit: Fraction | None = None
+    detail: str = ""
+    nonscaling: tuple[int, ...] = ()
 
 
 # Period passes classify_multiplicity looks at before it gives up.  Each

@@ -18,6 +18,7 @@ lifted ones included.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -26,7 +27,8 @@ from .functions import RationalFunction, _check_field
 from .polynomials import Polynomial
 from .programs import (POS_INF, Directive, Infinite, MultiplicityClass,
                        ValuationProgram, classify_multiplicity)
-from .series import PeriodicCoefficients, SeriesDVR, series_value
+from .series import (MAX_PRECISION, PeriodicCoefficients, SeriesDVR,
+                     series_value)
 
 QuotientValuation = Union[ValuationProgram, SeriesDVR]
 
@@ -116,26 +118,16 @@ def quotient_value(quotient: QuotientValuation, r: RationalFunction,
     return value
 
 
+@dataclass(frozen=True, slots=True)
 class PullbackVerdict:
     """Membership in the pullback ring: In, NotIn or Undecided."""
 
-    __slots__ = ("status", "detail")
-
-    def __init__(self, status: str, detail: str = ""):
-        self.status = status
-        self.detail = detail
+    status: str
+    detail: str = ""
 
     @property
     def decided(self) -> bool:
         return self.status != "Undecided"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PullbackVerdict):
-            return NotImplemented
-        return self.status == other.status
-
-    def __repr__(self) -> str:
-        return f"PullbackVerdict({self.status})"
 
 
 def member_pullback(f: RationalFunction, prime: CoordinatePrime,
@@ -157,6 +149,12 @@ def member_pullback(f: RationalFunction, prime: CoordinatePrime,
         return PullbackVerdict("In", "the residue is zero")
     v = quotient_value(quotient, r, budget, session)
     if v is None:
+        # the budget bounds a program's walk, never a series value
+        if isinstance(quotient, SeriesDVR):
+            return PullbackVerdict(
+                "Undecided", f"no order of the residue was certified by "
+                             f"series degree {MAX_PRECISION}, or a part of it "
+                             f"vanishes on a rational series' curve")
         return PullbackVerdict(
             "Undecided", "the residue value did not resolve within budget")
     if v >= 0:
@@ -166,18 +164,15 @@ def member_pullback(f: RationalFunction, prime: CoordinatePrime,
 
 # -- composite values --------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class CompositeValue:
     """Lexicographic value (prime order, residue value).
 
     residue_value is None when the quotient side stayed undecided; such a
     value is only partially known."""
 
-    __slots__ = ("prime_order", "residue_value")
-
-    def __init__(self, prime_order: int,
-                 residue_value: int | Fraction | None):
-        self.prime_order = prime_order
-        self.residue_value = residue_value
+    prime_order: int
+    residue_value: int | Fraction | None
 
     @property
     def decided(self) -> bool:
@@ -187,12 +182,6 @@ class CompositeValue:
         if self.residue_value is None:
             raise ValueError("cannot order a partially known value")
         return (self.prime_order, self.residue_value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CompositeValue):
-            return NotImplemented
-        return (self.prime_order, self.residue_value) == (other.prime_order,
-                                                          other.residue_value)
 
     def __lt__(self, other: "CompositeValue") -> bool:
         return self.sort_key() < other.sort_key()
@@ -270,6 +259,7 @@ class LiftedTrace:
 
 # -- classification of the union ring -----------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class ShannonClass:
     """Classification of the union ring, with a short reason.
 
@@ -280,25 +270,11 @@ class ShannonClass:
     lifted trace only, whether the union is the whole pullback.
     """
 
-    __slots__ = ("kind", "reason", "witness", "multiplicity",
-                 "union_is_pullback")
-
-    def __init__(self, kind: str, reason: str, witness: str | None = None,
-                 multiplicity: MultiplicityClass | None = None,
-                 union_is_pullback: bool | None = None):
-        self.kind = kind
-        self.reason = reason
-        self.witness = witness
-        self.multiplicity = multiplicity
-        self.union_is_pullback = union_is_pullback
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShannonClass):
-            return NotImplemented
-        return (self.kind, self.witness) == (other.kind, other.witness)
-
-    def __repr__(self) -> str:
-        return f"ShannonClass({self.kind}, witness={self.witness})"
+    kind: str
+    reason: str
+    witness: str | None = None
+    multiplicity: MultiplicityClass | None = None
+    union_is_pullback: bool | None = None
 
 
 def classify_shannon(source) -> ShannonClass:

@@ -359,6 +359,8 @@ def test_classify_rejects_other_sources():
 
 def test_shannon_class_equality():
     a = ShannonClass("ValuationRing", "first reason")
-    b = ShannonClass("ValuationRing", "second reason")
-    assert a == b
+    assert a == ShannonClass("ValuationRing", "first reason")
+    assert a != ShannonClass("ValuationRing", "second reason")
+    assert a != ShannonClass("ValuationRing", "first reason",
+                             union_is_pullback=False)
     assert a != ShannonClass("Unknown", "first reason")

@@ -341,10 +341,12 @@ def test_classify_needs_enough_passes_for_close_margins(monkeypatch):
     assert roomy.nonscaling == (2,)
 
 
-def test_classification_equality_uses_kind_and_limit():
+def test_classification_equality_uses_every_field():
     a = MultiplicityClass("Convergent", F(3), detail="one")
-    b = MultiplicityClass("Convergent", F(3), detail="two")
-    assert a == b
+    assert a == MultiplicityClass("Convergent", F(3), detail="one")
+    assert a != MultiplicityClass("Convergent", F(3), detail="two")
+    assert a != MultiplicityClass("Convergent", F(3), detail="one",
+                                  nonscaling=(2,))
     assert a != MultiplicityClass("Divergent")
 
 

@@ -164,11 +164,21 @@ def test_pullback_undecided_when_precision_runs_out(prime_z):
     verdict = member_pullback(hard, prime_z, fac)
     assert verdict.status == "Undecided"
     assert not verdict.decided
-    assert "did not resolve within budget" in verdict.detail
+    assert verdict.detail == (
+        "no order of the residue was certified by series degree 1024, or a "
+        "part of it vanishes on a rational series' curve")
+
+
+def test_pullback_undecided_when_the_program_budget_runs_out(prime_z):
+    program = get_example("ex3.7-2d").source
+    verdict = member_pullback(e3("y - x"), prime_z, program, budget=0)
+    assert verdict.status == "Undecided"
+    assert verdict.detail == "the residue value did not resolve within budget"
 
 
 def test_pullback_verdict_equality():
-    assert PullbackVerdict("In", "one") == PullbackVerdict("In", "two")
+    assert PullbackVerdict("In", "one") == PullbackVerdict("In", "one")
+    assert PullbackVerdict("In", "one") != PullbackVerdict("In", "two")
     assert PullbackVerdict("In") != PullbackVerdict("NotIn")
 
 
