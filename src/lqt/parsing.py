@@ -13,10 +13,24 @@ the same value back.  A factor may sit inside at most MAX_NESTING
 parentheses and unary minus signs, which keeps the recursive descent well
 inside Python's recursion limit.
 
+A value is a Laurent term map for as long as it can be: a dict from
+exponent tuples, which may be negative, to nonzero coefficients (an int
+when whole, else a Fraction).  Integers, variables, unary minus, sums,
+differences, products, powers, and division by a monomial run as dict
+arithmetic and build no Polynomial.  A RationalFunction is first built at
+a division by a value of several terms, or at a negative power of one;
+from there on that value runs on RationalFunction arithmetic.  A term map
+left at the end becomes a fraction with no gcd: its negative exponents make
+a monomial denominator with coefficient 1, and the numerator then has a
+term free of each variable of that monomial, so the fraction is reduced
+and monic already.
+
 Expression size is capped so that every parse ends in bounded time.  No
 value may have a numerator or denominator of more than MAX_TERMS terms, or
 a coefficient of more than MAX_BITS bits (the bits of its numerator and
-denominator together; 1 and -1 count as zero bits).  A power of a base
+denominator together; 1 and -1 count as zero bits).  A term map stands for
+a fraction with its terms and coefficients in the numerator over a
+monomial, so it is measured as that fraction is.  A power of a base
 whose numerator or denominator has several terms may have an exponent of
 at most MAX_POWER in absolute value, and is refused before it is computed
 when the multinomial count of its terms could pass MAX_TERMS.  Any power is
@@ -30,11 +44,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Iterable, Iterator
 
 from .functions import RationalFunction
-from .polynomials import Polynomial
+from .polynomials import (Coefficient, Exponents, Polynomial, add_terms,
+                          coefficient, mul_terms)
 
 
 class ParseError(ValueError):
@@ -49,6 +65,9 @@ MAX_NESTING = 100
 MAX_POWER = 64
 MAX_TERMS = 1000
 MAX_BITS = 4096
+
+# a Laurent term map, or the fraction a value becomes once it is not one
+Value = dict[Exponents, Coefficient] | RationalFunction
 
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]|\S")
 
@@ -81,13 +100,7 @@ class _Parser:
         self.tok, self.at = next(self.tokens)
         self.depth = 0
         self.variables = variables
-        self.one = RationalFunction.from_polynomial(Polynomial.one(variables))
-
-    def peek(self) -> str:
-        return self.tok
-
-    def pos(self) -> int:
-        return self.at
+        self.origin = (0,) * len(variables)
 
     def advance(self) -> str:
         tok = self.tok
@@ -95,105 +108,185 @@ class _Parser:
         return tok
 
     def expect(self, tok: str) -> None:
-        if self.peek() != tok:
-            found = self.peek() or "end of input"
-            raise ParseError(f"expected {tok!r}, found {found!r}", self.pos())
+        if self.tok != tok:
+            found = self.tok or "end of input"
+            raise ParseError(f"expected {tok!r}, found {found!r}", self.at)
         self.advance()
 
     def parse(self) -> RationalFunction:
         value = self.expr()
-        if self.peek() != "":
-            raise ParseError(f"unexpected trailing input {self.peek()!r}",
-                             self.pos())
-        return value
+        if self.tok != "":
+            raise ParseError(f"unexpected trailing input {self.tok!r}",
+                             self.at)
+        return self.fraction(value)
 
-    def expr(self) -> RationalFunction:
+    def fraction(self, value: Value) -> RationalFunction:
+        """value as a RationalFunction; a term map's negative exponents
+        become its denominator, which needs no gcd (see the module
+        docstring)."""
+        if type(value) is not dict:
+            return value
+        vs = self.variables
+        low = [min(0, *ks) for ks in zip(*value)]
+        if not any(low):
+            return RationalFunction.from_polynomial(Polynomial._make(vs, value))
+        num = {tuple(k - m for k, m in zip(e, low)): c
+               for e, c in value.items()}
+        den = {tuple(-m for m in low): 1}
+        return RationalFunction._make(Polynomial._make(vs, num),
+                                      Polynomial._make(vs, den))
+
+    def expr(self) -> Value:
         value = self.term()
-        while self.peek() in ("+", "-"):
+        while self.tok in ("+", "-"):
             op = self.advance()
-            pos = self.pos()
+            pos = self.at
             rhs = self.term()
-            value = _sized(value + rhs if op == "+" else value - rhs, pos,
-                           rhs)
+            if op == "-":
+                rhs = _negate(rhs)
+            if type(value) is dict and type(rhs) is dict:
+                value = _sized(add_terms(value, rhs), pos, rhs)
+            else:
+                value = _sized(self.fraction(value) + self.fraction(rhs), pos)
         return value
 
-    def term(self) -> RationalFunction:
+    def term(self) -> Value:
         value = self.factor()
-        while self.peek() in ("*", "/"):
+        while self.tok in ("*", "/"):
             op = self.advance()
-            pos = self.pos()
+            pos = self.at
             rhs = self.factor()
-            if op == "*":
-                signed = _signed_monomial_product(value, rhs)
-                value = value * rhs
-                if signed:
-                    continue
-            else:
-                if rhs.is_zero():
+            if op == "/":
+                if _is_zero(rhs):
                     raise ParseError("division by zero", pos)
-                value = value / rhs
+                if type(rhs) is dict and len(rhs) == 1:
+                    op, rhs = "*", _monomial_power(rhs, -1)
+            if op == "/":
+                value = self.fraction(value) / self.fraction(rhs)
+            elif type(value) is dict and type(rhs) is dict:
+                value = mul_terms(value, rhs)
+            else:
+                value = self.fraction(value) * self.fraction(rhs)
             value = _sized(value, pos)
         return value
 
-    def factor(self) -> RationalFunction:
+    def factor(self) -> Value:
         # depth counts the '(' and unary '-' around this factor; every
         # recursion of the parser passes through here
         if self.depth > MAX_NESTING:
-            raise ParseError("expression nested too deeply", self.pos())
+            raise ParseError("expression nested too deeply", self.at)
         self.depth += 1
-        if self.peek() == "-":
+        if self.tok == "-":
             self.advance()
-            value = -self.factor()
+            value = _negate(self.factor())
         else:
             value = self.base()
-            if self.peek() == "^":
+            if self.tok == "^":
                 self.advance()
-                pos = self.pos()
+                pos = self.at
                 n = self.exponent()
-                if n < 0 and value.is_zero():
+                if n < 0 and _is_zero(value):
                     raise ParseError("zero raised to a negative power", pos)
-                value = _power(value, n, pos)
+                value = self.power(value, n, pos)
         self.depth -= 1
         return value
 
+    def power(self, value: Value, n: int, pos: int) -> Value:
+        """value ** n, refused before it is computed when it could be too
+        large.
+
+        A sum of t terms raised to k has at most comb(k + t - 1, t - 1)
+        terms, so that bound keeps the result within MAX_TERMS.  An integer
+        of b bits raised to k has at most b*k bits, so that bound keeps the
+        coefficients of a monomial's power within MAX_BITS, and such a power
+        is not measured again.
+        """
+        t, k = _terms(value), abs(n)
+        if t > 1:
+            if k > MAX_POWER:
+                raise ParseError(f"exponent {n} is too large for a base of "
+                                 f"several terms (at most {MAX_POWER})", pos)
+            if comb(k + t - 1, t - 1) > MAX_TERMS:
+                raise ParseError(f"power could have more than {MAX_TERMS} "
+                                 f"terms", pos)
+        if _bits(value) * k > MAX_BITS:
+            raise ParseError(f"power could have a coefficient of more than "
+                             f"{MAX_BITS} bits", pos)
+        if type(value) is not dict or (n < 0 and t > 1):
+            value = self.fraction(value)
+            return value ** n if t == 1 else _sized(value ** n, pos)
+        if t == 1:
+            return _monomial_power(value, n)
+        if not value:
+            # zero, whose exponent may be huge
+            return value if n else {self.origin: 1}
+        result = {self.origin: 1}
+        for _ in range(n):
+            result = mul_terms(result, value)
+        return _sized(result, pos)
+
     def exponent(self) -> int:
         sign = 1
-        if self.peek() == "-":
+        if self.tok == "-":
             self.advance()
             sign = -1
-        tok = self.peek()
-        if not tok.isdigit():
+        tok = self.tok
+        # the tokenizer passes any digit, but int() reads only decimal ones
+        # ('2' and '\u0663', not '\u00b2')
+        if not tok.isdecimal():
             found = tok or "end of input"
             raise ParseError(f"expected integer exponent, found {found!r}",
-                             self.pos())
+                             self.at)
         self.advance()
         return sign * int(tok)
 
-    def base(self) -> RationalFunction:
-        tok = self.peek()
+    def base(self) -> Value:
+        tok = self.tok
         if tok == "(":
             self.advance()
             value = self.expr()
             self.expect(")")
             return value
-        if tok.isdigit():
-            pos = self.pos()
+        if tok.isdecimal():
+            pos = self.at
             self.advance()
             k = int(tok)
             _check_bits(_fraction_bits(k), pos)
-            return self.one.scale(k)
+            return {self.origin: k} if k else {}
         if tok and (tok[0].isalpha() or tok[0] == "_"):
             if tok not in self.variables:
                 raise ParseError(
                     f"unknown variable {tok!r} (expected one of "
-                    f"{', '.join(self.variables)})", self.pos())
+                    f"{', '.join(self.variables)})", self.at)
             self.advance()
-            return RationalFunction.variable(tok, self.variables)
+            e = [0] * len(self.variables)
+            e[self.variables.index(tok)] = 1
+            return {tuple(e): 1}
         found = tok or "end of input"
-        raise ParseError(f"expected a value, found {found!r}", self.pos())
+        raise ParseError(f"expected a value, found {found!r}", self.at)
 
 
-def _terms(value: RationalFunction) -> int:
+def _is_zero(value: Value) -> bool:
+    return not value if type(value) is dict else value.is_zero()
+
+
+def _negate(value: Value) -> Value:
+    if type(value) is dict:
+        return {e: -c for e, c in value.items()}
+    return -value
+
+
+def _monomial_power(value: dict, n: int) -> dict:
+    """value ** n for a term map of one term."""
+    (e, c), = value.items()
+    c = c ** n if n >= 0 else Fraction(1, c) ** -n
+    return {tuple(k * n for k in e): coefficient(c)}
+
+
+def _terms(value: Value) -> int:
+    """The terms of the larger part; a term map counts its own."""
+    if type(value) is dict:
+        return len(value)
     return max(len(value.numerator.terms), len(value.denominator.terms))
 
 
@@ -204,31 +297,29 @@ def _fraction_bits(c: Fraction | int) -> int:
     return (n.bit_length() if n > 1 else 0) + (d.bit_length() if d > 1 else 0)
 
 
-def _bits(value: RationalFunction) -> int:
+def _bits(value: Value) -> int:
     """The size of the largest coefficient."""
-    return max(_fraction_bits(c)
-               for p in (value.numerator, value.denominator)
-               for c in p.terms.values())
+    if type(value) is dict:
+        coefficients = value.values()
+    else:
+        coefficients = chain(value.numerator.terms.values(),
+                             value.denominator.terms.values())
+    return max(map(_fraction_bits, coefficients), default=0)
 
 
-def _sized(value: RationalFunction, pos: int,
-           addend: RationalFunction | None = None) -> RationalFunction:
+def _sized(value: Value, pos: int, addend: dict | None = None) -> Value:
     """value, refused when it passes MAX_TERMS or MAX_BITS.
 
-    For value = v + addend or v - addend, v within the caps, the exact
-    scan is bounded by the operands: when v and addend are polynomials,
-    every coefficient of value not at an exponent of addend is one of v's,
-    so only those at addend's exponents are measured.  (Denominators are
-    monic, so value and addend over one puts v over one too.)"""
+    For a term map value = v + addend, v within the caps, every coefficient
+    of value not at an exponent of addend is one of v's, so only those at
+    addend's exponents are measured."""
     if _terms(value) > MAX_TERMS:
         raise ParseError(f"expression has more than {MAX_TERMS} terms", pos)
-    if (addend is not None and value.denominator.is_one()
-            and addend.denominator.is_one()):
-        terms = value.numerator.terms
-        bits = max((_fraction_bits(terms[e]) for e in addend.numerator.terms
-                    if e in terms), default=0)
-    else:
+    if addend is None:
         bits = _bits(value)
+    else:
+        bits = max((_fraction_bits(value[e]) for e in addend if e in value),
+                   default=0)
     _check_bits(bits, pos)
     return value
 
@@ -237,40 +328,6 @@ def _check_bits(bits: int, pos: int) -> None:
     if bits > MAX_BITS:
         raise ParseError(f"expression has a coefficient of more than "
                          f"{MAX_BITS} bits", pos)
-
-
-def _signed_monomial_product(a: RationalFunction,
-                             b: RationalFunction) -> bool:
-    """a and b are polynomials and one of them is x^e or -x^e, so that a*b
-    has the other's term count and coefficients up to sign: within the caps
-    when a and b are."""
-    if not (a.denominator.is_one() and b.denominator.is_one()):
-        return False
-    return any(len(p.terms) == 1 and abs(next(iter(p.terms.values()))) == 1
-               for p in (a.numerator, b.numerator))
-
-
-def _power(value: RationalFunction, n: int, pos: int) -> RationalFunction:
-    """value ** n, refused before it is computed when it could be too large.
-
-    A sum of t terms raised to k has at most comb(k + t - 1, t - 1) terms,
-    so that bound keeps the result within MAX_TERMS.  An integer of b bits
-    raised to k has at most b*k bits, so that bound keeps the coefficients
-    of a monomial's power within MAX_BITS, and such a power is not measured
-    again.
-    """
-    t, k = _terms(value), abs(n)
-    if t > 1:
-        if k > MAX_POWER:
-            raise ParseError(f"exponent {n} is too large for a base of "
-                             f"several terms (at most {MAX_POWER})", pos)
-        if comb(k + t - 1, t - 1) > MAX_TERMS:
-            raise ParseError(f"power could have more than {MAX_TERMS} terms",
-                             pos)
-    if _bits(value) * k > MAX_BITS:
-        raise ParseError(f"power could have a coefficient of more than "
-                         f"{MAX_BITS} bits", pos)
-    return value ** n if t == 1 else _sized(value ** n, pos)
 
 
 def parse_expr(text: str, variables: Iterable[str]) -> RationalFunction:

@@ -6,7 +6,9 @@ other one a Fraction with denominator > 1 (never a float, never a whole
 Fraction), so walk steps and integer input run on machine-word ints; an int
 compares and hashes equal to the whole Fraction it stands for.  The graded
 lexicographic order on exponent tuples is used for canonical printing and
-leading-term normalization only; it carries no semantic weight.
+leading-term normalization only; it carries no semantic weight.  The sum
+and product of two term maps (`add_terms`, `mul_terms`) assume no sign of
+the exponents, so the parser runs them on Laurent term maps too.
 
 Substitution (`substitute_terms`, behind both `Polynomial.substitute` and
 `RationalFunction.substitute`) splits every image into a monomial and a
@@ -53,6 +55,46 @@ def _wholes(terms: dict) -> dict:
         if type(c) is not int and c.denominator == 1:
             terms[e] = c.numerator
     return terms
+
+
+def add_terms(a: Mapping[Exponents, Coefficient],
+              b: Mapping[Exponents, Coefficient]) -> dict:
+    """The term map of the sum of two term maps."""
+    res = dict(a)
+    for e, c in b.items():
+        s = res.get(e)
+        if s is None:
+            res[e] = c
+        elif s := s + c:
+            res[e] = s
+        else:
+            del res[e]
+    return _wholes(res)
+
+
+def mul_terms(a: Mapping[Exponents, Coefficient],
+              b: Mapping[Exponents, Coefficient]) -> dict:
+    """The term map of the product of two term maps."""
+    # multiply the smaller term set into the larger
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # a monomial shifts and scales the other's terms; none collide
+        (e1, c1), = a.items()
+        return _wholes({tuple(map(add, e1, e2)): c1 * c2
+                        for e2, c2 in b.items()})
+    res: dict[Exponents, Coefficient] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = res.get(e)
+            if s is None:
+                res[e] = c1 * c2
+            elif s := s + c1 * c2:
+                res[e] = s
+            else:
+                del res[e]
+    return _wholes(res)
 
 
 def _grlex(e: Exponents) -> tuple[int, Exponents]:
@@ -192,16 +234,8 @@ class Polynomial:
 
     def __add__(self, other: Polynomial) -> Polynomial:
         self._check(other)
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e)
-            if s is None:
-                res[e] = c
-            elif s := s + c:
-                res[e] = s
-            else:
-                del res[e]
-        return Polynomial._make(self.variables, _wholes(res))
+        return Polynomial._make(self.variables,
+                                add_terms(self.terms, other.terms))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + -other
@@ -216,22 +250,8 @@ class Polynomial:
             return other
         if other.is_one():
             return self
-        # multiply the smaller term set into the larger
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        res: dict[Exponents, Coefficient] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                s = res.get(e)
-                if s is None:
-                    res[e] = c1 * c2
-                elif s := s + c1 * c2:
-                    res[e] = s
-                else:
-                    del res[e]
-        return Polynomial._make(self.variables, _wholes(res))
+        return Polynomial._make(self.variables,
+                                mul_terms(self.terms, other.terms))
 
     def scale(self, c: Fraction | int) -> Polynomial:
         c = coefficient(c)

@@ -1,11 +1,13 @@
 """Shared test helpers: sympy conversion, seeded random generators, a call
 recorder, the polynomial utilities only tests use, the reference forms of
-fast paths, and oracles the package itself does not need: explicit
-coordinate charts, orders and monomial-unit splits at the origin, prime
-membership, induced quotient programs and program text written back."""
+fast paths, and oracles the package itself does not need: expression
+trees evaluated with field operations, explicit coordinate charts, orders
+and monomial-unit splits at the origin, prime membership, induced quotient
+programs and program text written back."""
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable
@@ -64,6 +66,40 @@ def record_calls(monkeypatch, owner, name: str) -> list[tuple]:
 
     monkeypatch.setattr(owner, name, recorded)
     return calls
+
+
+# An expression tree is an int, a variable name, ("neg", t), (op, a, b) for
+# op in "+-*/", or ("^", t, n) for an int n.
+TREE_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                   "/": operator.truediv}
+
+
+def render_tree(tree) -> str:
+    """The tree as parser input, every operand in parentheses."""
+    if isinstance(tree, (int, str)):
+        return str(tree)
+    if tree[0] == "neg":
+        return f"-({render_tree(tree[1])})"
+    if tree[0] == "^":
+        return f"({render_tree(tree[1])})^{tree[2]}"
+    op, a, b = tree
+    return f"({render_tree(a)}) {op} ({render_tree(b)})"
+
+
+def evaluate_tree(tree, variables: tuple[str, ...]) -> RationalFunction:
+    """The tree's value by RationalFunction operations; a zero divisor or a
+    negative power of zero raises ZeroDivisionError."""
+    if isinstance(tree, int):
+        return RationalFunction.constant(tree, variables)
+    if isinstance(tree, str):
+        return RationalFunction.variable(tree, variables)
+    if tree[0] == "neg":
+        return -evaluate_tree(tree[1], variables)
+    if tree[0] == "^":
+        return evaluate_tree(tree[1], variables) ** tree[2]
+    op, a, b = tree
+    f, g = evaluate_tree(a, variables), evaluate_tree(b, variables)
+    return TREE_OPERATIONS[op](f, g)
 
 
 def divides(b: Polynomial, a: Polynomial) -> bool:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from lqt import ParseError, Polynomial, RationalFunction, parse_expr
+from lqt import ParseError, Polynomial, RationalFunction, functions, parse_expr
 from lqt.parsing import (MAX_BITS, MAX_NESTING, MAX_POWER, MAX_TERMS,
                          parse_rational)
-from helpers import XY
+from helpers import XY, record_calls
 
 
 def f_of(text: str) -> RationalFunction:
@@ -185,6 +187,96 @@ def test_sums_and_products_are_measured_where_they_can_grow():
     assert f_of(f"({left})*(-x*y^2)") == -f_of(f"{h}*x^2*y^2 + x*y^3")
     expect_error(f"({left})*(2*y)", f"more than {MAX_BITS} bits",
                  len(left) + 3)
+
+
+# every error through a term-map value, message and position in full
+_H = str(2 ** 4095)
+
+
+def _short(text: str) -> str:
+    return text if len(text) <= 40 else f"{text[:30]}...({len(text)} chars)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^-1*(1 + x + y)^65", "exponent 65 is too large for a base of several "
+     "terms (at most 64) (at position 17)"),
+    ("/x + ".join(f"x^{k}" for k in range(1001)) + "/x",
+     "expression has more than 1000 terms (at position 9890)"),
+    ("y/x*" + "1" * 1366,
+     "integer literal of more than 1365 digits (at position 4)"),
+    ("x^-2*(x - x)^-1", "zero raised to a negative power (at position 13)"),
+    ("(x^-1 - x^-1)^-3", "zero raised to a negative power (at position 14)"),
+    ("x/(y - y)", "division by zero (at position 2)"),
+    ("x/0", "division by zero (at position 2)"),
+    ("x/y/(x/y - x/y)", "division by zero (at position 4)"),
+    ("2^5000*x^-1", "power could have a coefficient of more than 4096 bits "
+     "(at position 2)"),
+    ("(2/3*x^-1)^-7000", "power could have a coefficient of more than 4096 "
+     "bits (at position 11)"),
+    ("x^-1*(1 + x)^40*(1 + y)^40",
+     "expression has more than 1000 terms (at position 16)"),
+    ("((1 + x + y)^9/x)^2",
+     "power could have more than 1000 terms (at position 18)"),
+    ("(1/x + y)^-65", "exponent -65 is too large for a base of several terms "
+     "(at most 64) (at position 10)"),
+    ("2^2000*2^2000/x*2^2000", "expression has a coefficient of more than "
+     "4096 bits (at position 16)"),
+    ("x^-1*" + "7" * 1365, "expression has a coefficient of more than 4096 "
+     "bits (at position 5)"),
+    (f"{_H}*x/y + y + {_H}*x/y", "expression has a coefficient of more than "
+     "4096 bits (at position 1244)"),
+    (f"y/x - {_H}*x - {_H}*x", "expression has a coefficient of more than "
+     "4096 bits (at position 1244)"),
+    (f"({_H}*x + y/x)*(2*y)", "expression has a coefficient of more than "
+     "4096 bits (at position 1244)"),
+    ("x/y + w",
+     "unknown variable 'w' (expected one of x, y) (at position 6)"),
+    ("x^-1 +", "expected a value, found 'end of input' (at position 6)"),
+    ("x/y)", "unexpected trailing input ')' (at position 3)"),
+    ("x/y^z", "expected integer exponent, found 'z' (at position 4)"),
+    ("(x/y", "expected ')', found 'end of input' (at position 4)"),
+    ("x/y $", "unexpected character '$' (at position 4)"),
+    ("x^-1*" + "-(" * 200 + "x" + ")" * 200,
+     "expression nested too deeply (at position 106)"),
+], ids=_short)
+def test_term_map_errors_keep_their_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        f_of(text)
+    assert str(info.value) == message
+
+
+def test_term_maps_take_no_gcd(monkeypatch):
+    calls = record_calls(monkeypatch, functions, "cofactors")
+    # monomial divisors and negative powers of monomials stay term maps
+    for text in ["-3*(y)^-2*(y - x)^1*(1 + 139*x)", "y*(1 + 5*x)/x^40"]:
+        f_of(text)
+        assert calls == []
+    # a negative power of a sum is a fraction, which its product with
+    # another sum reduces once
+    assert f_of("(y - x)^-1*(1 + x)") == f_of("(1 + x)/(y - x)")
+    calls.clear()
+    f_of("(y - x)^-1*(1 + x)")
+    assert len(calls) <= 1
+
+
+# texts for the fuzz test: pieces of the grammar, some too large or wrong,
+# and stray characters, among them digits int() refuses
+_FRAGMENTS = ["x", "y", "w", "x_1", "0", "1", "7", "999", "9" * 1400, "(",
+              ")", "+", "-", "*", "/", "^", "^2", "^0", "^-1", "^-3", "^65",
+              "^5000", " ", "(x - y)", "(1 + x + y)", "x/y", "2^2000", "$",
+              ".", "\u00b2", "\u0663", "\u00e9", "\n"]
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.lists(st.sampled_from(_FRAGMENTS) | st.characters(),
+                max_size=24).map("".join))
+def test_any_text_parses_or_fails_with_a_position(text):
+    try:
+        value = f_of(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+    else:
+        assert isinstance(value, RationalFunction)
 
 
 def test_long_integer_literals_are_refused_before_conversion():

@@ -1,18 +1,22 @@
 """Property tests: algebraic laws the exact arithmetic must satisfy on any
 input, checked over small random elements."""
 
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from lqt import (Directive, GeometricGaps, NEG_INF, POS_INF,
+from lqt import (Directive, GeometricGaps, NEG_INF, POS_INF, ParseError,
                  PeriodicCoefficients, Polynomial, RationalFunction,
-                 SeriesDVR, exact_div, parse_expr, poly_gcd, series_value)
+                 SeriesDVR, exact_div, functions, parse_expr, poly_gcd,
+                 series_value)
 from lqt.polynomials import cofactors
 from lqt.series import _evaluate_truncated
-from helpers import XY, divides, ord_at_origin
+from helpers import (XY, XYZ, divides, evaluate_tree, ord_at_origin,
+                     render_tree)
 
 F = Fraction
 
@@ -260,6 +264,80 @@ def test_series_value_is_ultrametric_on_sums(f, g):
     assert vs >= min(vf, vg)
     if vf != vg:
         assert vs == min(vf, vg)
+
+
+# -- the parser against field operations ------------------------------------------------
+
+def _neg(t):
+    return st.tuples(st.just("neg"), t)
+
+
+def _binary(ops, a, b):
+    return st.tuples(st.sampled_from(ops), a, b)
+
+
+def _expression_trees(variables, laurent: bool):
+    """Trees over the ints 0..9 and the variables with unary minus, + - * /
+    and exponents -3..4 (see `helpers.render_tree`).  A power's base holds
+    no power of several terms and at most three leaves, which keeps every
+    value far inside the parser's caps.  When laurent is set, every divisor
+    and every base of a negative power is a monomial, so the value stays a
+    Laurent term map from start to end; otherwise divisors, often sums, and
+    negative powers of sums make it a fraction."""
+    leaves = st.integers(0, 9) | st.sampled_from(variables)
+    exponents = st.integers(-3, 4)
+    monomials = st.recursive(
+        leaves, lambda m: (_neg(m) | _binary("*/", m, m)
+                           | st.tuples(st.just("^"), m, exponents)),
+        max_leaves=3)
+    sum_exponents = st.integers(0, 4) if laurent else exponents
+
+    def operations(t):
+        divisors = monomials if laurent else _binary("+-", t, t) | t
+        return (_neg(t) | _binary("+-*", t, t)
+                | st.tuples(st.just("/"), t, divisors))
+
+    flat = st.recursive(monomials, operations, max_leaves=3)
+    atoms = monomials | st.tuples(st.just("^"), flat, sum_exponents)
+    trees = st.recursive(atoms, operations, max_leaves=4)
+    return st.tuples(st.just(variables), trees)
+
+
+def _parse_and_evaluate(variables, tree, gcd_free: bool):
+    """parse_expr of the rendered tree, checked against the tree's value by
+    field operations; a ParseError exactly where the operations divide by
+    zero.  When gcd_free is set, a gcd taken by the parse fails the test."""
+    text = render_tree(tree)
+    guard = (mock.patch.object(functions, "cofactors",
+                               side_effect=AssertionError("gcd taken"))
+             if gcd_free else contextlib.nullcontext())
+    try:
+        want = evaluate_tree(tree, variables)
+    except ZeroDivisionError:
+        with guard, pytest.raises(ParseError):
+            parse_expr(text, variables)
+        return
+    with guard:
+        got = parse_expr(text, variables)
+    assert got == want, text
+    for p in (got.numerator, got.denominator):
+        assert all(type(c) is int or c.denominator > 1
+                   for c in p.terms.values())
+
+
+@settings(deadline=None, max_examples=80)
+@given(_expression_trees(XY, laurent=True)
+       | _expression_trees(XYZ, laurent=True))
+def test_parse_of_laurent_trees_matches_field_operations(case):
+    # these parses stay term maps until the end, which takes no gcd
+    _parse_and_evaluate(*case, gcd_free=True)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_expression_trees(XY, laurent=False)
+       | _expression_trees(XYZ, laurent=False))
+def test_parse_of_fraction_trees_matches_field_operations(case):
+    _parse_and_evaluate(*case, gcd_free=False)
 
 
 # -- infinite values ------------------------------------------------------------------
