@@ -17,8 +17,11 @@ A value is a Laurent term map for as long as it can be: a dict from
 exponent tuples, which may be negative, to nonzero coefficients (an int
 when whole, else a Fraction).  Integers, variables, unary minus, sums,
 differences, products, powers, and division by a monomial run as dict
-arithmetic and build no Polynomial.  A RationalFunction is first built at
-a division by a value of several terms, or at a negative power of one;
+arithmetic on the term-map kernel of `polynomials` and build no
+Polynomial: sums go through `add_terms`, products through `mul_terms`,
+and powers through `pow_terms`, division by a monomial being a
+product with its power -1.  A RationalFunction is first built at a
+division by a value of several terms, or at a negative power of one;
 from there on that value runs on RationalFunction arithmetic.  A term map
 left at the end becomes a fraction with no gcd: its negative exponents make
 a monomial denominator with coefficient 1, and the numerator then has a
@@ -50,7 +53,7 @@ from typing import Iterable, Iterator
 
 from .functions import RationalFunction
 from .polynomials import (Coefficient, Exponents, Polynomial, add_terms,
-                          coefficient, mul_terms)
+                          mul_terms, pow_terms)
 
 
 class ParseError(ValueError):
@@ -160,7 +163,7 @@ class _Parser:
                 if _is_zero(rhs):
                     raise ParseError("division by zero", pos)
                 if type(rhs) is dict and len(rhs) == 1:
-                    op, rhs = "*", _monomial_power(rhs, -1)
+                    op, rhs = "*", pow_terms(rhs, -1, self.origin)
             if op == "/":
                 value = self.fraction(value) / self.fraction(rhs)
             elif type(value) is dict and type(rhs) is dict:
@@ -213,17 +216,10 @@ class _Parser:
             raise ParseError(f"power could have a coefficient of more than "
                              f"{MAX_BITS} bits", pos)
         if type(value) is not dict or (n < 0 and t > 1):
-            value = self.fraction(value)
-            return value ** n if t == 1 else _sized(value ** n, pos)
-        if t == 1:
-            return _monomial_power(value, n)
-        if not value:
-            # zero, whose exponent may be huge
-            return value if n else {self.origin: 1}
-        result = {self.origin: 1}
-        for _ in range(n):
-            result = mul_terms(result, value)
-        return _sized(result, pos)
+            value = self.fraction(value) ** n
+        else:
+            value = pow_terms(value, n, self.origin)
+        return _sized(value, pos) if t > 1 else value
 
     def exponent(self) -> int:
         sign = 1
@@ -274,13 +270,6 @@ def _negate(value: Value) -> Value:
     if type(value) is dict:
         return {e: -c for e, c in value.items()}
     return -value
-
-
-def _monomial_power(value: dict, n: int) -> dict:
-    """value ** n for a term map of one term."""
-    (e, c), = value.items()
-    c = c ** n if n >= 0 else Fraction(1, c) ** -n
-    return {tuple(k * n for k in e): coefficient(c)}
 
 
 def _terms(value: Value) -> int:

@@ -6,9 +6,12 @@ other one a Fraction with denominator > 1 (never a float, never a whole
 Fraction), so walk steps and integer input run on machine-word ints; an int
 compares and hashes equal to the whole Fraction it stands for.  The graded
 lexicographic order on exponent tuples is used for canonical printing and
-leading-term normalization only; it carries no semantic weight.  The sum
-and product of two term maps (`add_terms`, `mul_terms`) assume no sign of
-the exponents, so the parser runs them on Laurent term maps too.
+leading-term normalization only; it carries no semantic weight.
+
+`add_terms`, `mul_terms` and `pow_terms` are the term-map kernel: the sum,
+product and power of term maps, behind `Polynomial`'s arithmetic.  They
+assume no sign of the exponents, so the parser runs them on Laurent term
+maps too, and a power of one term may be negative.
 
 Substitution (`substitute_terms`, behind both `Polynomial.substitute` and
 `RationalFunction.substitute`) splits every image into a monomial and a
@@ -83,7 +86,13 @@ def mul_terms(a: Mapping[Exponents, Coefficient],
         (e1, c1), = a.items()
         return _wholes({tuple(map(add, e1, e2)): c1 * c2
                         for e2, c2 in b.items()})
-    res: dict[Exponents, Coefficient] = {}
+    return _wholes(_mul_into({}, a, b))
+
+
+def _mul_into(res: dict, a: Mapping[Exponents, Coefficient],
+              b: Mapping[Exponents, Coefficient]) -> dict:
+    """res + a*b, accumulated into res in place; whole Fractions are left
+    for the caller to make ints."""
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(add, e1, e2))
@@ -94,7 +103,29 @@ def mul_terms(a: Mapping[Exponents, Coefficient],
                 res[e] = s
             else:
                 del res[e]
-    return _wholes(res)
+    return res
+
+
+def pow_terms(a: Mapping[Exponents, Coefficient], n: int,
+              one: Exponents) -> Mapping[Exponents, Coefficient]:
+    """The term map of a ** n, for `one` the exponents of a constant; it may
+    be a itself.  One term scales its exponents and takes any n, as Laurent
+    maps need; other maps take n >= 0, and are squared and multiplied."""
+    if not n:
+        return {one: 1}
+    if len(a) == 1:
+        (e, c), = a.items()
+        c = c ** n if n > 0 else Fraction(1, c) ** -n
+        return {tuple(k * n for k in e): coefficient(c)}
+    if n < 0:
+        raise ValueError("negative power of zero or of several terms")
+    result = a
+    if a:  # zero's exponent may be huge, and each power of it is zero
+        for bit in f"{n:b}"[1:]:
+            result = mul_terms(result, result)
+            if bit == "1":
+                result = mul_terms(result, a)
+    return result
 
 
 def _grlex(e: Exponents) -> tuple[int, Exponents]:
@@ -213,10 +244,7 @@ class Polynomial:
         """Componentwise minimum exponent vector over all terms."""
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")
-        mins = None
-        for e in self.terms:
-            mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-        return mins  # type: ignore[return-value]
+        return tuple(map(min, zip(*self.terms)))
 
     def leading(self) -> tuple[Exponents, Coefficient]:
         """Leading (exponents, coefficient) under graded lex."""
@@ -260,32 +288,11 @@ class Polynomial:
         return Polynomial._make(self.variables,
                                 _wholes({e: k * c for e, k in self.terms.items()}))
 
-    def mul_monomial(self, exps: Exponents, coeff: Fraction | int = 1) -> Polynomial:
-        c = coefficient(coeff)
-        if not c:
-            return Polynomial.zero(self.variables)
-        return Polynomial._make(self.variables, _wholes(
-            {tuple(i + j for i, j in zip(e, exps)): k * c
-             for e, k in self.terms.items()}))
-
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if n and len(self.terms) == 1:
-            # a monomial's power scales its exponents; no product is built
-            (e, c), = self.terms.items()
-            return Polynomial._make(self.variables,
-                                    {tuple(k * n for k in e): c ** n})
-        result = Polynomial.one(self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        return Polynomial._make(self.variables, pow_terms(
+            self.terms, n, (0,) * len(self.variables)))
 
     def substitute(self, images: Mapping[str, Polynomial]) -> Polynomial:
         """Substitute polynomials for all variables at once; every image
@@ -425,15 +432,7 @@ def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Coefficient]]]
                         cache.append(cache[-1] * cache[1])
                     prod = cache[k] if prod is None else prod * cache[k]
                 products[key] = prod
-            spread = prod.terms.items()
-            for t, c in group.items():
-                for f, d in spread:
-                    u = tuple(map(add, t, f))
-                    s = res.get(u, 0) + c * d
-                    if s:
-                        res[u] = s
-                    else:
-                        del res[u]
+            _mul_into(res, group, prod.terms)
         results.append(Polynomial._make(target, _wholes(res)))
     return results
 
@@ -449,15 +448,14 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial | None:
         return a
     lead_e, lead_c = b.leading()
     quo: dict[Exponents, Coefficient] = {}
-    rem = a
-    while not rem.is_zero():
-        re, rc = rem.leading()
-        qe = tuple(i - j for i, j in zip(re, lead_e))
+    rem = a.terms
+    while rem:
+        re = max(rem, key=_grlex)
+        qe = tuple(map(sub, re, lead_e))
         if any(k < 0 for k in qe):
             return None
-        qc = Fraction(rc, lead_c)
-        quo[qe] = qc
-        rem = rem + b.mul_monomial(qe, -qc)
+        quo[qe] = qc = Fraction(rem[re], lead_c)
+        rem = add_terms(rem, mul_terms({qe: -qc}, b.terms))
     return Polynomial(a.variables, quo)
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable
 
 from .parsing import parse_rational
@@ -47,6 +48,7 @@ class ProgramError(ValueError):
     """A step or program that breaks a rule of the format or of the walk."""
 
 
+@total_ordering
 @dataclass(frozen=True, slots=True)
 class Infinite:
     """Signed infinite value, for coordinates inside a lifted prime.
@@ -90,19 +92,6 @@ class Infinite:
         if isinstance(other, Infinite):
             return self.sign < other.sign
         return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        return self < other or self == other
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.sign > 0
-        if isinstance(other, Infinite):
-            return self.sign > other.sign
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        return self > other or self == other
 
 
 POS_INF = Infinite(1)
@@ -466,10 +455,6 @@ def classify_multiplicity(program: ValuationProgram) -> MultiplicityClass:
                 detail=f"pass ratio {ratio} on {len(scaled)} coordinates "
                        f"from pass {k}",
                 nonscaling=tuple(rest))
-
-        if all(b >= a for a, b in zip(prev, end)):
-            return MultiplicityClass(
-                "Divergent", detail=f"values do not decrease across pass {k}")
 
         head_sum += pass_sum
         prev = end

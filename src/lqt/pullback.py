@@ -87,12 +87,20 @@ def residue(f: RationalFunction, prime: CoordinatePrime) -> RationalFunction:
     if not member_RP(f, prime):
         raise ValueError(f"{f} is not in the local ring at "
                          f"({', '.join(prime.generators)}); it has no residue")
+    return _leading_part(f, prime, 0, 0)
+
+
+def _leading_part(f: RationalFunction, prime: CoordinatePrime, kn: int,
+                  kd: int) -> RationalFunction:
+    """The terms of f's numerator of order kn along the prime over those of
+    its denominator of order kd, in the residue field's variables."""
     gens = prime.indices
     keep = [i for i in range(len(prime.bases)) if i not in gens]
-    # the terms no generator divides keep distinct exponents on the rest
+    # at order 0 or for one generator, the terms keep distinct exponents
     num, den = (Polynomial._make(prime.residue_bases, {
         tuple(e[i] for i in keep): c for e, c in p.terms.items()
-        if not any(e[i] for i in gens)}) for p in (f.numerator, f.denominator))
+        if sum(e[i] for i in gens) == k})
+        for p, k in ((f.numerator, kn), (f.denominator, kd)))
     return RationalFunction(num, den)
 
 
@@ -197,18 +205,19 @@ def composite_value(f: RationalFunction, prime: CoordinatePrime,
                     session: AnalysisSession | None = None) -> CompositeValue:
     """The rank-two value of f: order along the prime, then the quotient
     value of what remains.  Needs a single-generator prime, since only there
-    is the leading part along the prime a well-defined residue element."""
+    is the leading part along the prime a well-defined residue element.  The
+    residue's term filter reads that part off at the prime orders of the
+    numerator and the denominator, with no field arithmetic."""
     _check_field(f, prime.bases)
     if f.is_zero():
         raise ValueError("the value of zero is undefined")
     if len(prime.generators) != 1:
         raise ValueError("composite values need a single-generator prime")
-    gen = prime.generators[0]
-    k = prime.poly_order(f.numerator) - prime.poly_order(f.denominator)
-    shift = RationalFunction.variable(gen, prime.bases) ** (-k)
-    leading = residue(f * shift, prime)
-    v = quotient_value(quotient, leading, budget, session)
-    return CompositeValue(k, v)
+    kn = prime.poly_order(f.numerator)
+    kd = prime.poly_order(f.denominator)
+    v = quotient_value(quotient, _leading_part(f, prime, kn, kd), budget,
+                       session)
+    return CompositeValue(kn - kd, v)
 
 
 # -- lifted sequences ---------------------------------------------------------

@@ -14,9 +14,10 @@ from typing import Iterable
 
 import sympy as sp
 
-from lqt import (CoordinatePrime, Directive, Polynomial,
+from lqt import (CompositeValue, CoordinatePrime, Directive, Polynomial,
                  ProgramConsistencyError, ProgramError, ProgramStep,
-                 RationalFunction, ValuationProgram, exact_div, member_RP)
+                 RationalFunction, ValuationProgram, exact_div, member_RP,
+                 quotient_value, residue)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -310,6 +311,20 @@ def in_prime(f: RationalFunction, prime: CoordinatePrime) -> bool:
     """Whether f lies in the extension of the prime to the localization."""
     return member_RP(f, prime) and (f.is_zero()
                                     or prime.contains_poly(f.numerator))
+
+
+def composite_by_field_arithmetic(f: RationalFunction,
+                                  prime: CoordinatePrime, quotient,
+                                  session=None) -> CompositeValue:
+    """The rank-two value of f along a single-generator prime, its leading
+    part found by field arithmetic: the residue of f * gen^(-k), for k the
+    order of f along the prime."""
+    gen = prime.generators[0]
+    k = prime.poly_order(f.numerator) - prime.poly_order(f.denominator)
+    shift = RationalFunction.variable(gen, prime.bases) ** (-k)
+    leading = residue(f * shift, prime)
+    return CompositeValue(k, quotient_value(quotient, leading,
+                                            session=session))
 
 
 def induced_quotient_program(program: ValuationProgram,

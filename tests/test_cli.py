@@ -419,9 +419,22 @@ def test_repeated_calls_share_no_parser_state(capsys):
 
 # -- consistency failures (exit 3) ----------------------------------------------------
 
-# the inconsistent program as the quotient of a pullback along w
-INCONSISTENT_LIFTED_TEXT = INCONSISTENT_TEXT.replace(
-    "u v\n", "u v w\n[pullback]\nprime = [w]\n", 1)
+def _lifted(text: str) -> str:
+    """The program over (u, v) as the quotient of a pullback along w."""
+    return text.replace("u v\n", "u v w\n[pullback]\nprime = [w]\n", 1)
+
+
+INCONSISTENT_LIFTED_TEXT = _lifted(INCONSISTENT_TEXT)
+# u grows past the pivot value in the first pass, so stage 2 fails
+GROWING_TEXT = """\
+[vars]
+u v
+[values]
+u = 1
+v = 1
+[period]
+pivot=v translate u:1->3/2
+"""
 
 
 @pytest.mark.parametrize("argv, text", [
@@ -432,8 +445,10 @@ INCONSISTENT_LIFTED_TEXT = INCONSISTENT_TEXT.replace(
     (["member", "--mode", "pullback", "-e", "v - u^2"],
      INCONSISTENT_LIFTED_TEXT),
     (["composite", "-e", "v - u^2"], INCONSISTENT_LIFTED_TEXT),
+    (["classify"], GROWING_TEXT),
+    (["classify"], _lifted(GROWING_TEXT)),
 ], ids=["run", "multiplicity", "classify", "value", "member-pullback",
-        "composite"])
+        "composite", "classify-growing", "classify-growing-lifted"])
 def test_inconsistent_program_stops_with_exit_3(capsys, tmp_path, argv, text):
     """Whichever command reaches the inconsistent stage exits 3."""
     path = tmp_path / "drift.vp"

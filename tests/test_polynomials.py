@@ -15,7 +15,7 @@ import pytest
 import sympy as sp
 
 from lqt import Directive, Polynomial, RationalFunction, exact_div, poly_gcd
-from lqt.polynomials import cofactors
+from lqt.polynomials import cofactors, pow_terms
 from helpers import (XY, XYZ, divides, random_poly, record_calls, rename,
                      to_sympy, to_sympy_rf)
 
@@ -72,6 +72,10 @@ def test_power_cases():
             assert m ** n == power
             power = power * m
     assert (x + x * x) ** 3 == (x + x * x) * (x + x * x) * (x + x * x)
+    # a term map of several terms, or zero, has no negative power
+    for terms in [(x + x * x).terms, {}]:
+        with pytest.raises(ValueError, match="negative power of zero or"):
+            pow_terms(terms, -2, (0, 0))
 
 
 # -- degrees, orders and monomial shape --------------------------------------

@@ -66,6 +66,12 @@ def test_infinite_ordering():
     assert F(7) < POS_INF
     assert sorted([POS_INF, F(0), NEG_INF], key=lambda v: (v > NEG_INF, v)) \
         == [NEG_INF, F(0), POS_INF]
+    assert NEG_INF <= 0
+    assert not NEG_INF > 0
+    assert not NEG_INF >= 0
+    assert POS_INF > NEG_INF
+    with pytest.raises(TypeError):
+        POS_INF < "a"
 
 
 def test_infinite_is_immutable():
@@ -322,6 +328,18 @@ def test_classify_constant_translation_is_divergent():
     result = classify_multiplicity(program)
     assert result.kind == "Divergent"
     assert result.detail == "pass ratio 1 from pass 1"
+
+
+def test_classify_walks_a_growing_program_into_its_inconsistent_stage():
+    """u grows to 3/2 in the first pass, so the second pass cannot pivot v;
+    one pass whose values do not decrease decides nothing."""
+    program = parse_program(
+        "[vars]\nu v\n[values]\nu = 1\nv = 1\n"
+        "[period]\npivot=v translate u:1->3/2\n")
+    with pytest.raises(ProgramConsistencyError,
+                       match="^stage 2, coordinate u: ") as info:
+        classify_multiplicity(program)
+    assert info.value.stage == 2
 
 
 def test_classify_needs_enough_passes_for_close_margins(monkeypatch):

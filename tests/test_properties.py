@@ -13,7 +13,7 @@ from lqt import (Directive, GeometricGaps, NEG_INF, POS_INF, ParseError,
                  PeriodicCoefficients, Polynomial, RationalFunction,
                  SeriesDVR, exact_div, functions, parse_expr, poly_gcd,
                  series_value)
-from lqt.polynomials import cofactors
+from lqt.polynomials import cofactors, coefficient, mul_terms, pow_terms
 from lqt.series import _evaluate_truncated
 from helpers import (XY, XYZ, divides, evaluate_tree, ord_at_origin,
                      render_tree)
@@ -129,6 +129,34 @@ def test_coefficients_are_ints_when_whole(two_var, f, g, a, b, c, n, cycle):
     dvr = SeriesDVR(XY, PeriodicCoefficients(cycle))
     truncated = _evaluate_truncated(a, dvr, 6)
     assert all(_is_coefficient(k) for k in truncated.values()), truncated
+
+
+# Laurent term maps over XY and XYZ, with the exponents of a constant
+term_maps = st.sampled_from([2, 3]).flatmap(lambda k: st.tuples(
+    st.just((0,) * k),
+    st.dictionaries(st.tuples(*[st.integers(-2, 3)] * k),
+                    coefficients.map(coefficient), max_size=4)))
+
+
+@settings(deadline=None)
+@given(term_maps, st.integers(0, 6), st.integers(-4, -1))
+def test_term_map_powers_are_repeated_products(case, n, m):
+    """pow_terms(a, n) is n products from {one: 1} with whole coefficients
+    ints, and leaves a as it was; for one term, a negative power inverts
+    the positive one."""
+    one, a = case
+    before = dict(a)
+    expected = {one: 1}
+    for _ in range(n):
+        expected = mul_terms(expected, a)
+    power = pow_terms(a, n, one)
+    assert power == expected
+    assert all(_is_coefficient(k) for k in power.values()), power
+    assert a == before
+    if len(a) == 1:
+        inverse = pow_terms(a, m, one)
+        assert all(_is_coefficient(k) for k in inverse.values()), inverse
+        assert mul_terms(inverse, pow_terms(a, -m, one)) == {one: 1}
 
 
 def test_float_coefficients_are_refused():

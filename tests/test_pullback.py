@@ -1,17 +1,19 @@
 """Tests for pulling a quotient valuation back through a coordinate prime:
 localization, residues, composite values, and lifted transform sequences."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from lqt import (AnalysisSession, CompositeValue, CoordinatePrime, Directive,
                  FactorialGaps, GeometricGaps, LiftedTrace, POS_INF,
-                 ProgramError, PullbackVerdict, SeriesDVR,
+                 ProgramError, PullbackVerdict, RationalFunction, SeriesDVR,
                  composite_value, get_example, member_RP, member_pullback,
                  multiplicity_sequence, parse_program, quotient_value,
                  residue)
-from helpers import XY, XYZ, in_prime, induced_quotient_program, record_calls
+from helpers import (XY, XYZ, composite_by_field_arithmetic, in_prime,
+                     induced_quotient_program, random_rf, record_calls)
 from conftest import el_on
 
 F = Fraction
@@ -191,6 +193,34 @@ def test_composite_value_hand_cases(prime_z, geometric_quotient):
         == CompositeValue(2, F(2))
     assert composite_value(e3("(y - x)/z"), prime_z, geometric_quotient) \
         == CompositeValue(-1, F(2))
+
+
+def test_composite_value_builds_no_field_product(monkeypatch, prime_z,
+                                                geometric_quotient):
+    """The leading part along the prime is read off the terms, so no
+    product, power or inverse of fractions is formed."""
+    elements = [e3("z^2*(y - x)"), e3("(y - x)/z")]
+    calls = [record_calls(monkeypatch, RationalFunction, name)
+             for name in ("__mul__", "__pow__", "inverse")]
+    for f in elements:
+        composite_value(f, prime_z, geometric_quotient)
+    assert calls == [[], [], []]
+
+
+@pytest.mark.parametrize("name", ["ex5.3-shape", "nonarch2d"])
+def test_composite_value_matches_field_arithmetic(name):
+    """150 random elements per example, each times the generator to a
+    power in -3..3, against the leading part found by field arithmetic."""
+    example = get_example(name)
+    prime, quotient = example.prime, example.quotient
+    session = (None if isinstance(quotient, SeriesDVR)
+               else AnalysisSession(quotient))
+    gen = RationalFunction.variable(prime.generators[0], prime.bases)
+    rng = random.Random(2017)
+    for _ in range(150):
+        f = random_rf(rng, prime.bases, 3, 2) * gen ** rng.randint(-3, 3)
+        assert composite_value(f, prime, quotient, session=session) \
+            == composite_by_field_arithmetic(f, prime, quotient, session), f
 
 
 def test_composite_value_is_additive(prime_z, geometric_quotient):
