@@ -14,12 +14,20 @@ substitution only ever creates monomial common factors, so stripping
 monomials into the exponent vector keeps the pair coprime without any gcd
 work.
 
-A side that is one is the shared constant ``Polynomial.one``.  A step moves
-the exponent vector by arithmetic alone (every exponent adds to the
-pivot's; an untranslated coordinate also keeps its own, and a translated
-one leaves only a unit) and substitutes only the sides that are not one.
-A monomial state, num and den both one, thus advances with no
-substitution: x/z on ex3.7-3d crosses hundreds of stages without one.
+A step is one pass per side.  The exponent vector moves by arithmetic
+alone (every exponent adds to the pivot's; an untranslated coordinate also
+keeps its own, and a translated one leaves only a unit).  Each side that is
+not one is substituted to a term map; the map's componentwise minimum
+moves into the exponent vector, and the shifted map becomes the side,
+built once as a Polynomial, or the shared constant ``Polynomial.one`` when
+it has a constant term.  The initial state is normalized the same way.  A
+monomial state, num and den both one, thus advances with no substitution:
+x/z on ex3.7-3d crosses hundreds of stages without one.
+
+The iterated transforms behind ``e_approx`` differ from the element only by
+a monomial in the stage coordinates, so they reuse the cached states and
+track just that monomial's exponents: after ``w_approx`` or ``value_of`` on
+the same element, ``e_approx`` substitutes nothing.
 
 Directive sources are duck-typed: a ValuationProgram, a SeriesDVR or a
 LiftedTrace, or anything with bases, directive_at and value_vector_at.
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Protocol
 
-from .polynomials import Polynomial, _strip_monomial, substitute_terms
+from .polynomials import Polynomial, shift_terms, substitute_terms
 from .functions import RationalFunction, _check_field
 from .programs import Directive, Infinite
 
@@ -126,20 +134,35 @@ class ElementState:
                 f"den={self.den})")
 
 
-def _normalized(exponents: tuple[int, ...], num: Polynomial,
-                den: Polynomial) -> ElementState:
-    e = list(exponents)
-    # every unit, one included, becomes the one shared constant; a side
-    # that is that constant has no monomial to strip
-    one = Polynomial.one(num.variables)
-    sides = []
-    for sign, q in ((1, num), (-1, den)):
-        if q is not one:
-            m, q = _strip_monomial(q)
-            for j, k in enumerate(m):
-                e[j] += sign * k
-        sides.append(one if q.is_unit_at_origin() else q)
-    return ElementState(tuple(e), *sides)
+def _normalized(exponents: list[int], sides: tuple,
+                one: Polynomial) -> ElementState:
+    """The state coords^exponents * num/den from the term maps of its sides,
+    a side that is `one` kept as it is.  Each map's monomial factor moves
+    into exponents, in place, and the rest becomes `one` when it has a
+    constant term, else a Polynomial built once."""
+    zero = (0,) * len(exponents)
+    out = []
+    for sign, terms in zip((1, -1), sides):
+        if terms is not one:
+            m = tuple(map(min, zip(*terms)))
+            if any(m):
+                for j, k in enumerate(m):
+                    exponents[j] += sign * k
+                terms = shift_terms(terms, m)
+            terms = one if zero in terms else Polynomial._make(one.variables,
+                                                               terms)
+        out.append(terms)
+    return ElementState(tuple(exponents), *out)
+
+
+def _moved(exponents, p: int, kept: tuple[int, ...]) -> list[int]:
+    """The exponents after a step with pivot p and untranslated kept, before
+    its sides are normalized."""
+    e = [0] * len(exponents)
+    e[p] = sum(exponents)
+    for j in kept:
+        e[j] = exponents[j]
+    return e
 
 
 class AnalysisSession:
@@ -153,7 +176,7 @@ class AnalysisSession:
         self._steps: list[tuple[int, tuple[int, ...],
                                 tuple[Polynomial, ...]]] = []
         self._states: dict[RationalFunction, list[ElementState]] = {}
-        # the constant _normalized makes every unit side into
+        # the shared constant every unit side becomes
         self._one = Polynomial.one(self.bases)
 
     # -- step bookkeeping --------------------------------------------------
@@ -172,26 +195,23 @@ class AnalysisSession:
         return self._steps[n - 1]
 
     def advance_state(self, state: ElementState, n: int) -> ElementState:
-        """State at stage n from the state at stage n-1.
+        """State at stage n from the state at stage n-1, in one pass per
+        side (see the module docstring).
 
-        A side counts as one when it is the shared constant _normalized
-        makes every unit into; a one built elsewhere is substituted and
-        normalized like any other side, to the same state."""
+        A side counts as one when it is the shared constant every unit
+        becomes; a one built elsewhere is substituted and normalized like
+        any other side, to the same state."""
         p, kept, images = self._step(n)
-        old = state.exponents
-        e = [0] * len(old)
-        e[p] = sum(old)
-        for j in kept:
-            e[j] = old[j]
+        e = _moved(state.exponents, p, kept)
         one = self._one
         sides = (state.num, state.den)
-        todo = [q.terms.items() for q in sides if q is not one]
-        if not todo:
-            return ElementState(tuple(e), *sides)
+        if state.num is one and state.den is one:
+            return ElementState(tuple(e), one, one)
         # one call, so numerator and denominator share the power cache
-        done = iter(substitute_terms(todo, images, self.bases))
-        return _normalized(tuple(e), *(q if q is one else next(done)
-                                       for q in sides))
+        done = iter(substitute_terms([q.terms.items() for q in sides
+                                      if q is not one], images, self.bases))
+        return _normalized(e, tuple(q if q is one else next(done)
+                                    for q in sides), one)
 
     # -- element states ----------------------------------------------------
 
@@ -199,8 +219,9 @@ class AnalysisSession:
         if f.is_zero():
             raise ValueError("cannot analyze the zero element")
         _check_field(f, self.bases)
-        zero = (0,) * len(self.bases)
-        return _normalized(zero, f.numerator, f.denominator)
+        return _normalized([0] * len(self.bases),
+                           (f.numerator.terms, f.denominator.terms),
+                           self._one)
 
     def state_at(self, f: RationalFunction, n: int) -> ElementState:
         states = self._states.get(f)
@@ -272,8 +293,10 @@ class AnalysisSession:
         """Orders of the iterated transforms of f, from its membership stage.
 
         Each step carries the element into the next stage ring and divides
-        out the pivot raised to the previous order.  Returns the membership
-        verdict unchanged when f is not in the union within budget.
+        out the pivot raised to the previous order, so the transform at
+        stage n is state_at(f, n) with exponents moved by d, which a step
+        maps as it maps exponents.  Returns the membership verdict
+        unchanged when f is not in the union within budget.
         """
         if f.is_zero():
             raise ValueError("approximants of zero are undefined")
@@ -282,16 +305,15 @@ class AnalysisSession:
             return verdict
         start = verdict.stage
         assert start is not None
-        state = self.state_at(f, start)
+        d = [0] * len(self.bases)
         approx: list[int | Fraction] = []
         for n in range(start, budget + 1):
-            o = state.order()
+            o = self.ord_at(f, n) + sum(d)
             approx.append(o)
             if n == budget:
                 break
-            state = self.advance_state(state, n + 1)
-            if o:
-                e = list(state.exponents)
-                e[self._step(n + 1)[0]] -= o
-                state = ElementState(tuple(e), state.num, state.den)
+            p, kept, _ = self._step(n + 1)
+            d = _moved(d, p, kept)
+            d[p] -= o
         return LimitTrace("e", start, approx)
+

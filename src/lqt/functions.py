@@ -166,7 +166,8 @@ class RationalFunction:
               for e, c in p.terms.items()] for p in (num, den)],
             [g.numerator for g in imgs] + [g.denominator for g in imgs],
             target)
-        return RationalFunction(num, den)
+        return RationalFunction(Polynomial._make(target, num),
+                                Polynomial._make(target, den))
 
     # -- comparison ----------------------------------------------------------
 

@@ -8,17 +8,19 @@ compares and hashes equal to the whole Fraction it stands for.  The graded
 lexicographic order on exponent tuples is used for canonical printing and
 leading-term normalization only; it carries no semantic weight.
 
-`add_terms`, `mul_terms` and `pow_terms` are the term-map kernel: the sum,
-product and power of term maps, behind `Polynomial`'s arithmetic.  They
-assume no sign of the exponents, so the parser runs them on Laurent term
-maps too, and a power of one term may be negative.
+`add_terms`, `mul_terms`, `shift_terms`, `pow_terms` and `substitute_terms`
+are the term-map kernel: the sum, product, monomial quotient, power and
+substitution of term maps, behind `Polynomial`'s arithmetic.  The first
+four assume no sign of the exponents, so the parser runs them on Laurent
+term maps too, and a power of one term may be negative.
 
-Substitution (`substitute_terms`, behind both `Polynomial.substitute` and
-`RationalFunction.substitute`) splits every image into a monomial and a
-cofactor: the monomials become exponent shifts, constant cofactors become
-coefficient factors, and only the powers of non-constant cofactors are
-multiplied out, once per distinct combination of powers rather than once
-per term.
+Substitution (`substitute_terms`, behind `Polynomial.substitute`,
+`RationalFunction.substitute` and every walk step of the analysis) returns
+term maps, so a caller that reshapes the result builds its `Polynomial`
+once.  It splits every image into a monomial and a cofactor: the monomials
+become exponent shifts, constant cofactors become coefficient factors, and
+only the powers of non-constant cofactors are multiplied out, once per
+distinct combination of powers rather than once per term.
 
 The gcd and its cofactors (`cofactors`, with `poly_gcd` its first entry)
 come from one subresultant pseudo-remainder sequence for every number of
@@ -104,6 +106,12 @@ def _mul_into(res: dict, a: Mapping[Exponents, Coefficient],
             else:
                 del res[e]
     return res
+
+
+def shift_terms(a: Mapping[Exponents, Coefficient], m: Exponents) -> dict:
+    """The term map of a divided by the monomial with exponents m, which
+    must divide every term."""
+    return {tuple(map(sub, e, m)): c for e, c in a.items()}
 
 
 def pow_terms(a: Mapping[Exponents, Coefficient], n: int,
@@ -299,7 +307,8 @@ class Polynomial:
         must live over one variable list (the target ring)."""
         imgs = [images[v] for v in self.variables]
         target = imgs[0].variables if imgs else self.variables
-        return substitute_terms([self.terms.items()], imgs, target)[0]
+        return Polynomial._make(
+            target, substitute_terms([self.terms.items()], imgs, target)[0])
 
     # -- comparison / hashing ---------------------------------------------
 
@@ -355,8 +364,8 @@ class Polynomial:
 
 def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Coefficient]]],
                      images: Sequence[Polynomial],
-                     target: tuple[str, ...]) -> list[Polynomial]:
-    """Evaluate term sets at images given by position.
+                     target: tuple[str, ...]) -> list[dict]:
+    """The term maps of term sets evaluated at images given by position.
 
     Entry i of a term's exponent tuple is the power of images[i].  Each
     image is split as monomial m_i times cofactor r_i, and no polynomial
@@ -371,7 +380,8 @@ def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Coefficient]]]
 
     The power cache and the group products are shared by all term sets, so
     passing a numerator and a denominator together builds each once.  Each
-    result is a polynomial over `target`.
+    result is a clean term map (nonzero coefficients, whole ones ints) over
+    `target`, ready for `Polynomial._make`.
     """
     if any(img.variables != target for img in images):
         raise ValueError(f"images do not all live in the ring over {target}")
@@ -379,7 +389,7 @@ def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Coefficient]]]
     # a zero image, and the constant cofactor, or None when it is not constant
     monos: list[list[tuple[int, int]] | None] = []
     scalars: list[Coefficient | None] = []
-    powers: dict[int, list[Polynomial]] = {}
+    powers: dict[int, list[dict]] = {}
     for i, img in enumerate(images):
         if img.is_zero():
             monos.append(None)
@@ -390,11 +400,12 @@ def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Coefficient]]]
             scalars.append(c)
         else:
             # several terms stay several after the monomial is stripped
-            m, r = _strip_monomial(img)
+            m = img.min_exponents()
             scalars.append(None)
-            powers[i] = [Polynomial.one(target), r]
+            powers[i] = [{(0,) * len(target): 1},
+                         shift_terms(img.terms, m)]
         monos.append([(j, k) for j, k in enumerate(m) if k])
-    products: dict[tuple[tuple[int, int], ...], Polynomial] = {}
+    products: dict[tuple[tuple[int, int], ...], dict] = {}
     results = []
     for terms in termsets:
         groups: dict[tuple[tuple[int, int], ...], dict[Exponents, Coefficient]] = {}
@@ -429,11 +440,12 @@ def substitute_terms(termsets: Iterable[Iterable[tuple[Exponents, Coefficient]]]
                 for i, k in key:
                     cache = powers[i]
                     while len(cache) <= k:
-                        cache.append(cache[-1] * cache[1])
-                    prod = cache[k] if prod is None else prod * cache[k]
+                        cache.append(mul_terms(cache[-1], cache[1]))
+                    prod = cache[k] if prod is None else mul_terms(prod,
+                                                                   cache[k])
                 products[key] = prod
-            _mul_into(res, group, prod.terms)
-        results.append(Polynomial._make(target, _wholes(res)))
+            _mul_into(res, group, prod)
+        results.append(_wholes(res))
     return results
 
 
@@ -463,14 +475,7 @@ def _shift(p: Polynomial, m: Exponents) -> Polynomial:
     """p divided by the monomial with exponents m, which must divide it."""
     if not any(m):
         return p
-    return Polynomial._make(p.variables, {tuple(map(sub, e, m)): c
-                                          for e, c in p.terms.items()})
-
-
-def _strip_monomial(p: Polynomial) -> tuple[Exponents, Polynomial]:
-    """Factor out the largest monomial dividing every term."""
-    m = p.min_exponents()
-    return m, _shift(p, m)
+    return Polynomial._make(p.variables, shift_terms(p.terms, m))
 
 
 _NESTED_ONES: list = [1]
@@ -672,8 +677,9 @@ def cofactors(a: Polynomial,
     if a.is_constant() or b.is_constant():
         return Polynomial.one(vs), a, b
 
-    ma, pa = _strip_monomial(a)
-    mb, pb = _strip_monomial(b)
+    # the largest monomials dividing a and b, and what is left of each
+    ma, mb = a.min_exponents(), b.min_exponents()
+    pa, pb = _shift(a, ma), _shift(b, mb)
     common = tuple(map(min, ma, mb))
     # a stripped part that is a monomial contributes nothing to the gcd
     if not (pa.is_monomial() or pb.is_monomial()):

@@ -1,6 +1,7 @@
 """Shared test helpers: sympy conversion, seeded random generators, a call
 recorder, the polynomial utilities only tests use, the reference forms of
-fast paths, and oracles the package itself does not need: expression
+fast paths (the walk states and the iterated transforms of `e_approx`),
+and oracles the package itself does not need: expression
 trees evaluated with field operations, explicit coordinate charts, orders
 and monomial-unit splits at the origin, prime membership, induced quotient
 programs and program text written back."""
@@ -14,10 +15,11 @@ from typing import Iterable
 
 import sympy as sp
 
-from lqt import (CompositeValue, CoordinatePrime, Directive, Polynomial,
-                 ProgramConsistencyError, ProgramError, ProgramStep,
-                 RationalFunction, ValuationProgram, exact_div, member_RP,
-                 quotient_value, residue)
+from lqt import (CompositeValue, CoordinatePrime, Directive, LimitTrace,
+                 Polynomial, ProgramConsistencyError, ProgramError,
+                 ProgramStep, RationalFunction, ValuationProgram, exact_div,
+                 member_RP, quotient_value, residue)
+from lqt.analysis import ElementState
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -148,6 +150,29 @@ def general_states(session, f: RationalFunction,
         states.append(normalized(moved, num.substitute(subs),
                                  den.substitute(subs)))
     return states
+
+
+def stepped_e_approx(session, f: RationalFunction, budget: int):
+    """AnalysisSession.e_approx by stepping, as an oracle for its reading
+    of the cached states: from the membership stage, a state of its own is
+    advanced one walk step at a time and then divided by the pivot raised
+    to the previous order."""
+    verdict = session.member(f, budget)
+    if not verdict.decided:
+        return verdict
+    state = session.state_at(f, verdict.stage)
+    approx = []
+    for n in range(verdict.stage, budget + 1):
+        o = state.order()
+        approx.append(o)
+        if n == budget:
+            break
+        state = session.advance_state(state, n + 1)
+        if o:
+            e = list(state.exponents)
+            e[session.source.directive_at(n + 1).pivot] -= o
+            state = ElementState(tuple(e), state.num, state.den)
+    return LimitTrace("e", verdict.stage, approx)
 
 
 def two_loop_next_values(step, values, stage: int, bases: tuple[str, ...]):

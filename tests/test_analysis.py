@@ -1,17 +1,19 @@
 """Tests for the stage analysis engine: membership, exact values, limit
 approximants, and the union ring classifier."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from lqt import (CoordinatePrime, LiftedTrace, LimitTrace, MembershipVerdict,
-                 POS_INF, RationalFunction, SeriesDVR, ShannonClass,
-                 classify_shannon, get_example, load_config_text,
-                 parse_program)
+from lqt import (AnalysisSession, CoordinatePrime, LiftedTrace, LimitTrace,
+                 MembershipVerdict, POS_INF, Polynomial, RationalFunction,
+                 SeriesDVR, ShannonClass, analysis, classify_shannon,
+                 example_names, get_example, load_config_text,
+                 parse_program, polynomials)
 from conftest import el
-from helpers import (Chart, apply_directive, general_states, ord_n,
-                     record_calls)
+from helpers import (XY, Chart, apply_directive, general_states, ord_n,
+                     random_rf, record_calls, stepped_e_approx)
 
 F = Fraction
 
@@ -252,6 +254,69 @@ def test_walk_steps_match_the_general_path(monkeypatch):
     assert verdict == MembershipVerdict(None, 300)
     assert len(steps) == 300
     assert substitutions == []
+
+
+def test_a_walk_step_builds_each_side_once(monkeypatch):
+    session = AnalysisSession(get_example("ex3.7-2d").source)
+    state = session.state_at(el("(y - x + y^2)/(y - x - x^2)", session), 0)
+    assert not (state.num.is_one() or state.den.is_one())
+    session.state_at(el("x", session), 1)  # builds step 1's images
+    makes = record_calls(monkeypatch, Polynomial, "_make")
+    shifts = record_calls(monkeypatch, polynomials, "_shift")
+    # step 1 translates y, so one image is not a monomial
+    assert session.source.directive_at(1).translations
+    after = session.advance_state(state, 1)
+    assert not (after.num.is_one() or after.den.is_one())
+    assert len(makes) == 2
+    assert shifts == []
+
+
+def test_e_approx_after_w_approx_substitutes_nothing(monkeypatch):
+    session = AnalysisSession(get_example("ex3.7-2d").source)
+    f = el("(y - x)^2*(x - 2*y)*(1 + x)/x^3", session)
+    session.w_approx(f, el("x", session), 14)
+    steps = record_calls(monkeypatch, AnalysisSession, "advance_state")
+    substitutions = record_calls(monkeypatch, analysis, "substitute_terms")
+    trace = session.e_approx(f, 12)
+    assert steps == substitutions == []
+    assert trace == stepped_e_approx(
+        AnalysisSession(get_example("ex3.7-2d").source), f, 12)
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_e_approx_matches_the_stepped_oracle(name):
+    """e_approx against the stepping loop on random elements and on stage
+    coordinates, first on a fresh session and after other queries."""
+    source = get_example(name).source
+    oracle = AnalysisSession(source)
+    rng = random.Random(20261019)
+    budgets = range(6, 41)
+    fresh = AnalysisSession(source)
+    for i in range(100):
+        if name == "ex3.7-3d":
+            # z never pivots there, and a part that mixes z into the
+            # leading form of x and y grows its states sevenfold every two
+            # stages; the stage coordinates below carry z
+            f = el(str(random_rf(rng, XY)), oracle)
+        else:
+            f = random_rf(rng, oracle.bases)
+        budget = budgets[i % len(budgets)]
+        assert fresh.e_approx(f, budget) == stepped_e_approx(
+            oracle, f, budget), (str(f), budget)
+    coords = _stage_coordinates(oracle, 8) + _stage_coordinates(oracle, 3)
+    for budget in (6, 17, 40):
+        # first query on each element, then after w_approx stored fewer
+        # stages than the trace reads, then with every stage cached
+        sessions = [AnalysisSession(source) for _ in range(3)]
+        reference = RationalFunction.variable(oracle.bases[0], oracle.bases)
+        for f in coords:
+            want = stepped_e_approx(oracle, f, budget)
+            sessions[1].w_approx(f, reference, budget // 2)
+            sessions[2].value_of(f, budget)
+            sessions[2].state_at(f, budget)
+            for session in sessions:
+                assert session.e_approx(f, budget) == want, (
+                    name, str(f), budget)
 
 
 # -- agreement with explicit charts ---------------------------------------------------

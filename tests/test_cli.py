@@ -680,6 +680,50 @@ def test_strict_flags_unstabilized_eapprox(capsys):
     assert code == 4
 
 
+# the ex3.7-2d walk over (u, v), as the quotient of a pullback along w
+HALVING_LIFTED_TEXT = """\
+[vars]
+u v w
+[pullback]
+prime = [w]
+[values]
+u = 1
+v = 1
+[period]
+pivot=u translate v:1->1/2
+pivot=v
+"""
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    (["member", "--mode", "pullback", "-e", "v - u"], "pullback",
+     {"status": "Undecided",
+      "detail": "the residue value did not resolve within budget"}),
+    (["member", "--mode", "both", "-e", "v - u"], "agreement", "undecided"),
+    (["composite", "-e", "w*(v - u)"], "decided", False),
+    (["wapprox", "-e", "v - u"], "approximants", ["1", "2"]),
+    (["eapprox", "-e", "v - u"], "approximants", ["1", "1"]),
+], ids=["member-pullback", "member-both", "composite", "wapprox",
+        "eapprox-decided"])
+def test_strict_flags_every_undecided_answer(capsys, tmp_path, argv, key,
+                                             want):
+    """Each command's undecided answer exits 4 under --strict and 0
+    without it; the budgets are too short for any of them to resolve."""
+    path = tmp_path / "halving.vp"
+    path.write_text(HALVING_LIFTED_TEXT, encoding="utf-8")
+    budget = "0" if argv[0] in ("member", "composite") else "1"
+    args = [*argv, "--config", str(path), "--budget", budget]
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    line = json.loads(out)
+    assert line[key] == want
+    if argv[0] == "member" and argv[2] == "both":
+        assert line["union"] == {"verdict": "In", "stage": 0}
+    if argv[0] == "eapprox":
+        assert (line["start"], line["stabilized"]) == (0, False)
+    assert run_cli(capsys, *args, "--strict")[0] == 4
+
+
 # -- agreement bookkeeping ------------------------------------------------------------
 
 def test_agreement_semantics():

@@ -150,6 +150,32 @@ def test_values_with_too_many_terms_are_refused():
                  f"more than {MAX_TERMS} terms", len(big) + 3)
 
 
+_X, _Y = (RationalFunction.variable(v, XY) for v in XY)
+_ONE = RationalFunction.constant(1, XY)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1/(x + 1) + 1/(y + 1)", _ONE / (_X + _ONE) + _ONE / (_Y + _ONE)),
+    ("-(1/(x + y + 1))", -(_ONE / (_X + _Y + _ONE))),
+    ("x - 1/(x + y)", _X - _ONE / (_X + _Y)),
+    ("1/(x + 1) - (y - 1)/(x + 2*y)",
+     _ONE / (_X + _ONE) - (_Y - _ONE) / (_X + _Y + _Y)),
+])
+def test_sums_and_negations_of_fractions(text, want):
+    """A sum with a fraction on either side, and the negation of a
+    fraction, leave term maps for RationalFunction arithmetic."""
+    assert f_of(text) == want
+
+
+def test_sums_of_fractions_are_capped():
+    # 31*34 terms in the denominator of the sum; each summand is far below
+    left = "1/(1 + x)^30"
+    expect_error(f"{left} + 1/(1 + y)^33", f"more than {MAX_TERMS} terms",
+                 len(left) + 3)
+    expect_error(f"{left} - 1/(1 + y)^33", f"more than {MAX_TERMS} terms",
+                 len(left) + 3)
+
+
 def test_constant_powers_are_refused_before_they_are_computed():
     start = time.perf_counter()
     expect_error("3^100000000*x", f"more than {MAX_BITS} bits", 2)

@@ -359,6 +359,26 @@ def test_classify_needs_enough_passes_for_close_margins(monkeypatch):
     assert roomy.nonscaling == (2,)
 
 
+@pytest.mark.parametrize("text", [
+    # y scales by 2/9 in pass 1 and x, which step 2 pivots, does not
+    "[vars]\nx y\n[values]\nx = 4/3\ny = 3/4\n[period]\npivot=y\n"
+    "pivot=x\n",
+    # x and y halve in pass 1 and z, which step 1 translates, does not
+    "[vars]\nx y z\n[values]\nx = 1\ny = 1\nz = 1\n[period]\n"
+    "pivot=y translate x:1->1/2 translate z:1->4\npivot=x\n",
+], ids=["pivots", "translates"])
+def test_classify_refuses_a_period_that_moves_a_nonscaling_coordinate(
+        monkeypatch, text):
+    """The coordinate off the pass ratio ends pass 1 high enough that the
+    drained floor alone would clear the scaled part, but the period moves
+    it, so pass 1 decides nothing.  Pass 2 of each program is
+    inconsistent, so one pass is all there is to classify."""
+    monkeypatch.setattr("lqt.programs.MAX_PASSES", 1)
+    result = classify_multiplicity(parse_program(text))
+    assert result == MultiplicityClass(
+        "Undecided", detail="no stable pass ratio within 1 passes")
+
+
 def test_classification_equality_uses_every_field():
     a = MultiplicityClass("Convergent", F(3), detail="one")
     assert a == MultiplicityClass("Convergent", F(3), detail="one")
