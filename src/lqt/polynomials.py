@@ -23,18 +23,41 @@ only the powers of non-constant cofactors are multiplied out, once per
 distinct combination of powers rather than once per term.
 
 The gcd and its cofactors (`cofactors`, with `poly_gcd` its first entry)
-come from one subresultant pseudo-remainder sequence for every number of
-variables.  Its inputs are scaled to integer coefficients and nested over
-the n variables that occur: level 0 is an int and level k a dict from
-exponents of the k-th variable to nonzero level k-1 values (zero is 0 or
-{}).  `_gcd` at level k takes contents with itself at level k-1, and the
-cofactors are exact quotients (`_quo`) at the same level, so no division
-of `Polynomial`s is made.  `exact_div` remains as the general division.
+are taken after the common monomial is split off.  Most parts that remain
+are coprime, and `_coprime` proves that from images modulo the prime
+p = 2^61 - 1: for each variable v in which both parts have positive
+degree, every other variable is put at a fixed nonzero residue (`_point`,
+by index, so answers and timings repeat), and the Euclidean remainder
+sequence of the two images in v runs over Z/p.  If both images keep their
+degree in v and their gcd is constant, no common factor has positive
+degree in v.  For suppose g, primitive over the integers, is such a
+factor.  By Gauss's lemma it divides each part scaled to integers, so its
+image divides both images; its leading coefficient in v divides theirs,
+which do not vanish, so its image keeps a positive degree and the images'
+gcd is not constant.  Once every such v passes, the gcd is constant.  The
+check may stop sooner: a common factor free of v divides each coefficient
+in v, so if some power of v occurs in one term of a part, the factor
+divides a monomial, and a part with no monomial factor leaves it
+constant.  The images are sparse maps from degrees to residues, so a high
+power of a variable costs no memory.  A degree that drops, a denominator
+that p divides or an image gcd that is not constant proves nothing, and
+the parts go on to the subresultant sequence unchanged.
+
+Those parts are scaled to integer coefficients and nested over the n
+variables that occur: level 0 is an int and level k a dict from exponents
+of the k-th variable to nonzero level k-1 values (zero is 0 or {}).  One
+subresultant pseudo-remainder sequence gives their gcd for every number of
+variables: `_gcd` at level k takes contents with itself at level k-1, and
+the cofactors are exact quotients (`_quo`) at the same level, so no
+division of `Polynomial`s is made.  `exact_div` remains as the general
+division.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -613,15 +636,16 @@ def _gcd(a, b, k: int):
     return {0: cont}
 
 
-def _nest(p: Polynomial, order: Sequence[int]) -> tuple[int, dict]:
-    """p scaled to integer coefficients, nested over the variables at the
-    indices in order (innermost first), with the integer scale."""
+def _nest(terms: Mapping[Exponents, Coefficient],
+          order: Sequence[int]) -> tuple[int, dict]:
+    """A term map scaled to integer coefficients, nested over the variables
+    at the indices in order (innermost first), with the integer scale."""
     mult = 1
-    for c in p.terms.values():
+    for c in terms.values():
         mult = lcm(mult, c.denominator)
     outer = order[:0:-1]
     root: dict = {}
-    for e, c in p.terms.items():
+    for e, c in terms.items():
         node = root
         for i in outer:
             node = node.setdefault(e[i], {})
@@ -650,18 +674,97 @@ def _scaled(variables: tuple[str, ...], terms: list[tuple[Exponents, int]],
     return Polynomial._make(variables, out)
 
 
+# the Mersenne prime 2^61 - 1, modulo which the coprimality certificate works
+_P = (1 << 61) - 1
+
+
+@cache
+def _point(i: int) -> int:
+    """The fixed nonzero residue for the i-th variable: a splitmix64 hash
+    of i, so no simple relation such as y = 2x holds between points."""
+    z = (i + 1) * 0x9E3779B97F4A7C15 % (1 << 64)
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % (1 << 64)
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % (1 << 64)
+    return (z ^ z >> 31) % (_P - 1) + 1
+
+
+def _image(terms: Mapping[Exponents, Coefficient], v: int,
+           points: Sequence[int]) -> dict[int, int]:
+    """terms modulo _P with every variable but the v-th at its point: a
+    sparse map from degrees in v to nonzero residues.  A denominator that
+    _P divides makes `pow` raise ValueError."""
+    img: dict[int, int] = {}
+    for e, r in terms.items():
+        if type(r) is not int:
+            r = r.numerator * pow(r.denominator, -1, _P)
+        for j, k in enumerate(e):
+            if k and j != v:
+                r *= pow(points[j], k, _P)
+        img[e[v]] = img.get(e[v], 0) + r
+    return {d: s for d, r in img.items() if (s := r % _P)}
+
+
+def _rem_mod(r: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """r reduced in place modulo nonzero b, both sparse images modulo _P,
+    up to a unit: each step scales r by lc(b), so nothing is inverted."""
+    db = max(b)
+    lb = b[db]
+    # b's lower terms as (degree below its leading one, coefficient)
+    tail = [(d - db, c) for d, c in b.items() if d != db]
+    while r and (dr := max(r)) >= db:
+        q = r.pop(dr)
+        for d in r:
+            r[d] = r[d] * lb % _P
+        for d, c in tail:
+            d += dr
+            if s := (r.get(d, 0) - q * c) % _P:
+                r[d] = s
+            else:
+                r.pop(d, None)
+    return r
+
+
+def _coprime(ta: Mapping[Exponents, Coefficient],
+             tb: Mapping[Exponents, Coefficient]) -> bool:
+    """True when images modulo _P prove ta and tb coprime, as the module
+    docstring sets out; False proves nothing.  Both must be nonzero term
+    maps with no monomial factor."""
+    da, db = list(map(max, zip(*ta))), list(map(max, zip(*tb)))
+    shared = [v for v, (m, n) in enumerate(zip(da, db)) if m and n]
+    points = [_point(i) for i in range(len(da))]
+    for v in shared:
+        try:
+            a, b = _image(ta, v, points), _image(tb, v, points)
+        except ValueError:
+            return False
+        if max(a, default=-1) != da[v] or max(b, default=-1) != db[v]:
+            return False
+        while max(b, default=0):
+            a, b = b, _rem_mod(a, b)
+        if not b and max(a):
+            return False
+        # the gcd is free of v: a power of v with one term ends the proof
+        if v != shared[-1] and any(1 in Counter(e[v] for e in t).values()
+                                   for t in (ta, tb)):
+            return True
+    return True
+
+
 def cofactors(a: Polynomial,
               b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """(g, a/g, b/g) for g the greatest common divisor, monic under graded
     lex; gcd(0, 0) is 0, with cofactors 0.
 
     Zero, constant, equal and monomial inputs are answered directly, and
-    the common monomial factor is split off as exponent shifts.  Otherwise
-    both remaining parts are scaled to integers and nested over their n
-    occurring variables, and one subresultant pseudo-remainder sequence
-    (`_gcd` at level n) gives their integer gcd h for every arity.  The
-    cofactors are exact quotients by h at the same level, skipped when h is
-    one, and each result is un-nested once.
+    the common monomial factor is split off as exponent shifts of the term
+    maps.  When either remaining part is a monomial, or `_coprime` proves
+    the parts coprime from their images modulo 2^61 - 1, the gcd is that
+    common monomial.  Otherwise (an image lost a degree, a denominator had
+    no residue, or an image gcd was not constant) both parts are scaled to
+    integers and nested over their n occurring variables, and one
+    subresultant pseudo-remainder sequence (`_gcd` at level n) gives their
+    integer gcd h.  The cofactors are exact quotients by h at the same
+    level, skipped when h is one, and each result is un-nested once.
     """
     a._check(b)
     vs = a.variables
@@ -679,15 +782,16 @@ def cofactors(a: Polynomial,
 
     # the largest monomials dividing a and b, and what is left of each
     ma, mb = a.min_exponents(), b.min_exponents()
-    pa, pb = _shift(a, ma), _shift(b, mb)
+    ta = shift_terms(a.terms, ma) if any(ma) else a.terms
+    tb = shift_terms(b.terms, mb) if any(mb) else b.terms
     common = tuple(map(min, ma, mb))
     # a stripped part that is a monomial contributes nothing to the gcd
-    if not (pa.is_monomial() or pb.is_monomial()):
-        order = sorted({i for p in (pa, pb) for e in p.terms
+    if len(ta) > 1 and len(tb) > 1 and not _coprime(ta, tb):
+        order = sorted({i for t in (ta, tb) for e in t
                         for i, k in enumerate(e) if k})
         n = len(order)
-        sa, na = _nest(pa, order)
-        sb, nb = _nest(pb, order)
+        sa, na = _nest(ta, order)
+        sb, nb = _nest(tb, order)
         h = _gcd(na, nb, n)
         if h != _one(n):
             g = _unnest(h, order, common)
@@ -696,7 +800,7 @@ def cofactors(a: Polynomial,
             fb = _unnest(_quo(nb, h, n), order, tuple(map(sub, mb, common)))
             return (_scaled(vs, g, 1, lead), _scaled(vs, fa, lead, sa),
                     _scaled(vs, fb, lead, sb))
-    return (Polynomial.monomial(common, vs), _shift(a, common),
+    return (Polynomial._make(vs, {common: 1}), _shift(a, common),
             _shift(b, common))
 
 

@@ -169,6 +169,31 @@ def test_short_sums_of_fractions_are_prompt(element):
     assert json.loads(line)["element"] == element
 
 
+PRODUCT_PROBE = ("((x+y+z+1)^{k} + x)/((x+2*y+z+3)^{k} + y)"
+                 " * ((x-y+z+2)^{k}+z)/((x+y-z+1)^{k}+1)")
+
+
+@pytest.mark.parametrize("example, element", [
+    ("ex3.7-3d", PRODUCT_PROBE.format(k=6)),
+    ("ex3.7-3d", PRODUCT_PROBE.format(k=8)),
+    ("ex3.7-2d", "((x+y)/(x-y+1))^20 + ((x-y)/(x+y+1))^20"),
+    ("ex3.7-2d", "(x^400000+1)/(x+2)"),
+], ids=["product-k6", "product-k8", "power-20-sum", "sparse-power"])
+def test_coprime_dense_parts_are_prompt(example, element):
+    # the subresultant sequence took 25.8 s (k = 6), over 170 s (k = 8),
+    # 9.3 s (the sum) and 9.0 s (x^400000) to prove these parts coprime
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "lqt.cli", "value", "--example", example,
+         "-e", element], capture_output=True, text=True, env=env, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 0, done.stderr
+    line, = done.stdout.splitlines()
+    assert json.loads(line)["element"] == element
+
+
 ON_THE_CURVE = "(y*(1-x^2) - x + x^2/2)^{}"
 
 

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
-from lqt import Directive, Polynomial, RationalFunction, exact_div, poly_gcd
+from lqt import (Directive, Polynomial, RationalFunction, exact_div,
+                 poly_gcd, polynomials)
 from lqt.polynomials import cofactors, pow_terms
 from helpers import (XY, XYZ, divides, random_poly, record_calls, rename,
                      to_sympy, to_sympy_rf)
@@ -333,6 +335,72 @@ def test_cofactors_match_sympy():
             continue
         assert g.leading()[1] == 1
         _assert_sympy_associate(g, p, q)
+
+
+def _doubt_every_pair(monkeypatch):
+    # coprime pairs mostly stop at the certificate, so without it every
+    # pair reaches the subresultant sequence again
+    monkeypatch.setattr(polynomials, "_coprime", lambda ta, tb: False)
+
+
+def test_subresultant_gcd_matches_sympy_up_to_associates(monkeypatch):
+    _doubt_every_pair(monkeypatch)
+    test_gcd_matches_sympy_up_to_associates()
+
+
+def test_subresultant_cofactors_match_sympy(monkeypatch):
+    _doubt_every_pair(monkeypatch)
+    test_cofactors_match_sympy()
+
+
+def _doubted_coprime_pairs() -> list[tuple[Polynomial, Polynomial]]:
+    x, y = (Polynomial.variable(v, XY) for v in XY)
+    one = Polynomial.one(XY)
+    at_y = one.scale(polynomials._point(1))
+    return [
+        # lc_x = y - at_y vanishes at the point, so the image drops a degree
+        ((y - at_y) * x + one, x + y),
+        # 1/(2^61 - 1) has no residue modulo the prime
+        (x * y + one.scale(Fraction(1, polynomials._P)), x + y),
+        # an unlucky point: x - y and x - at_y share the image x - at_y
+        (x - y, x - at_y),
+    ]
+
+
+@pytest.mark.parametrize("row", range(3),
+                         ids=["degree-drops", "denominator", "image-gcd"])
+def test_a_doubted_certificate_falls_through_to_the_subresultant_gcd(
+        monkeypatch, row):
+    p, q = _doubted_coprime_pairs()[row]
+    assert not polynomials._coprime(p.terms, q.terms)
+    calls = record_calls(monkeypatch, polynomials, "_gcd")
+    assert cofactors(p, q) == (Polynomial.one(XY), p, q)
+    assert calls
+    _assert_sympy_associate(Polynomial.one(XY), p, q)
+
+
+def test_coprime_dense_powers_never_reach_the_subresultant_gcd(monkeypatch):
+    x, y = (Polynomial.variable(v, XY) for v in XY)
+    one = Polynomial.one(XY)
+    p, q = (x - y + one) ** 20, (x + y + one) ** 20
+    calls = record_calls(monkeypatch, polynomials, "_gcd")
+    assert cofactors(p, q) == (one, p, q)
+    assert calls == []
+
+
+def test_the_certificate_keeps_sparse_images():
+    # a dense image of x^400000 + 1 would hold 400,001 residues
+    x = Polynomial.variable("x", XY)
+    one = Polynomial.one(XY)
+    p, q = x ** 400000 + one, x + one.scale(2)
+    tracemalloc.start()
+    try:
+        g = cofactors(p, q)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == one
+    assert peak < 1 << 20
 
 
 def test_gcd_takes_contents_without_reentering_poly_gcd(monkeypatch):

@@ -7,16 +7,18 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings
 
 from lqt import (Directive, GeometricGaps, NEG_INF, POS_INF, ParseError,
                  PeriodicCoefficients, Polynomial, RationalFunction,
                  SeriesDVR, exact_div, functions, parse_expr, poly_gcd,
                  series_value)
-from lqt.polynomials import cofactors, coefficient, mul_terms, pow_terms
+from lqt.polynomials import (_coprime, cofactors, coefficient, mul_terms,
+                             pow_terms, shift_terms)
 from lqt.series import _evaluate_truncated
 from helpers import (XY, XYZ, divides, evaluate_tree, ord_at_origin,
-                     render_tree)
+                     render_tree, to_sympy)
 
 F = Fraction
 
@@ -73,6 +75,27 @@ def test_gcd_divides_and_leaves_coprime_parts(a, b):
     assert h == g and h.leading()[1] == 1
     assert g * ca == a and g * cb == b
     assert cofactors(b, a) == (g, cb, ca)
+
+
+def _stripped(p: Polynomial) -> Polynomial:
+    """p divided by its largest monomial factor, as `cofactors` passes the
+    parts to the certificate."""
+    return Polynomial(XY, shift_terms(p.terms, p.min_exponents()))
+
+
+@settings(deadline=None)
+@given(nonzero_polynomials.map(_stripped), nonzero_polynomials.map(_stripped))
+def test_the_coprimality_certificate_is_sound(a, b):
+    if _coprime(a.terms, b.terms):
+        gcd = sp.gcd(to_sympy(a), to_sympy(b), *sp.symbols(XY))
+        assert not gcd.free_symbols
+
+
+@settings(deadline=None)
+@given(nonzero_polynomials.map(_stripped).filter(lambda g: len(g.terms) > 1),
+       nonzero_polynomials.map(_stripped), nonzero_polynomials.map(_stripped))
+def test_the_certificate_never_passes_a_shared_factor(g, a, b):
+    assert not _coprime((g * a).terms, (g * b).terms)
 
 
 @settings(deadline=None)
