@@ -42,10 +42,8 @@ MAX_BUDGET = 1000
 # Longest prefix of a bad element or argument that an error message echoes.
 ECHO_LIMIT = 60
 
-# json.dumps with any non-default argument builds a new encoder per call;
-# no record refers to itself, so the circular-reference check is skipped
-_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                         check_circular=False)
+# json.dumps with any non-default argument builds a new encoder per call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class Reporter:

@@ -23,39 +23,29 @@ only the powers of non-constant cofactors are multiplied out, once per
 distinct combination of powers rather than once per term.
 
 The gcd and its cofactors (`cofactors`, with `poly_gcd` its first entry)
-are taken after the common monomial is split off.  Most parts that remain
-are coprime, and `_coprime` proves that from images modulo the prime
-p = 2^61 - 1: for each variable v in which both parts have positive
-degree, every other variable is put at a fixed nonzero residue (`_point`,
-by index, so answers and timings repeat), and the Euclidean remainder
-sequence of the two images in v runs over Z/p.  If both images keep their
-degree in v and their gcd is constant, no common factor has positive
-degree in v.  For suppose g, primitive over the integers, is such a
-factor.  By Gauss's lemma it divides each part scaled to integers, so its
-image divides both images; its leading coefficient in v divides theirs,
-which do not vanish, so its image keeps a positive degree and the images'
-gcd is not constant.  Once every such v passes, the gcd is constant.  The
-check may stop sooner: a common factor free of v divides each coefficient
-in v, so if some power of v occurs in one term of a part, the factor
-divides a monomial, and a part with no monomial factor leaves it
-constant.  The images are sparse maps from degrees to residues, so a high
-power of a variable costs no memory.  A degree that drops, a denominator
-that p divides or an image gcd that is not constant proves nothing, and
-the parts go on to the subresultant sequence unchanged.
-
-Those parts are scaled to integer coefficients and nested over the n
-variables that occur: level 0 is an int and level k a dict from exponents
-of the k-th variable to nonzero level k-1 values (zero is 0 or {}).  One
-subresultant pseudo-remainder sequence gives their gcd for every number of
-variables: `_gcd` at level k takes contents with itself at level k-1, and
-the cofactors are exact quotients (`_quo`) at the same level, so no
-division of `Polynomial`s is made.  `exact_div` remains as the general
-division.
+are taken after the common monomial is split off.  `_coprime` first
+tries to prove the parts coprime from images modulo p = 2^61 - 1.  A
+common factor has positive degree only in a variable v in which both
+parts do; for each such v, every other variable is put at a fixed nonzero
+residue (`_point`, by index, so answers and timings repeat) and the
+Euclidean remainder sequence of the sparse images in v runs over Z/p.  If
+both images keep their degree in v and their gcd is constant, no common
+factor g has positive degree in v: g, primitive over the integers,
+divides each part scaled to integers (Gauss's lemma), so its image divides
+both images and, as its leading coefficient in v divides theirs, which do
+not vanish, keeps a positive degree.  A degree that drops, a denominator
+that p divides or an image gcd that is not constant proves nothing.  Then
+one subresultant pseudo-remainder sequence gives the gcd for every number
+of variables.  Its inputs are scaled to integer coefficients and nested
+over the n variables that occur: level 0 is an int and level k a dict from
+exponents of the k-th variable to nonzero level k-1 values (zero is 0 or
+{}).  `_gcd` at level k takes contents with itself at level k-1, and the
+cofactors are exact quotients (`_quo`) at the same level, so no division
+of `Polynomial`s is made.  `exact_div` remains as the general division.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -726,9 +716,9 @@ def _rem_mod(r: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 def _coprime(ta: Mapping[Exponents, Coefficient],
              tb: Mapping[Exponents, Coefficient]) -> bool:
-    """True when images modulo _P prove ta and tb coprime, as the module
-    docstring sets out; False proves nothing.  Both must be nonzero term
-    maps with no monomial factor."""
+    """True when images modulo _P prove the nonzero term maps ta and tb
+    coprime.  False proves nothing: an image lost a degree, a denominator
+    had no residue or an image gcd was not constant."""
     da, db = list(map(max, zip(*ta))), list(map(max, zip(*tb)))
     shared = [v for v, (m, n) in enumerate(zip(da, db)) if m and n]
     points = [_point(i) for i in range(len(da))]
@@ -743,10 +733,6 @@ def _coprime(ta: Mapping[Exponents, Coefficient],
             a, b = b, _rem_mod(a, b)
         if not b and max(a):
             return False
-        # the gcd is free of v: a power of v with one term ends the proof
-        if v != shared[-1] and any(1 in Counter(e[v] for e in t).values()
-                                   for t in (ta, tb)):
-            return True
     return True
 
 
@@ -757,10 +743,8 @@ def cofactors(a: Polynomial,
 
     Zero, constant, equal and monomial inputs are answered directly, and
     the common monomial factor is split off as exponent shifts of the term
-    maps.  When either remaining part is a monomial, or `_coprime` proves
-    the parts coprime from their images modulo 2^61 - 1, the gcd is that
-    common monomial.  Otherwise (an image lost a degree, a denominator had
-    no residue, or an image gcd was not constant) both parts are scaled to
+    maps.  The gcd is that monomial when a part left is a monomial or
+    `_coprime` proves the parts coprime.  Otherwise both are scaled to
     integers and nested over their n occurring variables, and one
     subresultant pseudo-remainder sequence (`_gcd` at level n) gives their
     integer gcd h.  The cofactors are exact quotients by h at the same
