@@ -30,7 +30,7 @@ track just that monomial's exponents: after ``w_approx`` or ``value_of`` on
 the same element, ``e_approx`` substitutes nothing.
 
 Directive sources are duck-typed: a ValuationProgram, a SeriesDVR or a
-LiftedTrace, or anything with bases, directive_at and value_vector_at.
+LiftedTrace, or anything with bases, directive_at and the two stage views.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import ClassVar, Protocol
 
 from .polynomials import Polynomial, shift_terms, substitute_terms
 from .functions import RationalFunction, _check_field
-from .programs import Directive, Infinite
+from .programs import Directive, Infinite, ScaledVector, read_values
 
 DEFAULT_BUDGET = 24
 STABLE_WINDOW = 5
@@ -56,12 +56,15 @@ class DirectiveSource(Protocol):
     factors are part of the step.  value_vector_at(n) holds the stage-n
     values: an int when whole, else a Fraction whose denominator exceeds 1,
     never a float, and Infinite only for the prime coordinates of a lifted
-    walk.
+    walk.  scaled_vector_at(n) is that stage as programs.ScaledVector,
+    which value_vector_at reads out.
     """
 
     bases: tuple[str, ...]
 
     def directive_at(self, n: int) -> Directive: ...
+
+    def scaled_vector_at(self, n: int) -> ScaledVector: ...
 
     def value_vector_at(
             self, n: int) -> tuple[int | Fraction | Infinite, ...]: ...
@@ -261,14 +264,13 @@ class AnalysisSession:
         for n in range(budget + 1):
             state = self.state_at(f, n)
             if state.is_monomial():
-                values = self.source.value_vector_at(n)
-                total: int | Fraction | Infinite = 0
-                for ej, vj in zip(state.exponents, values):
+                nums, den = self.source.scaled_vector_at(n)
+                total: int | Infinite = 0
+                for ej, vj in zip(state.exponents, nums):
                     if ej:
                         total = total + ej * vj
-                if type(total) is Fraction and total.denominator == 1:
-                    total = total.numerator
-                return total, n
+                # total / den, read out like one coordinate of a stage
+                return read_values((total,), den)[0], n
         return None
 
     def w_approx(self, f: RationalFunction, reference: RationalFunction,

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .analysis import DEFAULT_BUDGET, LimitTrace, MembershipVerdict
 from .config import load_config_file
 from .parsing import ParseError, parse_expr
-from .programs import Infinite, ProgramConsistencyError, multiplicity_sequence
+from .programs import Infinite, ProgramConsistencyError
 from .pullback import (classify_shannon, composite_value, member_pullback,
                        member_RP, residue)
 from .registry import Example, get_example
@@ -95,6 +95,14 @@ def enc(value) -> str | None:
     raise TypeError(f"cannot serialize {value!r}")
 
 
+def enc_scaled(num, den: int) -> str:
+    """The value num/den as `enc` writes it, by one gcd and no Fraction."""
+    if type(num) is Infinite:
+        return str(num)
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 # -- command implementations --------------------------------------------------
 
 def cmd_run(example: Example, args, rep: Reporter) -> None:
@@ -107,7 +115,7 @@ def cmd_run(example: Example, args, rep: Reporter) -> None:
     # a periodic walk repeats a few steps: each one's text is built once
     texts: dict = {}
     for n in range(steps + 1):
-        values = source.value_vector_at(n)
+        nums, den = source.scaled_vector_at(n)
         text = None
         if n:
             step = source.directive_at(n)
@@ -118,8 +126,8 @@ def cmd_run(example: Example, args, rep: Reporter) -> None:
             "schema": "run.stage",
             "stage": n,
             "directive": text,
-            "values": [enc(v) for v in values],
-            "multiplicity": enc(min(values)),
+            "values": [enc_scaled(v, den) for v in nums],
+            "multiplicity": enc_scaled(min(nums), den),
         })
 
 
@@ -200,21 +208,16 @@ def _shannon_dict(shannon) -> dict:
 
 
 def cmd_multiplicity(example: Example, args, rep: Reporter) -> None:
-    entries = multiplicity_sequence(example.source, args.steps)
+    minima = [(min(nums), den) for nums, den in
+              map(example.source.scaled_vector_at, range(args.steps))]
     line = {"schema": "multiplicity", "example": example.name,
-            "steps": args.steps, "entries": [enc(m) for m in entries]}
+            "steps": args.steps,
+            "entries": [enc_scaled(m, den) for m, den in minima]}
     if args.sum:
-        line["sum"] = enc(_exact_sum(entries))
+        common = math.lcm(*(den for _, den in minima))  # reduced once
+        line["sum"] = enc_scaled(
+            sum(m * (common // den) for m, den in minima), common)
     rep.emit(line)
-
-
-def _exact_sum(values) -> int | Fraction:
-    """The sum of exact values, an int when whole: numerators are added over
-    the lcm of the denominators, and one Fraction is built at the end."""
-    den = math.lcm(*(v.denominator for v in values))
-    total = sum(v.numerator * (den // v.denominator) for v in values)
-    whole, rest = divmod(total, den)
-    return whole if rest == 0 else Fraction(total, den)
 
 
 def cmd_value(example: Example, args, rep: Reporter) -> None:

@@ -27,9 +27,11 @@ by `parsing.parse_rational`, so none passes the parser's MAX_BITS.
 
 Values follow the rule polynomial coefficients do: a whole value is an
 `int`, any other a `Fraction` whose denominator exceeds 1, and none is
-ever a float.  Initial values, assigned factors and every stage vector keep
-it, so a walk whose values are whole runs on ints alone.  Only a walk
-lifted along a prime (`pullback.LiftedTrace`) adds `Infinite` values.
+ever a float.  Initial values and assigned factors keep it.  A stage is
+kept scaled, as integer numerators over one shared denominator, so a step
+is integer arithmetic; `value_vector_at` reads a stage out under the rule.
+Only a walk lifted along a prime (`pullback.LiftedTrace`) adds `Infinite`
+values, as numerators.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 from typing import Iterable
 
 from .parsing import parse_rational
@@ -120,6 +123,18 @@ class ProgramConsistencyError(ProgramError):
 # A stage value vector: each value an int when whole, else a Fraction whose
 # denominator exceeds 1, never a float (see the module docstring).
 ValueVector = tuple[int | Fraction, ...]
+# A stage as kept: (nums, den), den > 0 and gcd(den, *finite nums) == 1.
+ScaledVector = tuple[tuple[int | Infinite, ...], int]
+
+
+def read_values(nums: tuple[int | Infinite, ...],
+                den: int) -> tuple[int | Fraction | Infinite, ...]:
+    """A scaled stage read out under the value rule; Infinite stays as is."""
+    if den == 1:
+        return nums
+    return tuple(v if type(v) is Infinite
+                 else Fraction(v, den) if v % den else v // den
+                 for v in nums)
 
 
 class Directive:
@@ -214,59 +229,66 @@ class ProgramStep(Directive):
     factors holds those factors, one per entry of translations and in the
     same order, each an int when whole, like every value.  A step is given
     as (index, constant, factor) triples, as a program line writes it.
+    `_scaled` holds them times `_den`, the lcm of their denominators.
     """
 
-    __slots__ = ("factors", "_factor_of")
+    __slots__ = ("factors", "_den", "_scaled")
 
     def __init__(self, pivot: int,
                  translations: Iterable[tuple[int, Coefficient,
                                               Coefficient]] = ()):
         trans = sorted(translations, key=lambda t: t[0])
-        factor_of = {}
-        for j, _, r in trans:
-            r = factor_of[j] = coefficient(r)
+        factors = tuple(coefficient(r) for _, _, r in trans)
+        den = lcm(*(r.denominator for r in factors))
+        scaled = {}
+        for (j, _, _), r in zip(trans, factors):
             if r <= 0:
                 raise ProgramError(
                     f"assigned value factor for coordinate {j} must be "
                     f"positive, got {r}")
-        object.__setattr__(self, "factors", tuple(factor_of.values()))
-        object.__setattr__(self, "_factor_of", factor_of)
+            scaled[j] = r.numerator * (den // r.denominator)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_scaled", scaled)
         super().__init__(pivot, [(j, c) for j, c, _ in trans])
 
     def _key(self) -> tuple:
         return (self.pivot, self.translations, self.factors)
 
-    def next_values(self, values: ValueVector, stage: int,
-                    bases: tuple[str, ...]) -> ValueVector:
-        """Values after this step, given the values entering it.
+    def next_values(self, nums: tuple[int, ...], den: int, stage: int,
+                    bases: tuple[str, ...]) -> ScaledVector:
+        """The scaled stage after this step, given the one entering it.
 
         `stage` is the stage the step produces, used in error messages.
-        Each coordinate takes one comparison: a translated one must equal
-        the pivot value and any other must exceed it.  Only when one fails
-        are the values scanned for the error to report.
+        Each coordinate takes one integer comparison: a translated one must
+        equal the pivot value and any other must exceed it.  Only when one
+        fails are the values scanned for the error to report.
         """
         p = self.pivot
-        vp = values[p]
-        factors = self._factor_of
+        vp = nums[p]
+        # over den * _den the new numerators vp * _den, (vj - vp) * _den and
+        # F_j * vp share just gcd(_den, vp), since gcd(den, *nums) == 1 and
+        # gcd(_den, *F) == 1: dividing it out first keeps the stage reduced
+        g = gcd(self._den, vp)
+        m, q = self._den // g, vp // g
+        scaled = self._scaled
         out = []
-        for j, vj in enumerate(values):
+        for j, vj in enumerate(nums):
             if j == p:
-                out.append(vp)
+                out.append(vp * m)
                 continue
-            r = factors.get(j)
+            r = scaled.get(j)
             if r is None:
                 if not vj > vp:
                     break
-                v = vj - vp
+                out.append((vj - vp) * m)
             elif vj == vp:
-                v = r * vp
+                out.append(r * q)
             else:
                 break
-            out.append(v if type(v) is int or v.denominator != 1
-                       else v.numerator)
         else:
-            return tuple(out)
-        raise self._inconsistency(values, stage, bases, j)
+            return tuple(out), den * m
+        raise self._inconsistency(read_values(nums, den), stage, bases, j)
 
     def _inconsistency(self, values: ValueVector, stage: int,
                        bases: tuple[str, ...],
@@ -282,7 +304,7 @@ class ProgramStep(Directive):
                     stage, bases[p],
                     f"pivot value {vp} is not minimal: {bases[k]} has value "
                     f"{vk}")
-        if j in self._factor_of:
+        if j in self._scaled:
             return ProgramConsistencyError(
                 stage, bases[j],
                 f"translated coordinate has value {values[j]}, which must "
@@ -303,10 +325,10 @@ class ProgramStep(Directive):
 class ValuationProgram:
     """An eventually periodic step list with initial coordinate values.
 
-    `_vectors` keeps the stage value vectors computed so far, so reaching
-    stage n costs n steps in all, however often it is asked for."""
+    `_stages` keeps the scaled stages computed so far, so reaching stage n
+    costs n steps in all, however often it is asked for."""
 
-    __slots__ = ("bases", "initial_values", "preperiod", "period", "_vectors")
+    __slots__ = ("bases", "initial_values", "preperiod", "period", "_stages")
 
     def __init__(self, bases: Iterable[str],
                  initial_values: Iterable[Fraction],
@@ -334,7 +356,9 @@ class ValuationProgram:
         object.__setattr__(self, "initial_values", vals)
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
-        object.__setattr__(self, "_vectors", [vals])
+        den = lcm(*(v.denominator for v in vals))
+        object.__setattr__(self, "_stages", [(
+            tuple(v.numerator * (den // v.denominator) for v in vals), den)])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ValuationProgram is immutable")
@@ -348,16 +372,20 @@ class ValuationProgram:
             return self.preperiod[n - 1]
         return self.period[(n - 1 - p) % len(self.period)]
 
-    def value_vector_at(self, n: int) -> ValueVector:
-        """The value vector at stage n, extending the kept stages to n."""
+    def scaled_vector_at(self, n: int) -> ScaledVector:
+        """Stage n, scaled, extending the kept stages to n."""
         if n < 0:
             raise ValueError(f"stage {n} out of range")
-        vectors = self._vectors
-        while len(vectors) <= n:
-            k = len(vectors)
-            vectors.append(
-                self.directive_at(k).next_values(vectors[-1], k, self.bases))
-        return vectors[n]
+        stages = self._stages
+        while len(stages) <= n:
+            k = len(stages)
+            stages.append(self.directive_at(k).next_values(
+                *stages[-1], k, self.bases))
+        return stages[n]
+
+    def value_vector_at(self, n: int) -> ValueVector:
+        """The value vector at stage n, read out of the scaled stage."""
+        return read_values(*self.scaled_vector_at(n))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ValuationProgram):

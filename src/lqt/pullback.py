@@ -26,7 +26,8 @@ from .analysis import DEFAULT_BUDGET, AnalysisSession
 from .functions import RationalFunction, _check_field
 from .polynomials import Polynomial
 from .programs import (POS_INF, Directive, Infinite, MultiplicityClass,
-                       ValuationProgram, classify_multiplicity)
+                       ScaledVector, ValuationProgram, classify_multiplicity,
+                       read_values)
 from .series import (MAX_PRECISION, PeriodicCoefficients, SeriesDVR,
                      series_value)
 
@@ -255,12 +256,16 @@ class LiftedTrace:
                 amb[qd.pivot], [(amb[j], c) for j, c in qd.translations])
         return step
 
-    def value_vector_at(self, n: int) -> tuple[int | Fraction | Infinite, ...]:
-        qv = self.quotient.value_vector_at(n)
-        out: list[int | Fraction | Infinite] = [POS_INF] * len(self.bases)
-        for i, v in zip(self._ambient_index, qv):
+    def scaled_vector_at(self, n: int) -> ScaledVector:
+        """The quotient's scaled stage n, POS_INF on each prime coordinate."""
+        qnums, den = self.quotient.scaled_vector_at(n)
+        out: list[int | Infinite] = [POS_INF] * len(self.bases)
+        for i, v in zip(self._ambient_index, qnums):
             out[i] = v
-        return tuple(out)
+        return tuple(out), den
+
+    def value_vector_at(self, n: int) -> tuple[int | Fraction | Infinite, ...]:
+        return read_values(*self.scaled_vector_at(n))
 
     def __repr__(self) -> str:
         return f"LiftedTrace({self.quotient!r} along {self.prime!r})"

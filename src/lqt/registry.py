@@ -52,7 +52,7 @@ class Example:
 
 
 # Both ex3.7 programs use this period.  Steps are immutable, so the two can
-# share it; each builder makes a fresh program, since its _vectors cache
+# share it; each builder makes a fresh program, since its _stages cache
 # grows as it is walked.
 _HALVING = (ProgramStep(0, [(1, 1, Fraction(1, 2))]), ProgramStep(1))
 

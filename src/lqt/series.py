@@ -22,7 +22,7 @@ from typing import Iterable
 from .functions import RationalFunction, _check_field
 from .parsing import parse_rational
 from .polynomials import Coefficient, Polynomial, coefficient
-from .programs import Directive
+from .programs import Directive, read_values
 
 # Certification is monotone in the degree: an order certified at one
 # truncation is certified, with the same value, at every larger one.  So the
@@ -192,13 +192,14 @@ class SeriesDVR:
             step = self._steps[a] = Directive(0, [(1, a)] if a else ())
         return step
 
-    def value_vector_at(self, n: int) -> tuple[int, int]:
-        """Values of the stage-n coordinates: x keeps 1, y carries the gap
-        to the next nonzero series coefficient.  Both are whole, so both
-        are ints, as the value rule of `programs` asks."""
+    def scaled_vector_at(self, n: int) -> tuple[tuple[int, int], int]:
+        """Stage n over 1: (1, gap to the next nonzero coefficient)."""
         if n < 0:
             raise ValueError(f"stage {n} out of range")
-        return 1, self.stream.next_nonzero(n) - n
+        return (1, self.stream.next_nonzero(n) - n), 1
+
+    def value_vector_at(self, n: int) -> tuple[int, int]:
+        return read_values(*self.scaled_vector_at(n))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeriesDVR):

@@ -8,6 +8,7 @@ programs and program text written back."""
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from lqt import (CompositeValue, CoordinatePrime, Directive, LimitTrace,
                  ProgramStep, RationalFunction, ValuationProgram, exact_div,
                  member_RP, quotient_value, residue)
 from lqt.analysis import ElementState
+from lqt.programs import read_values
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -59,13 +61,14 @@ def random_rf(rng: random.Random, variables: tuple[str, ...] = XY,
 
 def record_calls(monkeypatch, owner, name: str) -> list[tuple]:
     """Patch owner.name (a module function or a method) with a wrapper that
-    records the arguments of every call; returns the list they go into."""
+    records the positional arguments of every call; returns the list they
+    go into.  Keyword arguments are passed on unrecorded."""
     calls: list[tuple] = []
     original = getattr(owner, name)
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, recorded)
     return calls
@@ -175,10 +178,23 @@ def stepped_e_approx(session, f: RationalFunction, budget: int):
     return LimitTrace("e", verdict.stage, approx)
 
 
+def scale(values) -> tuple[tuple[int, ...], int]:
+    """Finite values as a reduced scaled stage: numerators over the lcm of
+    their denominators."""
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    return tuple(int(v * den) for v in values), den
+
+
+def scaled_step(step, values, stage: int, bases: tuple[str, ...]):
+    """The integer step ProgramStep.next_values applied to values, read
+    out: the values after the step; raises its consistency error."""
+    return read_values(*step.next_values(*scale(values), stage, bases))
+
+
 def two_loop_next_values(step, values, stage: int, bases: tuple[str, ...]):
-    """ProgramStep.next_values as two loops, as an oracle for the one-loop
-    form: first every value is checked against the pivot's, then each
-    coordinate in turn against its own rule."""
+    """A step on Fraction values in two loops, as an oracle for the
+    one-loop integer step: first every value is checked against the
+    pivot's, then each coordinate in turn against its own rule."""
     p = step.pivot
     vp = values[p]
     for j, vj in enumerate(values):

@@ -493,6 +493,28 @@ def test_inconsistent_program_runs_clean_before_stage_2(capsys, tmp_path):
     assert err == ""
 
 
+def test_run_prints_each_stage_before_an_inconsistency(capsys, tmp_path):
+    """run steps one stage at a time and prints as it goes: the stages
+    before the failing one are on stdout, and the message shows values
+    read out of the scaled stage, not its numerators."""
+    path = tmp_path / "drift.vp"
+    path.write_text("[vars]\nu v\n[values]\nu = 1\nv = 1\n[period]\n"
+                    "pivot=u translate v:1->1/2\npivot=u\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(path),
+                             "--steps", "5")
+    assert code == 3
+    assert out == (
+        '{"bases":["u","v"],"description":"program from config drift",'
+        '"example":"drift","kind":"program","schema":"run.header"}\n'
+        '{"directive":null,"multiplicity":"1","schema":"run.stage",'
+        '"stage":0,"values":["1","1"]}\n'
+        '{"directive":"pivot=u translate v:1->1/2","multiplicity":"1/2",'
+        '"schema":"run.stage","stage":1,"values":["1","1/2"]}\n')
+    assert err == ("inconsistent: stage 2, coordinate u: pivot value 1 is "
+                   "not minimal: v has value 1/2\n")
+
+
 def test_opposite_infinite_values_are_a_one_line_usage_error(capsys,
                                                              tmp_path):
     """y/z along the prime (y, z) carries +inf - inf at stage 0: the
@@ -644,8 +666,24 @@ def test_run_takes_one_program_step_per_stage(capsys, monkeypatch):
                              "--steps", "300")
     assert code == 0
     assert len(out.splitlines()) == 302
-    # next_values(self, values, stage, bases)
-    assert [args[2] for args in calls] == list(range(1, 301))
+    # the integer step: next_values(self, nums, den, stage, bases)
+    assert [args[3] for args in calls] == list(range(1, 301))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--steps", "300"],
+    ["multiplicity", "--steps", "300", "--sum"],
+], ids=["run", "multiplicity-sum"])
+def test_walk_commands_build_no_fraction(capsys, monkeypatch, argv):
+    """Once the example is built, run and multiplicity work on the
+    integer stages alone: printing a value takes a gcd, not a Fraction."""
+    example = get_example("ex3.7-2d")
+    monkeypatch.setattr(cli, "_resolve_example", lambda args: example)
+    built = record_calls(monkeypatch, Fraction, "__new__")
+    code, out, err = run_cli(capsys, *argv, "--example", "ex3.7-2d")
+    assert (code, err) == (0, "")
+    assert built == []
+    assert len(out.splitlines()) == (302 if argv[0] == "run" else 1)
 
 
 def test_run_prints_each_steps_own_factors(capsys, tmp_path):

@@ -2,6 +2,7 @@
 and the text format."""
 
 import itertools
+import json
 import os
 import re
 from fractions import Fraction
@@ -13,10 +14,10 @@ from lqt import (Directive, Infinite, MultiplicityClass, NEG_INF, POS_INF,
                  ProgramStep, ValuationProgram, classify_multiplicity,
                  classify_shannon, get_example, multiplicity_sequence,
                  parse_program)
-from lqt.cli import _exact_sum
+from lqt.cli import main
 from lqt.config import load_config_file
-from helpers import (BAD_STEP_LINES, bad_step_program, serialize_program,
-                     two_loop_next_values)
+from helpers import (BAD_STEP_LINES, bad_step_program, scaled_step,
+                     serialize_program, two_loop_next_values)
 
 F = Fraction
 
@@ -113,16 +114,19 @@ def test_step_is_immutable():
 def test_next_values_translated_and_untranslated():
     bases = ("x", "y")
     step = ProgramStep(0, [(1, F(1), F(1, 2))])
-    assert step.next_values((F(1), F(1)), 1, bases) == (F(1), F(1, 2))
+    # (1, 1) over 1 becomes (2, 1) over 2
+    assert step.next_values((1, 1), 1, 1, bases) == ((2, 1), 2)
+    assert scaled_step(step, (F(1), F(1)), 1, bases) == (F(1), F(1, 2))
     plain = ProgramStep(0)
-    assert plain.next_values((F(1), F(3)), 1, bases) == (F(1), F(2))
+    assert plain.next_values((1, 3), 1, 1, bases) == ((1, 2), 1)
+    assert scaled_step(plain, (F(1), F(3)), 1, bases) == (F(1), F(2))
 
 
 def test_next_values_requires_minimal_pivot():
     step = ProgramStep(0)
     with pytest.raises(ProgramConsistencyError,
                        match="pivot value 1 is not minimal") as info:
-        step.next_values((F(1), F(1, 2)), 2, ("x", "y"))
+        scaled_step(step, (F(1), F(1, 2)), 2, ("x", "y"))
     assert info.value.stage == 2
     assert info.value.coordinate == "x"
 
@@ -131,7 +135,7 @@ def test_next_values_translated_must_match_pivot():
     step = ProgramStep(0, [(1, F(1), F(1, 2))])
     with pytest.raises(ProgramConsistencyError,
                        match="must equal the pivot value") as info:
-        step.next_values((F(1), F(2)), 3, ("x", "y"))
+        scaled_step(step, (F(1), F(2)), 3, ("x", "y"))
     assert info.value.coordinate == "y"
 
 
@@ -139,7 +143,7 @@ def test_next_values_untranslated_must_exceed_pivot():
     step = ProgramStep(0)
     with pytest.raises(ProgramConsistencyError,
                        match="must be translated"):
-        step.next_values((F(1), F(1)), 1, ("x", "y"))
+        scaled_step(step, (F(1), F(1)), 1, ("x", "y"))
 
 
 def _outcome(call):
@@ -162,14 +166,14 @@ def test_next_values_matches_the_two_loop_form():
     grid = (F(1, 2), 1, 2, 3)
     for step in steps:
         for values in itertools.product(grid, repeat=3):
-            new = _outcome(lambda: step.next_values(values, 4, bases))
+            new = _outcome(lambda: scaled_step(step, values, 4, bases))
             old = _outcome(lambda: two_loop_next_values(step, values, 4,
                                                         bases))
             assert new == old, (step, values)
     # y shares the pivot value, which alone would ask for a translation,
     # but z below the pivot value is reported first
-    assert _outcome(lambda: ProgramStep(0).next_values(
-        (1, 1, F(1, 2)), 4, bases)) == (
+    assert _outcome(lambda: scaled_step(
+        ProgramStep(0), (1, 1, F(1, 2)), 4, bases)) == (
         ProgramConsistencyError,
         "stage 4, coordinate x: pivot value 1 is not minimal: z has value "
         "1/2", 4, "x")
@@ -227,9 +231,9 @@ def test_three_var_extra_coordinate_drains():
 
 def test_value_vectors_are_kept_and_failures_repeat():
     program = two_var_program()
-    far = program.value_vector_at(6)
+    far = program.scaled_vector_at(6)
     assert program.value_vector_at(3) == two_var_program().value_vector_at(3)
-    assert program.value_vector_at(6) is far
+    assert program.scaled_vector_at(6) is far
     drifting = ValuationProgram(("u", "v"), [F(1), F(3, 2)], (),
                                 (ProgramStep(0),))
     assert drifting.value_vector_at(1) == (F(1), F(1, 2))
@@ -256,13 +260,13 @@ def _is_value(v) -> bool:
             or (type(v) is Fraction and v.denominator > 1))
 
 
-def test_stage_values_are_ints_when_whole():
+def test_stage_values_are_ints_when_whole(capsys):
     alt3 = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "configs", "alt3.cfg")
-    examples = [get_example(name) for name in
-                ("ex3.7-2d", "ex3.7-3d", "ex5.3-shape", "nonarch2d",
-                 "dvr-curve")] + [load_config_file(alt3)]
-    for example in examples:
+    names = ("ex3.7-2d", "ex3.7-3d", "ex5.3-shape", "nonarch2d", "dvr-curve")
+    examples = [get_example(name) for name in names] + [load_config_file(alt3)]
+    flags = [["--example", name] for name in names] + [["--config", alt3]]
+    for example, flag in zip(examples, flags):
         source = example.source
         for n in range(301):
             values = source.value_vector_at(n)
@@ -275,8 +279,10 @@ def test_stage_values_are_ints_when_whole():
                     example.name, n, step)
         entries = multiplicity_sequence(source, 301)
         assert all(_is_value(m) for m in entries), example.name
-        assert _is_value(_exact_sum(entries)), example.name
-        assert _exact_sum(entries) == sum(entries, F(0))
+        # the CLI adds the minima over the lcm of their denominators
+        assert main(["multiplicity", *flag, "--steps", "301", "--sum"]) == 0
+        line = json.loads(capsys.readouterr().out)
+        assert line["sum"] == str(sum(entries, F(0))), example.name
         outcome = classify_shannon(source).multiplicity
         # the limit and the pass ratio are exact, Fractions even when whole
         assert outcome.limit is None or type(outcome.limit) is Fraction

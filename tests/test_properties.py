@@ -2,6 +2,7 @@
 input, checked over small random elements."""
 
 import contextlib
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -11,14 +12,14 @@ import sympy as sp
 from hypothesis import assume, given, settings
 
 from lqt import (Directive, GeometricGaps, NEG_INF, POS_INF, ParseError,
-                 PeriodicCoefficients, Polynomial, RationalFunction,
-                 SeriesDVR, exact_div, functions, parse_expr, poly_gcd,
-                 series_value)
+                 PeriodicCoefficients, Polynomial, ProgramConsistencyError,
+                 ProgramStep, RationalFunction, SeriesDVR, ValuationProgram,
+                 exact_div, functions, parse_expr, poly_gcd, series_value)
 from lqt.polynomials import (_coprime, cofactors, coefficient, mul_terms,
                              pow_terms)
 from lqt.series import _evaluate_truncated
 from helpers import (XY, XYZ, divides, evaluate_tree, ord_at_origin,
-                     render_tree, to_sympy)
+                     render_tree, to_sympy, two_loop_next_values)
 
 F = Fraction
 
@@ -281,6 +282,61 @@ def test_membership_never_retracts(two_var, terms, a, b):
     assume(verdict.decided)
     for n in range(verdict.stage, verdict.stage + 4):
         assert two_var.state_at(f, n).in_ring()
+
+
+# -- integer stages against Fraction steps ---------------------------------------------
+
+stage_values = st.sampled_from([F(1, 2), F(2, 3), 1, F(5, 6), F(3, 2), 2])
+step_factors = st.sampled_from([F(2, 3), F(3, 2), F(1, 2), 1, 2, F(4, 9)])
+
+
+def _consistency_outcome(call):
+    """The result of call, or the message, stage and coordinate of the
+    consistency error it raises."""
+    try:
+        return call()
+    except ProgramConsistencyError as exc:
+        return str(exc), exc.stage, exc.coordinate
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_integer_stages_match_fraction_steps(data):
+    """A program's scaled stages, read out, are the values the two-loop
+    step gives on Fractions, and fail with the same error at the same
+    stage; every stage stays reduced.  Steps mostly pivot on a minimal
+    coordinate and translate those sharing its value, so walks run long
+    enough for the denominator to grow and shrink; now and then a step
+    ignores the values, which a later stage must refuse."""
+    dim = data.draw(st.integers(2, 3))
+    bases = XYZ[:dim]
+    values = tuple(data.draw(stage_values) for _ in range(dim))
+    initial, steps, expected = values, [], [values]
+    for stage in range(1, 13):
+        if data.draw(st.integers(0, 9)):
+            pivot = data.draw(st.sampled_from(
+                [j for j in range(dim) if values[j] == min(values)]))
+            shared = [j for j in range(dim)
+                      if j != pivot and values[j] == values[pivot]]
+        else:
+            pivot = data.draw(st.integers(0, dim - 1))
+            shared = data.draw(st.lists(
+                st.sampled_from([j for j in range(dim) if j != pivot]),
+                unique=True))
+        steps.append(ProgramStep(pivot, [(j, 1, data.draw(step_factors))
+                                         for j in shared]))
+        values = _consistency_outcome(
+            lambda: two_loop_next_values(steps[-1], values, stage, bases))
+        expected.append(values)
+        if type(values[0]) is str:
+            break
+    program = ValuationProgram(bases, initial, steps[:-1], steps[-1:])
+    for n, want in enumerate(expected):
+        assert _consistency_outcome(lambda: program.value_vector_at(n)) \
+            == want, n
+        if type(want[0]) is not str:
+            nums, den = program.scaled_vector_at(n)
+            assert den > 0 and math.gcd(den, *nums) == 1, (n, nums, den)
 
 
 # -- series values --------------------------------------------------------------------

@@ -301,6 +301,9 @@ def test_lifted_trace_reindexes_directives():
     assert lifted.directive_at(1) == Directive(0, [(2, F(1))])
     assert lifted.directive_at(2) == Directive(2)
     assert lifted.value_vector_at(0) == (F(1), POS_INF, F(1))
+    # the quotient's numerators over its denominator, POS_INF on y
+    assert lifted.scaled_vector_at(3) == ((2, POS_INF, 1), 4)
+    assert lifted.value_vector_at(3) == (F(1, 2), POS_INF, F(1, 4))
 
 
 def test_lifted_series_trace(prime_z):
