@@ -30,7 +30,8 @@ track just that monomial's exponents: after ``w_approx`` or ``value_of`` on
 the same element, ``e_approx`` substitutes nothing.
 
 Directive sources are duck-typed: a ValuationProgram, a SeriesDVR or a
-LiftedTrace, or anything with bases, directive_at and the two stage views.
+LiftedTrace, or anything with bases, directive_at and scaled_vector_at,
+the one stage view every walk hands out.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ class DirectiveSource(Protocol):
     directive_at(n) is the step taking stage n-1 to stage n: a Directive,
     hashable, equal only to a step that does the same, and shown by its
     `describe(bases)`.  A program's is a ProgramStep, whose assigned
-    factors are part of the step.  value_vector_at(n) holds the stage-n
-    values: an int when whole, else a Fraction whose denominator exceeds 1,
-    never a float, and Infinite only for the prime coordinates of a lifted
-    walk.  scaled_vector_at(n) is that stage as programs.ScaledVector,
-    which value_vector_at reads out.
+    factors are part of the step.  scaled_vector_at(n) is stage n as
+    programs.ScaledVector: integer numerators over one positive shared
+    denominator, Infinite only for the prime coordinates of a lifted walk.
+    programs.read_values reads it out as values; a program's
+    value_vector_at does so too.
     """
 
     bases: tuple[str, ...]
@@ -65,9 +66,6 @@ class DirectiveSource(Protocol):
     def directive_at(self, n: int) -> Directive: ...
 
     def scaled_vector_at(self, n: int) -> ScaledVector: ...
-
-    def value_vector_at(
-            self, n: int) -> tuple[int | Fraction | Infinite, ...]: ...
 
 
 @dataclass(frozen=True, slots=True)

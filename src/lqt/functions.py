@@ -78,11 +78,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def is_unit_at_origin(self) -> bool:
-        return (not self.is_zero()
-                and self.numerator.is_unit_at_origin()
-                and self.denominator.is_unit_at_origin())
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: RationalFunction) -> RationalFunction:

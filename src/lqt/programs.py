@@ -29,7 +29,9 @@ Values follow the rule polynomial coefficients do: a whole value is an
 `int`, any other a `Fraction` whose denominator exceeds 1, and none is
 ever a float.  Initial values and assigned factors keep it.  A stage is
 kept scaled, as integer numerators over one shared denominator, so a step
-is integer arithmetic; `value_vector_at` reads a stage out under the rule.
+is integer arithmetic.  Every walk hands out its stages that way, through
+`scaled_vector_at(n)`; a program also reads a stage out under the rule,
+through `value_vector_at(n)`.
 Only a walk lifted along a prime (`pullback.LiftedTrace`) adds `Infinite`
 values, as numerators.
 """
@@ -402,16 +404,16 @@ class ValuationProgram:
 
 
 def multiplicity_sequence(source, count: int) -> list[int | Fraction]:
-    """The first `count` stage multiplicities of a directive source: the
-    minimum of the value vector at each stage, starting from stage 0.  Each
-    is a value, so an int when it is whole.
+    """The first `count` stage multiplicities of a walk: the least
+    numerator of each scaled stage over its denominator, starting from
+    stage 0.  Each is a value, so an int when it is whole.
 
-    Any source with `value_vector_at` works: a ValuationProgram, a
-    SeriesDVR, or a LiftedTrace, whose infinite prime coordinates never
-    reach the minimum."""
+    A ValuationProgram, a SeriesDVR and a LiftedTrace all work: a lifted
+    walk's infinite prime coordinates never reach the minimum."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return [min(source.value_vector_at(n)) for n in range(count)]
+    return [read_values((min(nums),), den)[0]
+            for nums, den in map(source.scaled_vector_at, range(count))]
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,8 +26,7 @@ from .analysis import DEFAULT_BUDGET, AnalysisSession
 from .functions import RationalFunction, _check_field
 from .polynomials import Polynomial
 from .programs import (POS_INF, Directive, Infinite, MultiplicityClass,
-                       ScaledVector, ValuationProgram, classify_multiplicity,
-                       read_values)
+                       ScaledVector, ValuationProgram, classify_multiplicity)
 from .series import (MAX_PRECISION, PeriodicCoefficients, SeriesDVR,
                      series_value)
 
@@ -264,9 +263,6 @@ class LiftedTrace:
             out[i] = v
         return tuple(out), den
 
-    def value_vector_at(self, n: int) -> tuple[int | Fraction | Infinite, ...]:
-        return read_values(*self.scaled_vector_at(n))
-
     def __repr__(self) -> str:
         return f"LiftedTrace({self.quotient!r} along {self.prime!r})"
 
@@ -303,9 +299,30 @@ def classify_shannon(source) -> ShannonClass:
     Anything subtler stays Unknown, as does a program whose sum no pass
     ratio decides within programs.MAX_PASSES passes.
     """
-    if isinstance(source, LiftedTrace):
-        return _classify_lifted(source)
-    outcome = _sum_class(source, "stage")
+    lifted = isinstance(source, LiftedTrace)
+    walk = source.quotient if lifted else source
+    if isinstance(walk, SeriesDVR):
+        stage = "quotient stage" if lifted else "stage"
+        outcome = MultiplicityClass(
+            "Divergent", detail=f"every {stage} has multiplicity 1")
+    elif isinstance(walk, ValuationProgram):
+        outcome = classify_multiplicity(walk)
+    else:
+        raise TypeError(f"cannot classify {type(walk).__name__}")
+    if lifted:
+        prime = ", ".join(source.prime.generators)
+        if outcome.kind == "Divergent":
+            return ShannonClass(
+                "NonArchimedean",
+                f"the quotient multiplicity sum diverges, so the union is the "
+                f"full pullback along ({prime}) and powers of the prime stay "
+                f"below every unit multiple",
+                multiplicity=outcome, union_is_pullback=True)
+        return ShannonClass(
+            "Unknown",
+            f"the quotient multiplicity sum does not diverge, so the union "
+            f"may be smaller than the pullback along ({prime})",
+            multiplicity=outcome, union_is_pullback=False)
     if isinstance(source, SeriesDVR):
         union = ("a valuation ring; the series is rational, so the walk "
                  "follows the curve it parametrizes"
@@ -313,8 +330,8 @@ def classify_shannon(source) -> ShannonClass:
                  else "the series valuation ring")
         return ShannonClass(
             "ValuationRing",
-            f"every stage has multiplicity 1, so the multiplicity sum "
-            f"diverges and the union is {union}",
+            f"{outcome.detail}, so the multiplicity sum diverges and the "
+            f"union is {union}",
             multiplicity=outcome)
     if outcome.kind == "Divergent":
         return ShannonClass(
@@ -338,32 +355,3 @@ def classify_shannon(source) -> ShannonClass:
             f"coordinate pivots; no implemented criterion applies",
             multiplicity=outcome)
     return ShannonClass("Unknown", outcome.detail, multiplicity=outcome)
-
-
-def _classify_lifted(source: LiftedTrace) -> ShannonClass:
-    outcome = _sum_class(source.quotient, "quotient stage")
-    prime = ", ".join(source.prime.generators)
-    if outcome.kind == "Divergent":
-        return ShannonClass(
-            "NonArchimedean",
-            f"the quotient multiplicity sum diverges, so the union is the "
-            f"full pullback along ({prime}) and powers of the prime stay "
-            f"below every unit multiple",
-            multiplicity=outcome, union_is_pullback=True)
-    return ShannonClass(
-        "Unknown",
-        f"the quotient multiplicity sum does not diverge, so the union may "
-        f"be smaller than the pullback along ({prime})",
-        multiplicity=outcome, union_is_pullback=False)
-
-
-def _sum_class(source, stage: str) -> MultiplicityClass:
-    """The multiplicity class of an unlifted walk; `stage` names its stages
-    in the detail of a series walk, whose multiplicities are all 1."""
-    if isinstance(source, SeriesDVR):
-        return MultiplicityClass(
-            "Divergent", detail=f"every {stage} has multiplicity 1")
-    if isinstance(source, ValuationProgram):
-        return classify_multiplicity(source)
-    raise TypeError(f"cannot classify {type(source).__name__}")
-

@@ -22,7 +22,7 @@ from typing import Iterable
 from .functions import RationalFunction, _check_field
 from .parsing import parse_rational
 from .polynomials import Coefficient, Polynomial, coefficient
-from .programs import Directive, read_values
+from .programs import Directive
 
 # Certification is monotone in the degree: an order certified at one
 # truncation is certified, with the same value, at every larger one.  So the
@@ -197,9 +197,6 @@ class SeriesDVR:
         if n < 0:
             raise ValueError(f"stage {n} out of range")
         return (1, self.stream.next_nonzero(n) - n), 1
-
-    def value_vector_at(self, n: int) -> tuple[int, int]:
-        return read_values(*self.scaled_vector_at(n))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeriesDVR):

@@ -185,6 +185,12 @@ def scale(values) -> tuple[tuple[int, ...], int]:
     return tuple(int(v * den) for v in values), den
 
 
+def stage_values(walk, n: int):
+    """Stage n of any walk read out as values: the scaled stage over its
+    denominator, an int when whole and Infinite kept as is."""
+    return read_values(*walk.scaled_vector_at(n))
+
+
 def scaled_step(step, values, stage: int, bases: tuple[str, ...]):
     """The integer step ProgramStep.next_values applied to values, read
     out: the values after the step; raises its consistency error."""

@@ -3,14 +3,16 @@ approximants, and the union ring classifier."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lqt import (AnalysisSession, CoordinatePrime, LiftedTrace, LimitTrace,
                  MembershipVerdict, POS_INF, Polynomial, RationalFunction,
                  SeriesDVR, ShannonClass, analysis, classify_shannon,
-                 example_names, get_example, load_config_text,
-                 parse_program, polynomials)
+                 example_names, get_example, load_config_file,
+                 load_config_text, multiplicity_sequence, parse_program,
+                 polynomials)
 from conftest import el
 from helpers import (XY, Chart, apply_directive, general_states, ord_n,
                      random_rf, record_calls, stepped_e_approx)
@@ -196,7 +198,7 @@ def test_session_reads_each_directive_once():
 
     class Counted:
         bases = source.bases
-        value_vector_at = source.value_vector_at
+        scaled_vector_at = source.scaled_vector_at
 
         def directive_at(self, n):
             calls.append(n)
@@ -206,6 +208,35 @@ def test_session_reads_each_directive_once():
     for text in ["y - x", "y/x^2", "(y - x)/x^2"]:
         session.e_approx(el(text, session), budget=6)
     assert calls == [1, 2, 3, 4, 5, 6]
+
+
+ALT3 = Path(__file__).parent.parent / "perfbench" / "configs" / "alt3.cfg"
+
+
+@pytest.mark.parametrize("name", example_names() + ["alt3"])
+def test_three_methods_are_the_whole_walk_interface(name):
+    """A walk that hands out only bases, directive_at and scaled_vector_at
+    answers every query the real walk does."""
+    source = (load_config_file(str(ALT3)) if name == "alt3"
+              else get_example(name)).source
+
+    class Bare:
+        bases = source.bases
+        directive_at = source.directive_at
+        scaled_vector_at = source.scaled_vector_at
+
+    bare, real = AnalysisSession(Bare()), AnalysisSession(source)
+    b0, b1 = source.bases[0], source.bases[-1]
+    reference = el(b0, real)
+    for text in [f"{b1} - {b0}", f"{b1}/{b0}^2", f"({b1} - {b0})/{b0}^2",
+                 f"{b0}^2 + {b1}^3"]:
+        f = el(text, real)
+        assert bare.member(f) == real.member(f), text
+        assert bare.value_of(f) == real.value_of(f), text
+        assert bare.w_approx(f, reference) == real.w_approx(f, reference)
+        assert bare.e_approx(f) == real.e_approx(f), text
+    assert multiplicity_sequence(Bare(), 50) == multiplicity_sequence(
+        source, 50)
 
 
 def _stage_coordinates(session, k):

@@ -17,7 +17,7 @@ from lqt import (Directive, Infinite, MultiplicityClass, NEG_INF, POS_INF,
 from lqt.cli import main
 from lqt.config import load_config_file
 from helpers import (BAD_STEP_LINES, bad_step_program, scaled_step,
-                     serialize_program, two_loop_next_values)
+                     serialize_program, stage_values, two_loop_next_values)
 
 F = Fraction
 
@@ -269,7 +269,7 @@ def test_stage_values_are_ints_when_whole(capsys):
     for example, flag in zip(examples, flags):
         source = example.source
         for n in range(301):
-            values = source.value_vector_at(n)
+            values = stage_values(source, n)
             assert all(_is_value(v) for v in values), (example.name, n,
                                                         values)
             if n:
@@ -288,7 +288,7 @@ def test_stage_values_are_ints_when_whole(capsys):
         assert outcome.limit is None or type(outcome.limit) is Fraction
         for ratio in re.findall(r"ratio (\S+)", outcome.detail):
             assert "." not in ratio, (example.name, outcome.detail)
-    assert type(get_example("dvr-curve").source.value_vector_at(1)[1]) is int
+    assert type(stage_values(get_example("dvr-curve").source, 1)[1]) is int
     whole = ProgramStep(0, [(1, F(2), F(4, 2))])
     ((j, c),), (r,) = whole.translations, whole.factors
     assert [type(part) for part in (j, c, r)] == [int, int, int]

@@ -13,7 +13,8 @@ from lqt import (AnalysisSession, CompositeValue, CoordinatePrime, Directive,
                  multiplicity_sequence, parse_program, quotient_value,
                  residue)
 from helpers import (XY, XYZ, composite_by_field_arithmetic, in_prime,
-                     induced_quotient_program, random_rf, record_calls)
+                     induced_quotient_program, random_rf, record_calls,
+                     stage_values)
 from conftest import el_on
 
 F = Fraction
@@ -285,8 +286,8 @@ def test_induced_program_checks_the_field():
 
 def test_lifted_trace_carries_infinite_values():
     source = get_example("nonarch2d").source
-    assert source.value_vector_at(0) == (F(1), POS_INF)
-    assert source.value_vector_at(7) == (F(1), POS_INF)
+    assert stage_values(source, 0) == (F(1), POS_INF)
+    assert stage_values(source, 7) == (F(1), POS_INF)
     assert source.directive_at(1) == Directive(0)
     assert multiplicity_sequence(source, 4) == [F(1)] * 4
 
@@ -300,16 +301,16 @@ def test_lifted_trace_reindexes_directives():
     assert lifted.bases == XYZ
     assert lifted.directive_at(1) == Directive(0, [(2, F(1))])
     assert lifted.directive_at(2) == Directive(2)
-    assert lifted.value_vector_at(0) == (F(1), POS_INF, F(1))
+    assert stage_values(lifted, 0) == (F(1), POS_INF, F(1))
     # the quotient's numerators over its denominator, POS_INF on y
     assert lifted.scaled_vector_at(3) == ((2, POS_INF, 1), 4)
-    assert lifted.value_vector_at(3) == (F(1, 2), POS_INF, F(1, 4))
+    assert stage_values(lifted, 3) == (F(1, 2), POS_INF, F(1, 4))
 
 
 def test_lifted_series_trace(prime_z):
     lifted = LiftedTrace(SeriesDVR(XY, FactorialGaps()), prime_z)
     assert lifted.directive_at(1) == Directive(0, [(1, F(1))])
-    assert lifted.value_vector_at(2) == (F(1), F(4), POS_INF)
+    assert stage_values(lifted, 2) == (F(1), F(4), POS_INF)
     assert multiplicity_sequence(lifted, 3) == [F(1)] * 3
 
 

@@ -8,6 +8,7 @@ import pytest
 from lqt import (ConfigError, FactorialGaps, GeometricGaps, POS_INF,
                  SeriesDVR, ValuationProgram, example_names, get_example,
                  load_config_file, load_config_text, parse_program)
+from helpers import stage_values
 
 F = Fraction
 
@@ -87,7 +88,7 @@ def test_builtins_read_no_text(monkeypatch):
 
     monkeypatch.setattr("lqt.programs.split_sections", refuse)
     for name in example_names():
-        get_example(name).source.value_vector_at(4)
+        stage_values(get_example(name).source, 4)
 
 
 # -- program configs ------------------------------------------------------------------
@@ -123,7 +124,7 @@ def test_pullback_config_with_series_quotient():
     assert example.quotient == SeriesDVR(("x", "y"), FactorialGaps())
     assert example.prime is example.source.prime
     assert example.quotient is example.source.quotient
-    assert example.source.value_vector_at(0) == (F(1), F(1), POS_INF)
+    assert stage_values(example.source, 0) == (F(1), F(1), POS_INF)
 
 
 def test_pullback_config_with_program_quotient():
@@ -135,7 +136,7 @@ def test_pullback_config_with_program_quotient():
     assert example.quotient.bases == ("x",)
     assert example.prime is example.source.prime
     assert example.quotient is example.source.quotient
-    assert example.source.value_vector_at(0) == (F(1), POS_INF)
+    assert stage_values(example.source, 0) == (F(1), POS_INF)
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -168,6 +169,10 @@ def test_pullback_config_with_program_quotient():
      "[period]\npivot=x", "no value given for y"),
     ("[vars]\nx y\n[values]\nx = 1\ny = 1\n[period]\npivot=q",
      "unknown pivot variable"),
+    ("[vars]\nx x\n[values]\nx = 1\n[period]\npivot=x",
+     "duplicate variable names"),
+    ("[vars]\nx y z\n[pullback]\nprime = [z]\nseries y",
+     "expected <var> = <form>"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as info:

@@ -15,7 +15,7 @@ from lqt import (AnalysisSession, CoefficientStream, Directive,
                  FactorialGaps, GeometricGaps, PeriodicCoefficients,
                  Polynomial, RationalFunction, SeriesDVR, StreamError,
                  multiplicity_sequence, parse_stream, series_value)
-from helpers import XY, record_calls
+from helpers import XY, record_calls, stage_values
 from conftest import el_on
 
 F = Fraction
@@ -409,11 +409,11 @@ def test_trace_directives_follow_the_coefficients():
 
 def test_trace_value_vectors_carry_the_gap():
     trace = geometric_dvr()
-    vectors = [trace.value_vector_at(n) for n in range(5)]
+    vectors = [stage_values(trace, n) for n in range(5)]
     assert vectors == [(F(1), F(1)), (F(1), F(1)), (F(1), F(2)),
                        (F(1), F(1)), (F(1), F(4))]
     with pytest.raises(ValueError, match="out of range"):
-        trace.value_vector_at(-1)
+        stage_values(trace, -1)
 
 
 def test_trace_multiplicities_are_all_one():
