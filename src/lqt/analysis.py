@@ -19,10 +19,10 @@ alone (every exponent adds to the pivot's; an untranslated coordinate also
 keeps its own, and a translated one leaves only a unit).  Each side that is
 not one is substituted to a term map; the map's componentwise minimum
 moves into the exponent vector, and the shifted map becomes the side,
-built once as a Polynomial, or the shared constant ``Polynomial.one`` when
-it has a constant term.  The initial state is normalized the same way.  A
-monomial state, num and den both one, thus advances with no substitution:
-x/z on ex3.7-3d crosses hundreds of stages without one.
+built once as a Polynomial, or the session's one when it has a constant
+term.  The initial state is normalized the same way.  A monomial state,
+num and den both one, thus advances with no substitution: x/z on
+ex3.7-3d crosses hundreds of stages without one.
 
 The iterated transforms behind ``e_approx`` differ from the element only by
 a monomial in the stage coordinates, so they reuse the cached states and
@@ -112,14 +112,11 @@ class LimitTrace:
         return self.approximants[-1] if self.approximants else None
 
 
+@dataclass(slots=True, eq=False)
 class ElementState:
-    __slots__ = ("exponents", "num", "den")
-
-    def __init__(self, exponents: tuple[int, ...], num: Polynomial,
-                 den: Polynomial):
-        self.exponents = exponents
-        self.num = num
-        self.den = den
+    exponents: tuple[int, ...]
+    num: Polynomial
+    den: Polynomial
 
     def order(self) -> int:
         return sum(self.exponents) + self.num.order() - self.den.order()
@@ -129,10 +126,6 @@ class ElementState:
 
     def in_ring(self) -> bool:
         return self.den.is_one() and all(e >= 0 for e in self.exponents)
-
-    def __repr__(self) -> str:
-        return (f"ElementState(e={self.exponents}, num={self.num}, "
-                f"den={self.den})")
 
 
 def _normalized(exponents: list[int], sides: tuple,
@@ -177,7 +170,7 @@ class AnalysisSession:
         self._steps: list[tuple[int, tuple[int, ...],
                                 tuple[Polynomial, ...]]] = []
         self._states: dict[RationalFunction, list[ElementState]] = {}
-        # the shared constant every unit side becomes
+        # the one every unit side becomes, compared by identity
         self._one = Polynomial.one(self.bases)
 
     # -- step bookkeeping --------------------------------------------------
@@ -199,7 +192,7 @@ class AnalysisSession:
         """State at stage n from the state at stage n-1, in one pass per
         side (see the module docstring).
 
-        A side counts as one when it is the shared constant every unit
+        A side counts as one when it is the session's one, which every unit
         becomes; a one built elsewhere is substituted and normalized like
         any other side, to the same state."""
         p, kept, images = self._step(n)

@@ -12,6 +12,8 @@ included, writes exactly one line to stderr.  Commands let faults propagate;
 main alone maps them to a code, whichever command raised them:
 ProgramConsistencyError to 3, any other ValueError or ArithmeticError to 2
 (bar argparse's usage errors, which _ArgumentParser.error reports itself).
+A command that ends normally leaves 3 and 4 to main, which writes their
+line from the Reporter's counts.
 """
 
 from __future__ import annotations
@@ -451,7 +453,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return rep.exit_code()
+    code = rep.exit_code()
+    if code == EXIT_INCONSISTENT:
+        print(f"inconsistent: union and pullback disagree on "
+              f"{rep.disagreements} element(s)", file=sys.stderr)
+    elif code == EXIT_UNDECIDED:
+        print(f"undecided: {rep.undecided} answer(s) under --strict",
+              file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

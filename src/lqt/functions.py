@@ -106,9 +106,6 @@ class RationalFunction:
     def __mul__(self, other: RationalFunction) -> RationalFunction:
         a, b = self.numerator, self.denominator
         c, d = other.numerator, other.denominator
-        if b.is_one() and d.is_one():
-            # a product of polynomials is reduced already
-            return RationalFunction._make(a * c, b)
         # Henrici: a/b and c/d are reduced, so only the cross pairs (a, d)
         # and (c, b) can share a factor
         if not d.is_one():
@@ -206,16 +203,13 @@ def _check_field(f: RationalFunction, bases: tuple[str, ...]) -> None:
 def _safe_as_divisor(p: Polynomial) -> bool:
     """True when `num/<str(p)>` reparses correctly without parentheses.
 
-    That needs p to print as a single factor: a bare positive integer or a
-    coefficient-one power of one variable.
+    That needs p, a monic denominator other than one, to print as a single
+    factor: one term, a power of one variable.
     """
     if len(p.terms) != 1:
         return False
-    (e, c), = p.terms.items()
-    nonzero = [k for k in e if k]
-    if not nonzero:
-        return c == int(c) and c > 0
-    return c == 1 and len(nonzero) == 1
+    (e,) = p.terms
+    return sum(1 for k in e if k) == 1
 
 
 def _reduce(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:

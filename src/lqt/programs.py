@@ -470,20 +470,16 @@ def classify_multiplicity(program: ValuationProgram) -> MultiplicityClass:
         scaled = [j for j in range(len(prev)) if end[j] == ratio * prev[j]]
         rest = [j for j in range(len(prev)) if end[j] != ratio * prev[j]]
 
-        if not rest:
-            if ratio >= 1:
+        if ratio >= 1:
+            if not rest:
                 return MultiplicityClass(
                     "Divergent", detail=f"pass ratio {ratio} from pass {k}")
-            return MultiplicityClass(
-                "Convergent", head_sum + pass_sum / (1 - ratio),
-                detail=f"pass ratio {ratio} from pass {k}")
-
-        if ratio < 1 and _rest_stays_clear(program, scaled, rest, ratio,
+        elif not rest or _rest_stays_clear(program, scaled, rest, ratio,
                                            pass_sum, prev, vectors):
+            on = f" on {len(scaled)} coordinates" if rest else ""
             return MultiplicityClass(
                 "Convergent", head_sum + pass_sum / (1 - ratio),
-                detail=f"pass ratio {ratio} on {len(scaled)} coordinates "
-                       f"from pass {k}",
+                detail=f"pass ratio {ratio}{on} from pass {k}",
                 nonscaling=tuple(rest))
 
         head_sum += pass_sum

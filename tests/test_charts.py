@@ -65,6 +65,10 @@ def test_directive_validation():
         Directive(0, ((1, Fraction(1)), (1, Fraction(2))))
     with pytest.raises(ValueError):
         Directive(0, ((1, Fraction(0)),))
+    with pytest.raises(ValueError, match="pivot index -1 out of range"):
+        Directive(-1)
+    with pytest.raises(ValueError, match="translation index -1 out of range"):
+        Directive(0, ((-1, Fraction(1)),))
 
 
 def test_directive_dimension_check():

@@ -722,6 +722,7 @@ def test_strict_flags_undecided_values(capsys):
     assert json.loads(out)["decided"] is False
     code, out, err = run_cli(capsys, *args, "--strict")
     assert code == 4
+    assert err == "undecided: 1 answer(s) under --strict\n"
 
 
 def test_strict_flags_exhausted_membership(capsys):
@@ -729,18 +730,21 @@ def test_strict_flags_exhausted_membership(capsys):
                              "-e", "y/x^2", "--budget", "4", "--strict")
     assert code == 4
     assert json.loads(out)["union"]["verdict"] == "NotWithinBudget"
+    assert err == "undecided: 1 answer(s) under --strict\n"
 
 
 def test_strict_passes_decided_results(capsys):
     code, out, err = run_cli(capsys, "value", "--example", "ex3.7-2d",
                              "-e", "y - x", "--strict")
     assert code == 0
+    assert err == ""
 
 
 def test_strict_flags_unstabilized_eapprox(capsys):
     code, out, err = run_cli(capsys, "eapprox", "--example", "ex3.7-2d",
                              "-e", "y/x^2", "--budget", "4", "--strict")
     assert code == 4
+    assert err == "undecided: 1 answer(s) under --strict\n"
 
 
 # the ex3.7-2d walk over (u, v), as the quotient of a pullback along w
@@ -784,7 +788,9 @@ def test_strict_flags_every_undecided_answer(capsys, tmp_path, argv, key,
         assert line["union"] == {"verdict": "In", "stage": 0}
     if argv[0] == "eapprox":
         assert (line["start"], line["stabilized"]) == (0, False)
-    assert run_cli(capsys, *args, "--strict")[0] == 4
+    code, _, err = run_cli(capsys, *args, "--strict")
+    assert code == 4
+    assert err == "undecided: 1 answer(s) under --strict\n"
 
 
 # -- agreement bookkeeping ------------------------------------------------------------
@@ -797,6 +803,20 @@ def test_agreement_semantics():
     assert _agreement(found, PullbackVerdict("NotIn")) == "disagree"
     assert _agreement(missed, PullbackVerdict("In")) == "undecided"
     assert _agreement(found, PullbackVerdict("Undecided")) == "undecided"
+
+
+def test_a_disagreement_exits_3_with_one_stderr_line(capsys, monkeypatch):
+    """A pullback oracle forced to contradict the union search: the record
+    says so, and main writes one line for the exit code 3 it sets."""
+    monkeypatch.setattr(cli, "member_pullback",
+                        lambda *args: PullbackVerdict("NotIn", "forced"))
+    code, out, err = run_cli(capsys, "member", "--example", "ex5.3-shape",
+                             "--mode", "both", "-e", "y - x")
+    assert code == 3
+    assert '"agreement":"disagree"' in out
+    assert json.loads(out)["union"]["verdict"] == "In"
+    assert err == ("inconsistent: union and pullback disagree on 1 "
+                   "element(s)\n")
 
 
 def test_disagreement_beats_undecided_in_the_exit_code():

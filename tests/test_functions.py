@@ -84,6 +84,12 @@ def test_field_identities():
             assert f**3 * f**-3 == one
 
 
+def test_scaling_by_zero_gives_zero_over_one():
+    f = f_of("(y + 1)/x")
+    assert f.numerator.scale(0) == Polynomial.zero(XY)
+    assert f.scale(0) == RationalFunction.constant(0, XY)
+
+
 def test_negative_powers():
     f = f_of("x/y")
     assert f**-2 == f_of("y^2/x^2")
@@ -333,6 +339,7 @@ def test_monomial_unit_parts_none_when_not_monomial():
     ("(y - x)/x^2", "(-x + y)/x^2"),
     ("x*y", "x*y"),
     ("1/(x + y)", "1/(x + y)"),
+    ("1/(x*y)", "1/(x*y)"),
     ("x/(2*y)", "1/2*x/y"),
 ])
 def test_str_forms(text, shown):

@@ -17,7 +17,7 @@ import sympy as sp
 
 from lqt import (Directive, Polynomial, RationalFunction, exact_div,
                  poly_gcd, polynomials)
-from lqt.polynomials import cofactors, pow_terms
+from lqt.polynomials import cofactors, pow_terms, substitute_terms
 from helpers import (XY, XYZ, divides, random_poly, record_calls, rename,
                      to_sympy, to_sympy_rf)
 
@@ -112,6 +112,12 @@ def test_substitute_requires_every_variable():
     p = Polynomial.variable("x", XY)
     with pytest.raises(KeyError):
         p.substitute({"x": Polynomial.one(XY)})
+
+
+def test_substitute_terms_refuses_images_over_another_ring():
+    x = Polynomial.variable("x", XY)
+    with pytest.raises(ValueError, match="do not all live in the ring"):
+        substitute_terms([x.terms.items()], [x, Polynomial.one(XYZ)], XY)
 
 
 def test_substitute_matches_sympy():
@@ -244,6 +250,14 @@ def test_exact_div_failure_returns_none():
     assert exact_div(x, y) is None
     assert exact_div(x + y, x) is None
     assert not divides(y, x)
+
+
+def test_exact_div_of_zero_and_by_zero():
+    x = Polynomial.variable("x", XY)
+    zero = Polynomial.zero(XY)
+    assert exact_div(zero, x) == zero
+    with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+        exact_div(x, zero)
 
 
 def _gcd_pairs() -> list[tuple[Polynomial, Polynomial]]:
