@@ -3,7 +3,9 @@
 Commands operate on an example (built in, or loaded from a config file) and
 print one JSON object per line by default; --format table renders the same
 data for reading.  Exact values are serialized as strings ("3/2", "inf"),
-counters as integers, so output is byte-stable across runs.
+counters as integers, so output is byte-stable across runs.  Every record
+goes through Reporter.emit except `run`'s stage lines, which cmd_run writes
+directly, each equal to the line emit would print for its record.
 
 Exit codes: 0 success, 2 usage or config errors, 3 consistency failures
 (a stage that contradicts its program, or cross-checks that disagree),
@@ -108,29 +110,35 @@ def enc_scaled(num, den: int) -> str:
 # -- command implementations --------------------------------------------------
 
 def cmd_run(example: Example, args, rep: Reporter) -> None:
-    steps = args.steps
     rep.emit({"schema": "run.header", "example": example.name,
               "kind": example.kind, "bases": list(example.ambient),
               "description": example.description})
     source = example.source
     bases = tuple(source.bases)
+    as_json = rep.fmt == "json"
+    encode = _JSON.encode if as_json else str
+    # each run.stage line is the one emit would print for its record, built
+    # here directly; redirect_stdout and capsys swap sys.stdout before a call
+    write = sys.stdout.write
     # a periodic walk repeats a few steps: each one's text is built once
     texts: dict = {}
-    for n in range(steps + 1):
+    text = encode(None)
+    for n in range(args.steps + 1):
         nums, den = source.scaled_vector_at(n)
-        text = None
+        values = [enc_scaled(v, den) for v in nums]
+        mult = values[nums.index(min(nums))]
         if n:
             step = source.directive_at(n)
             text = texts.get(step)
             if text is None:
-                text = texts[step] = step.describe(bases)
-        rep.emit({
-            "schema": "run.stage",
-            "stage": n,
-            "directive": text,
-            "values": [enc_scaled(v, den) for v in nums],
-            "multiplicity": enc_scaled(min(nums), den),
-        })
+                text = texts[step] = encode(step.describe(bases))
+        if as_json:
+            joined = '","'.join(values)
+            write(f'{{"directive":{text},"multiplicity":"{mult}","schema":'
+                  f'"run.stage","stage":{n},"values":["{joined}"]}}\n')
+        else:
+            write(f"directive: {text}  multiplicity: {mult}  stage: {n}  "
+                  f"values: {' '.join(values)}\n")
 
 
 def cmd_member(example: Example, args, rep: Reporter) -> None:

@@ -1,10 +1,10 @@
 """Shared test helpers: sympy conversion, seeded random generators, a call
 recorder, the polynomial utilities only tests use, the reference forms of
 fast paths (the walk states and the iterated transforms of `e_approx`),
-and oracles the package itself does not need: expression
-trees evaluated with field operations, explicit coordinate charts, orders
-and monomial-unit splits at the origin, prime membership, induced quotient
-programs and program text written back."""
+texts for fuzzing the parsers, and oracles the package itself does not
+need: expression trees evaluated with field operations, explicit coordinate
+charts, orders and monomial-unit splits at the origin, prime membership,
+induced quotient programs and program text written back."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
+import hypothesis.strategies as st
 import sympy as sp
 
 from lqt import (CompositeValue, CoordinatePrime, Directive, LimitTrace,
@@ -444,3 +445,44 @@ def serialize_program(program: ValuationProgram) -> str:
         lines.append(step.describe(program.bases))
     lines.append("")
     return "\n".join(lines)
+
+
+# the sections of well-formed program texts for the parser fuzz tests, one
+# of each row in any order; the [values] that names z fits [vars] x y too
+_PROGRAM_SECTIONS = [
+    ["[vars]\nx y\n", "[vars]\nx, y, z\n"],
+    ["[values]\nx = 1\ny = 1\n", "[values]\nx = 1/2\ny = 2 # ok\nz = 5\n"],
+    ["", "[preperiod]\npivot=y translate x:-2/3->2\n"],
+    ["[period]\npivot=x translate y:1->1/2\npivot=y\n",
+     "[period]\npivot=x\n"],
+]
+PROGRAM_SHAPES = st.tuples(*map(st.sampled_from, _PROGRAM_SECTIONS)).flatmap(
+    st.permutations).map("".join)
+# pieces of program lines for the parser fuzz tests, some too large or wrong
+PROGRAM_FRAGMENTS = ["[vars]\n", "[values]\n", "[period]\n", "[junk]\n",
+                     "[", "]", "\n", " ", ",", "#", "=", "x x", "x = 0",
+                     "y = 1e999999", "9" * 1400, "pivot=q",
+                     " translate y:0->1", " translate z:1->-1",
+                     " translate y:1/0->1", " translate x:1->1", "->", ":",
+                     "\u00e9", "\u0663"]
+
+
+def fuzz_texts(shapes: st.SearchStrategy[str],
+               fragments: list[str]) -> st.SearchStrategy[str]:
+    """Texts for a parser fuzz test: a well-formed shape with up to three
+    edits (a fragment or any character inserted, or a span cut out, at a
+    drawn place), or fragments and characters strung together."""
+    pieces = st.sampled_from(fragments) | st.characters()
+
+    @st.composite
+    def edited(draw) -> str:
+        text = draw(shapes)
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(text)))
+            if draw(st.booleans()):
+                text = text[:i] + draw(pieces) + text[i:]
+            else:
+                text = text[:i] + text[draw(st.integers(i, len(text))):]
+        return text
+
+    return edited() | st.lists(pieces, max_size=24).map("".join)

@@ -2,6 +2,8 @@
 table format, and config handling."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -11,15 +13,19 @@ import sys
 import time
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from lqt import cli, get_example
+from lqt import cli, example_names, get_example
 from lqt.cli import (MAX_BUDGET, MAX_STEPS, Reporter, _agreement,
-                     build_parser, enc, main)
+                     build_parser, enc, enc_scaled, main)
 from lqt.config import MAX_CONFIG_BYTES, load_config_file
 from lqt.analysis import MembershipVerdict
-from lqt.programs import POS_INF, ProgramConsistencyError, ProgramStep
-from lqt.pullback import PullbackVerdict
+from lqt.programs import (POS_INF, ProgramConsistencyError, ProgramStep,
+                          ValuationProgram)
+from lqt.pullback import CoordinatePrime, LiftedTrace, PullbackVerdict
+from lqt.registry import Example
 from golden_cases import GOLDEN_CASES
 from helpers import BAD_STEP_LINES, bad_step_program, record_calls
 
@@ -78,6 +84,125 @@ def test_golden_lines_are_valid_json():
             for line in handle:
                 obj = json.loads(line)
                 assert "schema" in obj
+
+
+# -- the direct run.stage writer ------------------------------------------------------
+
+ALT3 = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                    "configs", "alt3.cfg")
+
+
+def emitted_run(example: Example, steps: int,
+                fmt: str) -> tuple[str, str | None]:
+    """`lqt run`'s output with every record printed by Reporter.emit, and
+    the message of the inconsistency that stops the walk, if one does: the
+    oracle for the stage lines cmd_run writes directly."""
+    source = example.source
+    bases = tuple(source.bases)
+    rep = Reporter(fmt, False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rep.emit({"schema": "run.header", "example": example.name,
+                  "kind": example.kind, "bases": list(example.ambient),
+                  "description": example.description})
+        try:
+            for n in range(steps + 1):
+                nums, den = source.scaled_vector_at(n)
+                rep.emit({"schema": "run.stage", "stage": n,
+                          "directive": (source.directive_at(n).describe(bases)
+                                        if n else None),
+                          "values": [enc_scaled(v, den) for v in nums],
+                          "multiplicity": enc_scaled(min(nums), den)})
+        except ProgramConsistencyError as exc:
+            return out.getvalue(), str(exc)
+    return out.getvalue(), None
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("source", [
+    *(("--example", name) for name in example_names()),
+    ("--config", ALT3)], ids=[*example_names(), "alt3.cfg"])
+def test_run_stage_lines_equal_the_general_encoder(capsys, source, fmt):
+    code, out, err = run_cli(capsys, "run", *source, "--steps", "300",
+                             "--format", fmt)
+    assert (code, err) == (0, "")
+    flag, name = source
+    example = get_example(name) if flag == "--example" else (
+        load_config_file(name))
+    assert out == emitted_run(example, 300, fmt)[0]
+    assert out.count("\n") == 302
+
+
+_NAME = st.text(min_size=1, max_size=3)
+_NONZERO = st.builds(lambda n, sign, d: Fraction(sign * n, d),
+                     st.integers(1, 5), st.sampled_from([1, -1]),
+                     st.integers(1, 4))
+_POSITIVE = st.builds(Fraction, st.integers(1, 5), st.integers(1, 4))
+
+
+@st.composite
+def drawn_walks(draw):
+    """A builder of fresh copies of one small program over 2 or 3
+    variables with any names, whose steps translate by fractional and
+    negative constants; lifted along a prime whose generator comes first,
+    or not.  Half the programs draw each step to fit the values it meets,
+    so they run until a later pass of the period breaks, if one does; the
+    rest mostly break within a stage or two."""
+    dim = draw(st.integers(2, 3))
+    names = draw(st.lists(_NAME, min_size=dim + 1, max_size=dim + 1,
+                          unique=True))
+    values = draw(st.lists(_POSITIVE, min_size=dim, max_size=dim))
+    at = list(values) if draw(st.booleans()) else None
+
+    def step() -> ProgramStep:
+        if at is None:
+            pivot = draw(st.integers(0, dim - 1))
+            others = draw(st.lists(st.sampled_from(
+                [j for j in range(dim) if j != pivot]), unique=True))
+        else:
+            low = min(at)
+            pivot = draw(st.sampled_from(
+                [j for j in range(dim) if at[j] == low]))
+            others = [j for j in range(dim) if j != pivot and at[j] == low]
+        trans = [(j, draw(_NONZERO), draw(_POSITIVE)) for j in others]
+        if at is not None:
+            for j in range(dim):
+                if j != pivot:
+                    at[j] -= at[pivot]
+            for j, _, factor in trans:
+                at[j] = factor * at[pivot]
+        return ProgramStep(pivot, trans)
+
+    preperiod = [step() for _ in range(draw(st.integers(0, 2)))]
+    period = [step() for _ in range(draw(st.integers(1, 3)))]
+    lifted = draw(st.booleans())
+
+    def build() -> Example:
+        program = ValuationProgram(names[:dim], values, preperiod, period)
+        if not lifted:
+            return Example("drawn", "drawn program", program)
+        prime = CoordinatePrime((names[dim], *names[:dim]), (names[dim],))
+        return Example("drawn", "drawn lifted program",
+                       LiftedTrace(program, prime))
+    return build
+
+
+@settings(deadline=None, max_examples=80)
+@given(drawn_walks(), st.integers(0, 40), st.sampled_from(["json", "table"]))
+def test_drawn_run_stage_lines_equal_the_general_encoder(build, steps, fmt):
+    """Names with quotes, backslashes or other characters JSON escapes
+    reach the directive text, and the lines before an inconsistency are
+    the oracle's too.  The oracle walks a fresh copy of the walk."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            cli.cmd_run(build(), argparse.Namespace(steps=steps),
+                        Reporter(fmt, False))
+        except ProgramConsistencyError as exc:
+            failure = str(exc)
+        else:
+            failure = None
+    assert (out.getvalue(), failure) == emitted_run(build(), steps, fmt)
 
 
 # -- usage errors (exit 2) ------------------------------------------------------------

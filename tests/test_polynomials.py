@@ -100,6 +100,17 @@ def test_min_exponents_and_leading():
     assert p.leading() == ((2, 1), Fraction(3))
 
 
+def test_zero_has_no_min_exponents():
+    with pytest.raises(ValueError, match="zero polynomial has no exponents"):
+        Polynomial.zero(XY).min_exponents()
+
+
+def test_zero_has_no_leading_term():
+    with pytest.raises(ValueError,
+                       match="zero polynomial has no leading term"):
+        Polynomial.zero(XY).leading()
+
+
 def test_unit_at_origin():
     assert Polynomial(XY, {(0, 0): 2, (1, 0): 1}).is_unit_at_origin()
     assert not Polynomial.variable("x", XY).is_unit_at_origin()

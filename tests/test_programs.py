@@ -7,7 +7,9 @@ import os
 import re
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from lqt import (Directive, Infinite, MultiplicityClass, NEG_INF, POS_INF,
                  ProgramConsistencyError, ProgramError, ProgramFormatError,
@@ -16,7 +18,8 @@ from lqt import (Directive, Infinite, MultiplicityClass, NEG_INF, POS_INF,
                  parse_program)
 from lqt.cli import main
 from lqt.config import load_config_file
-from helpers import (BAD_STEP_LINES, bad_step_program, scaled_step,
+from helpers import (BAD_STEP_LINES, PROGRAM_FRAGMENTS, PROGRAM_SHAPES,
+                     bad_step_program, fuzz_texts, scaled_step,
                      serialize_program, stage_values, two_loop_next_values)
 
 F = Fraction
@@ -459,3 +462,13 @@ def test_step_faults_carry_line_numbers(line, message):
         parse_program(bad_step_program(line))
     assert info.value.line == 7
     assert str(info.value) == f"line 7: {message}"
+
+
+@settings(deadline=None, max_examples=200)
+@given(fuzz_texts(PROGRAM_SHAPES, PROGRAM_FRAGMENTS))
+def test_any_text_parses_to_a_program_or_raises_program_error(text):
+    try:
+        program = parse_program(text)
+    except ProgramError:
+        return
+    assert isinstance(program, ValuationProgram)

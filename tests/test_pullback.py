@@ -314,6 +314,19 @@ def test_lifted_series_trace(prime_z):
     assert multiplicity_sequence(lifted, 3) == [F(1)] * 3
 
 
+@pytest.mark.parametrize("name", ["nonarch2d", "ex5.3-shape"])
+def test_lifted_stages_are_kept_and_negative_stages_refused(name):
+    """nonarch2d lifts a program walk and ex5.3-shape a series walk."""
+    lifted = get_example(name).source
+    assert isinstance(lifted, LiftedTrace)
+    kept = lifted.scaled_vector_at(5)
+    assert lifted.scaled_vector_at(5) is kept
+    assert lifted.scaled_vector_at(2) is lifted.scaled_vector_at(2)
+    for n in (-1, -6):
+        with pytest.raises(ValueError, match=f"^stage {n} out of range$"):
+            lifted.scaled_vector_at(n)
+
+
 def test_walks_build_each_distinct_step_once(monkeypatch):
     """A series walk keeps one step per distinct coefficient and a lifted
     walk one per distinct quotient step, however many stages are read.

@@ -3,12 +3,15 @@
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from lqt import (ConfigError, FactorialGaps, GeometricGaps, POS_INF,
                  SeriesDVR, ValuationProgram, example_names, get_example,
                  load_config_file, load_config_text, parse_program)
-from helpers import stage_values
+from helpers import (PROGRAM_FRAGMENTS, PROGRAM_SHAPES, fuzz_texts,
+                     stage_values)
 
 F = Fraction
 
@@ -190,3 +193,28 @@ def test_readme_config_blocks_load():
 
 def test_config_error_is_a_value_error():
     assert issubclass(ConfigError, ValueError)
+
+
+# well-formed configs of all three shapes for the fuzz test, and pieces of
+# their lines, some wrong
+_CONFIG_SHAPES = PROGRAM_SHAPES | st.sampled_from([
+    "[vars]\nx y\n[series]\ny = factorial\n",
+    "[series]\ny = periodic(1, 0, 2/3)\n[vars]\nx, y\n",
+    "[vars]\nx y z\n[pullback]\nprime = [z]\nseries y = geometric(2)\n",
+    "[vars]\nx y z\n[pullback]\nprime = [y]\n"
+    "[values]\nx = 1\nz = 2\n[period]\npivot=x\n",
+])
+_CONFIG_FRAGMENTS = PROGRAM_FRAGMENTS + [
+    "[series]\n", "[pullback]\n", "prime = [z]", "prime = [y, z]",
+    "prime = [x, y, z]", "prime = []", "series ", "y = ", "factorial",
+    "geometric(1)", "periodic(0)", "periodic(1/0)", "x y z"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(fuzz_texts(_CONFIG_SHAPES, _CONFIG_FRAGMENTS))
+def test_any_text_loads_an_example_or_raises_config_error(text):
+    try:
+        example = load_config_text(text, "fuzz")
+    except ConfigError:
+        return
+    assert example.kind in ("program", "series", "pullback")

@@ -15,7 +15,7 @@ from lqt import (AnalysisSession, CoefficientStream, Directive,
                  FactorialGaps, GeometricGaps, PeriodicCoefficients,
                  Polynomial, RationalFunction, SeriesDVR, StreamError,
                  multiplicity_sequence, parse_stream, series_value)
-from helpers import XY, record_calls, stage_values
+from helpers import XY, fuzz_texts, record_calls, stage_values
 from conftest import el_on
 
 F = Fraction
@@ -117,6 +117,25 @@ def test_parse_stream_forms():
 def test_parse_stream_errors(text, fragment):
     with pytest.raises(StreamError, match=fragment.replace("(", "\\(")):
         parse_stream(text)
+
+
+# the stream forms, their arguments and stray characters for the fuzz test,
+# some arguments too large or wrong
+_STREAM_SHAPES = st.sampled_from(["factorial", "geometric(3)",
+                                  " periodic(1, 0, 2/3) ", "periodic(-1/2)"])
+_STREAM_FRAGMENTS = ["factorial", "geometric", "periodic", "(", ")", ",", " ",
+                     "0", "1", "-1", "2/3", "1/0", "0.5", "1e-3", "1e999999",
+                     "9" * 1400, "9" * 5000, "x", "\u0663", "\u00e9", "\n"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(fuzz_texts(_STREAM_SHAPES, _STREAM_FRAGMENTS))
+def test_any_text_parses_to_a_stream_or_raises_stream_error(text):
+    try:
+        stream = parse_stream(text)
+    except StreamError:
+        return
+    assert isinstance(stream, CoefficientStream)
 
 
 # -- the valuation --------------------------------------------------------------------
