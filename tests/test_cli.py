@@ -166,11 +166,10 @@ def drawn_walks(draw):
             others = [j for j in range(dim) if j != pivot and at[j] == low]
         trans = [(j, draw(_NONZERO), draw(_POSITIVE)) for j in others]
         if at is not None:
-            for j in range(dim):
-                if j != pivot:
-                    at[j] -= at[pivot]
+            low = at[pivot]
+            at[:] = [v if j == pivot else v - low for j, v in enumerate(at)]
             for j, _, factor in trans:
-                at[j] = factor * at[pivot]
+                at[j] = factor * low
         return ProgramStep(pivot, trans)
 
     preperiod = [step() for _ in range(draw(st.integers(0, 2)))]
