@@ -227,12 +227,10 @@ class LiftedTrace:
 
     Prime coordinates are never pivoted or translated and carry an infinite
     value at every stage.  This is deliberately not a ValuationProgram: its
-    stage vectors contain infinities, which programs never hold.  Like a
-    program, it keeps the lifted stages built so far in `_stages`.
+    stage vectors contain infinities, which programs never hold.
     """
 
-    __slots__ = ("quotient", "prime", "bases", "_ambient_index", "_steps",
-                 "_stages")
+    __slots__ = ("quotient", "prime", "bases", "_ambient_index", "_steps")
 
     def __init__(self, quotient: QuotientValuation, prime: CoordinatePrime):
         if tuple(quotient.bases) != prime.residue_bases:
@@ -247,7 +245,6 @@ class LiftedTrace:
         # the lifted step of each distinct quotient step, built when first
         # asked for; it assigns no values of its own
         self._steps: dict[Directive, Directive] = {}
-        self._stages: list[ScaledVector] = []
 
     def directive_at(self, n: int) -> Directive:
         qd = self.quotient.directive_at(n)
@@ -260,16 +257,11 @@ class LiftedTrace:
 
     def scaled_vector_at(self, n: int) -> ScaledVector:
         """The quotient's scaled stage n, POS_INF on each prime coordinate."""
-        if n < 0:
-            raise ValueError(f"stage {n} out of range")
-        stages = self._stages
-        while len(stages) <= n:
-            qnums, den = self.quotient.scaled_vector_at(len(stages))
-            out: list[int | Infinite] = [POS_INF] * len(self.bases)
-            for i, v in zip(self._ambient_index, qnums):
-                out[i] = v
-            stages.append((tuple(out), den))
-        return stages[n]
+        qnums, den = self.quotient.scaled_vector_at(n)
+        out: list[int | Infinite] = [POS_INF] * len(self.bases)
+        for i, v in zip(self._ambient_index, qnums):
+            out[i] = v
+        return tuple(out), den
 
     def __repr__(self) -> str:
         return f"LiftedTrace({self.quotient!r} along {self.prime!r})"
