@@ -16,13 +16,18 @@ work.
 
 A step is one pass per side.  The exponent vector moves by arithmetic
 alone (every exponent adds to the pivot's; an untranslated coordinate also
-keeps its own, and a translated one leaves only a unit).  Each side that is
-not one is substituted to a term map; the map's componentwise minimum
-moves into the exponent vector, and the shifted map becomes the side,
-built once as a Polynomial, or the session's one when it has a constant
-term.  The initial state is normalized the same way.  A monomial state,
-num and den both one, thus advances with no substitution: x/z on
-ex3.7-3d crosses hundreds of stages without one.
+keeps its own, and a translated one leaves only a unit).  A step that
+translates nothing is a monomial change of coordinates: it sends each term
+x^e to the one term with the pivot's exponent replaced by the degree |e|,
+so a side's terms only have their pivot exponents moved, and the side's
+order, the least |e|, is the one monomial factor that leaves it for the
+pivot's exponent.  A step that translates some coordinate substitutes each
+side that is not one to a term map; the map's componentwise minimum moves
+into the exponent vector.  Either way the rest becomes the side, built
+once as a Polynomial, or the session's one when it has a constant term.
+The initial state is normalized the same way.  A monomial state, num and
+den both one, thus advances with no substitution: x/z on ex3.7-3d crosses
+hundreds of stages without one.
 
 The iterated transforms behind ``e_approx`` differ from the element only by
 a monomial in the stage coordinates, so they reuse the cached states and
@@ -192,15 +197,37 @@ class AnalysisSession:
         """State at stage n from the state at stage n-1, in one pass per
         side (see the module docstring).
 
+        A step that translates nothing moves each side's terms by exponent
+        arithmetic.  That relies on every side that is not one having
+        componentwise minimum exponents 0, as `_normalized` leaves it: the
+        step then keeps every exponent but the pivot's, so only the pivot's
+        minimum, the side's order, can move into the exponent vector.
+
         A side counts as one when it is the session's one, which every unit
-        becomes; a one built elsewhere is substituted and normalized like
-        any other side, to the same state."""
+        becomes; a one built elsewhere is moved or substituted like any
+        other side, to the same state."""
         p, kept, images = self._step(n)
         e = _moved(state.exponents, p, kept)
         one = self._one
         sides = (state.num, state.den)
         if state.num is one and state.den is one:
             return ElementState(tuple(e), one, one)
+        if len(kept) == len(e) - 1:
+            # a term x^k goes to x^k with k_p := |k|, so no two terms merge
+            zero = (0,) * len(e)
+            out = []
+            for sign, q in zip((1, -1), sides):
+                if q is not one:
+                    terms = q.terms
+                    degrees = list(map(sum, terms))
+                    o = min(degrees)
+                    e[p] += sign * o
+                    moved = {(*k[:p], d - o, *k[p + 1:]): c
+                             for (k, c), d in zip(terms.items(), degrees)}
+                    q = (one if zero in moved
+                         else Polynomial._make(self.bases, moved))
+                out.append(q)
+            return ElementState(tuple(e), *out)
         # one call, so numerator and denominator share the power cache
         done = iter(substitute_terms([q.terms.items() for q in sides
                                       if q is not one], images, self.bases))

@@ -15,7 +15,7 @@ four assume no sign of the exponents, so the parser runs them on Laurent
 term maps too, and a power of one term may be negative.
 
 Substitution (`substitute_terms`, behind `Polynomial.substitute`,
-`RationalFunction.substitute` and every walk step of the analysis) returns
+`RationalFunction.substitute` and every translated walk step) returns
 term maps, so a caller that reshapes the result builds its `Polynomial`
 once.  It splits every image into a monomial and a cofactor: the monomials
 become exponent shifts, constant cofactors become coefficient factors, and
@@ -28,7 +28,9 @@ tries to prove the parts coprime from images modulo p = 2^61 - 1.  A
 common factor has positive degree only in a variable v in which both
 parts do; for each such v, every other variable is put at a fixed nonzero
 residue (`_point`, by index, so answers and timings repeat) and the
-Euclidean remainder sequence of the sparse images in v runs over Z/p.  If
+Euclidean remainder sequence of the sparse images in v runs over Z/p; a
+degree far above the divisor's is reduced term by term, by squaring, so
+x^99999999999 costs its bits rather than its size.  If
 both images keep their degree in v and their gcd is constant, no common
 factor g has positive degree in v: g, primitive over the integers,
 divides each part scaled to integers (Gauss's lemma), so its image divides
@@ -686,14 +688,62 @@ def _image(terms: Mapping[Exponents, Coefficient], v: int,
     return {d: s for d, r in img.items() if (s := r % _P)}
 
 
+def _rem_by_squaring(r: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """r modulo nonzero b, both sparse images modulo _P: each term x^d
+    becomes x^d mod b, found by squaring in O(deg(b)^2 log d) steps, so a
+    huge sparse degree costs its bits, not its size."""
+    db = max(b)
+    inv = pow(b[db], -1, _P)
+    # x^db modulo b, as (degree, coefficient) pairs
+    low = [(d, -c * inv % _P) for d, c in b.items() if d != db]
+
+    def reduced(w: list[int]) -> list[int]:
+        for k in range(len(w) - 1, db - 1, -1):
+            if t := w[k] % _P:
+                for d, c in low:
+                    w[k - db + d] += t * c
+        return [s % _P for s in w[:db]]
+
+    def times(u: list[int], v: list[int]) -> list[int]:
+        w = [0] * (len(u) + len(v))
+        for i, a in enumerate(u):
+            if a:
+                for j, c in enumerate(v):
+                    w[i + j] += a * c
+        return reduced(w)
+
+    rem = [0] * db
+    squares = [reduced([0, 1])]  # x^(2^i) modulo b at index i
+    for d, c in r.items():
+        if d < db:
+            rem[d] += c
+            continue
+        term = reduced([c])
+        for i in range(d.bit_length()):
+            if i == len(squares):
+                squares.append(times(squares[-1], squares[-1]))
+            if d >> i & 1:
+                term = times(term, squares[i])
+        for k, t in enumerate(term):
+            rem[k] += t
+    return {d: s for d, t in enumerate(rem) if (s := t % _P)}
+
+
 def _rem_mod(r: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """r reduced in place modulo nonzero b, both sparse images modulo _P,
-    up to a unit: each step scales r by lc(b), so nothing is inverted."""
+    """r reduced modulo nonzero b, both sparse images modulo _P, up to a
+    unit.  Each step of the division loop scales r in place by lc(b), so
+    nothing is inverted, and takes off one degree; a degree far above b's
+    goes to `_rem_by_squaring` instead."""
     db = max(b)
     lb = b[db]
     # b's lower terms as (degree below its leading one, coefficient)
     tail = [(d - db, c) for d, c in b.items() if d != db]
+    # the loop takes up to max(r) steps of about db + len(r) terms each,
+    # squaring about len(r) * log max(r) products of db^2 terms each
+    far = 64 * len(r) * (db + 1)
     while r and (dr := max(r)) >= db:
+        if dr > far:
+            return _rem_by_squaring(r, b)
         q = r.pop(dr)
         for d in r:
             r[d] = r[d] * lb % _P

@@ -5,16 +5,19 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
-from lqt import (AnalysisSession, CoordinatePrime, LiftedTrace, LimitTrace,
-                 MembershipVerdict, POS_INF, Polynomial, RationalFunction,
+from lqt import (AnalysisSession, CoordinatePrime, Directive, LiftedTrace,
+                 LimitTrace, MembershipVerdict, POS_INF, Polynomial,
+                 RationalFunction,
                  SeriesDVR, ShannonClass, analysis, classify_shannon,
                  example_names, get_example, load_config_file,
                  load_config_text, multiplicity_sequence, parse_program,
                  polynomials)
 from conftest import el
-from helpers import (XY, Chart, apply_directive, general_states, ord_n,
+from helpers import (XY, XYZ, Chart, apply_directive, general_states, ord_n,
                      random_rf, record_calls, stepped_e_approx)
 
 F = Fraction
@@ -277,6 +280,13 @@ def test_walk_steps_match_the_general_path(monkeypatch):
                 state = session.state_at(f, n)
                 assert (state.exponents, state.num, state.den) == oracle[n], \
                     (name, str(f), n)
+    # untranslated runs between the translated steps 1, 2, 6 and 24
+    session = AnalysisSession(get_example("dvr-curve").source)
+    f = el("(y - x - x^2 - x^6 - x^24)*(1 + 37*x)", session)
+    oracle = general_states(session, f, 30)
+    for n in range(31):
+        state = session.state_at(f, n)
+        assert (state.exponents, state.num, state.den) == oracle[n], n
     # a monomial state advances by exponents alone
     session = AnalysisSession(get_example("ex3.7-3d").source)
     substitutions = record_calls(monkeypatch, analysis, "substitute_terms")
@@ -300,6 +310,96 @@ def test_a_walk_step_builds_each_side_once(monkeypatch):
     assert not (after.num.is_one() or after.den.is_one())
     assert len(makes) == 2
     assert shifts == []
+
+
+def test_an_untranslated_step_substitutes_nothing(monkeypatch):
+    session = AnalysisSession(get_example("dvr-curve").source)
+    f = el("(y - x - x^2 - x^6)/(y - x - x^2 - 2*x^4)", session)
+    state = session.state_at(f, 2)
+    assert not (state.num.is_one() or state.den.is_one())
+    assert not session.source.directive_at(3).translations
+    session.state_at(el("x", session), 3)  # builds step 3
+    makes = record_calls(monkeypatch, Polynomial, "_make")
+    substitutions = record_calls(monkeypatch, analysis, "substitute_terms")
+    after = session.advance_state(state, 3)
+    assert not (after.num.is_one() or after.den.is_one())
+    assert len(makes) == 2
+    assert substitutions == []
+
+
+def test_a_value_substitutes_only_at_translated_steps(monkeypatch):
+    session = AnalysisSession(get_example("dvr-curve").source)
+    f = el("(y - x - x^2 - x^6 - x^24)*(1 + 37*x)", session)
+    session.state_at(el("x", session), 30)  # builds the steps
+    stage_of = {id(session._step(n)[2]): n for n in range(1, 31)}
+    substitutions = record_calls(monkeypatch, analysis, "substitute_terms")
+    assert session.value_of(f, 30) == (120, 24)
+    substituted = [stage_of[id(images)] for _, images, _ in substitutions]
+    # the state is a monomial from stage 24 on
+    assert substituted == [1, 2, 6, 24]
+
+
+def _drawn_side(draw, n: int):
+    """A side that is not one as a normalized state holds it: a term map
+    over n variables with componentwise minimum 0 and no constant term."""
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    terms = draw(st.dictionaries(exps, st.integers(-5, 5).filter(bool),
+                                 min_size=1, max_size=5))
+    terms.pop((0,) * n, None)
+    if not terms:
+        terms = {(1,) + (0,) * (n - 1): 1}
+    m = tuple(map(min, zip(*terms)))
+    return {tuple(a - b for a, b in zip(e, m)): c for e, c in terms.items()}
+
+
+@st.composite
+def untranslated_steps(draw):
+    """(bases, pivot, exponents, num, den) for one Directive(pivot) step;
+    a side is the session's one (None), a one built elsewhere ("one") or a
+    normalized term map that is not a unit."""
+    bases = draw(st.sampled_from([XY, XYZ]))
+    n = len(bases)
+    sides = [draw(st.sampled_from([None, "one", "terms", "terms"]))
+             for _ in range(2)]
+    sides = [_drawn_side(draw, n) if side == "terms" else side
+             for side in sides]
+    exponents = draw(st.tuples(*[st.integers(-4, 4)] * n))
+    return bases, draw(st.integers(0, n - 1)), exponents, *sides
+
+
+class _OneStep:
+    def __init__(self, bases, pivot):
+        self.bases = bases
+        self.directive = Directive(pivot)
+
+    def directive_at(self, n):
+        return self.directive
+
+
+@settings(deadline=None, max_examples=300)
+@given(untranslated_steps())
+# x + y^2 under pivot x becomes x*(1 + x*y^2), a unit times x
+@example((XY, 0, (1, -2), {(1, 0): 1, (0, 2): 1}, {(0, 1): 3, (2, 0): 1}))
+@example((XY, 1, (0, 0), "one", {(1, 1): 2, (0, 3): -1}))
+def test_an_untranslated_step_matches_substitution(drawn):
+    bases, pivot, exponents, num, den = drawn
+    session = AnalysisSession(_OneStep(bases, pivot))
+    one = session._one
+    sides = tuple(one if q is None else Polynomial.one(bases) if q == "one"
+                  else Polynomial(bases, q) for q in (num, den))
+    state = analysis.ElementState(exponents, *sides)
+    p, kept, images = session._step(1)
+    assert len(kept) == len(bases) - 1
+    done = iter(polynomials.substitute_terms(
+        [q.terms.items() for q in sides if q is not one], images, bases))
+    want = analysis._normalized(analysis._moved(exponents, p, kept),
+                                tuple(q if q is one else next(done)
+                                      for q in sides), one)
+    got = session.advance_state(state, 1)
+    assert (got.exponents, got.num, got.den) == (want.exponents, want.num,
+                                                 want.den)
+    assert (got.num is one, got.den is one) == (want.num is one,
+                                                want.den is one)
 
 
 def test_e_approx_after_w_approx_substitutes_nothing(monkeypatch):

@@ -302,10 +302,13 @@ PRODUCT_PROBE = ("((x+y+z+1)^{k} + x)/((x+2*y+z+3)^{k} + y)"
     ("ex3.7-3d", PRODUCT_PROBE.format(k=8)),
     ("ex3.7-2d", "((x+y)/(x-y+1))^20 + ((x-y)/(x+y+1))^20"),
     ("ex3.7-2d", "(x^400000+1)/(x+2)"),
-], ids=["product-k6", "product-k8", "power-20-sum", "sparse-power"])
+    ("ex3.7-2d", "(x^99999999999+y)/(x+y)"),
+], ids=["product-k6", "product-k8", "power-20-sum", "sparse-power",
+        "huge-sparse-power"])
 def test_coprime_dense_parts_are_prompt(example, element):
     # the subresultant sequence took 25.8 s (k = 6), over 170 s (k = 8),
-    # 9.3 s (the sum) and 9.0 s (x^400000) to prove these parts coprime
+    # 9.3 s (the sum) and 9.0 s (x^400000) to prove these parts coprime;
+    # the certificate's division loop never ended on x^99999999999
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     start = time.perf_counter()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -426,6 +427,19 @@ def test_the_certificate_keeps_sparse_images():
         tracemalloc.stop()
     assert g == one
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("exponent", [400000, 99999999999])
+def test_the_certificate_squares_its_way_down_huge_sparse_degrees(
+        monkeypatch, exponent):
+    # the division loop takes one step per degree of x^exponent
+    x, y = (Polynomial.variable(v, XY) for v in XY)
+    p, q = x ** exponent + y, x + y
+    squarings = record_calls(monkeypatch, polynomials, "_rem_by_squaring")
+    start = time.perf_counter()
+    assert polynomials._coprime(p.terms, q.terms)
+    assert time.perf_counter() - start < 1
+    assert squarings
 
 
 def test_gcd_takes_contents_without_reentering_poly_gcd(monkeypatch):

@@ -15,8 +15,8 @@ from lqt import (Directive, GeometricGaps, NEG_INF, POS_INF, ParseError,
                  PeriodicCoefficients, Polynomial, ProgramConsistencyError,
                  ProgramStep, RationalFunction, SeriesDVR, ValuationProgram,
                  exact_div, functions, parse_expr, poly_gcd, series_value)
-from lqt.polynomials import (_coprime, cofactors, coefficient, mul_terms,
-                             pow_terms)
+from lqt.polynomials import (_P, _coprime, _rem_by_squaring, _rem_mod,
+                             cofactors, coefficient, mul_terms, pow_terms)
 from lqt.series import _evaluate_truncated
 from helpers import (XY, XYZ, divides, evaluate_tree, ord_at_origin,
                      render_tree, to_sympy, two_loop_next_values)
@@ -91,6 +91,32 @@ def test_the_coprimality_certificate_is_sound(a, b):
        nonzero_polynomials, nonzero_polynomials)
 def test_the_certificate_never_passes_a_shared_factor(g, a, b):
     assert not _coprime((g * a).terms, (g * b).terms)
+
+
+def _monic_mod_p(r: dict[int, int]) -> dict[int, int]:
+    if not r:
+        return r
+    inv = pow(r[max(r)], -1, _P)
+    return {d: c * inv % _P for d, c in r.items()}
+
+
+residues = st.integers(1, _P - 1)
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.integers(0, 6), residues, min_size=1, max_size=4),
+       st.data())
+def test_remainders_by_squaring_match_the_division_loop(b, data):
+    # degrees low enough that _rem_mod keeps its loop
+    top = 64 * (max(b) + 1)
+    r = data.draw(st.dictionaries(st.integers(0, top), residues, min_size=1,
+                                  max_size=6))
+    with mock.patch("lqt.polynomials._rem_by_squaring") as fast:
+        looped = _rem_mod(dict(r), b)
+    fast.assert_not_called()
+    squared = _rem_by_squaring(dict(r), b)
+    assert max(squared, default=-1) < max(b)
+    assert _monic_mod_p(squared) == _monic_mod_p(looped)
 
 
 @settings(deadline=None)
