@@ -14,23 +14,42 @@ substitution only ever creates monomial common factors, so stripping
 monomials into the exponent vector keeps the pair coprime without any gcd
 work.
 
-A step is one pass per side.  The exponent vector moves by arithmetic
-alone (every exponent adds to the pivot's; an untranslated coordinate also
-keeps its own, and a translated one leaves only a unit).  A step that
-translates nothing is a monomial change of coordinates: it sends each term
-x^e to the one term with the pivot's exponent replaced by the degree |e|,
-so a side's terms only have their pivot exponents moved, and the side's
-order, the least |e|, is the one monomial factor that leaves it for the
-pivot's exponent.  A step that translates some coordinate substitutes each
-side that is not one to a term map; the map's componentwise minimum moves
-into the exponent vector.  Either way the rest becomes the side, built
-once as a Polynomial, or the session's one when it has a constant term.
-The initial state is normalized the same way.  A monomial state, num and
-den both one, thus advances with no substitution: x/z on ex3.7-3d crosses
-hundreds of stages without one.
+A step that translates some coordinate substitutes each side that is not
+one to a term map, with the step's coordinate images built once per
+distinct directive; the map's componentwise minimum moves into the
+exponent vector (every exponent adds to the pivot's, and a translated
+coordinate leaves only a unit), and the rest becomes the side, built once
+as a Polynomial, or the session's one when it has a constant term.  The
+initial state is normalized the same way.
+
+A maximal run of steps that translate nothing and share the pivot p is a
+monomial change of coordinates, x_j -> x_p^t * x_j after t of its steps,
+and is read in closed form from the state where it starts.  With
+s_k = |k| - k_p, a side's term x^k lands on the pivot exponent
+k_p + t*s_k - U(t), its other exponents unchanged, where
+U(t) = min_k (k_p + t*s_k) is the order the side gives up to the pivot's
+exponent (0 for one).  No two terms merge.  The side is one exactly when
+U(t) reaches its least pure pivot power (a term with s_k = 0), and stays
+one from then on.  The pivot's exponent is e_p + t*(|e| - e_p) + U_num(t)
+- U_den(t), the others stay fixed, and the order at t is the pivot's
+exponent at t + 1.  So a run costs one pass per side whatever its length,
+and the queries solve a run with integer arithmetic: the first monomial
+stage is where both sides have become one, and once den is one and the
+other exponents are nonnegative the pivot's exponent does not decrease,
+so the first stage in the ring is a bisection.  A monomial state, num and
+den both one, advances with no substitution at all: x/z on ex3.7-3d
+crosses hundreds of stages without one.
+
+A session keeps, for each element, its state at stage 0 and at the end of
+each run (a translated step is a run of its own), and reads every other
+stage from the kept state before it.  Where the runs end is found from
+the directives as the walk reads them, never past the stage asked for.
+On a walk whose pivots alternate every stage is kept; a series walk keeps
+the stages just before and at each translated step, and nonarch2d's walk
+is one unbounded run.
 
 The iterated transforms behind ``e_approx`` differ from the element only by
-a monomial in the stage coordinates, so they reuse the cached states and
+a monomial in the stage coordinates, so they reuse the element's states and
 track just that monomial's exponents: after ``w_approx`` or ``value_of`` on
 the same element, ``e_approx`` substitutes nothing.
 
@@ -41,6 +60,7 @@ the one stage view every walk hands out.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Protocol
@@ -164,75 +184,149 @@ def _moved(exponents, p: int, kept: tuple[int, ...]) -> list[int]:
     return e
 
 
+def _pivot_exponent(state: ElementState, p: int):
+    """The pivot's exponent t stages into a run with pivot p from state, as
+    a function of t: e_p + t*(|e| - e_p) + U_num(t) - U_den(t), where U(t)
+    is the order a side gives up (see the module docstring)."""
+    e = state.exponents
+    base, slope = e[p], sum(e) - e[p]
+    sides = [(sign, [(k[p], sum(k) - k[p]) for k in q.terms])
+             for sign, q in ((1, state.num), (-1, state.den))
+             if not q.is_one()]
+    return lambda t: base + t * slope + sum(
+        sign * min([u + t * s for u, s in pairs]) for sign, pairs in sides)
+
+
+def _one_after(q: Polynomial, p: int) -> int | None:
+    """The first t >= 1 at which side q is one t stages into a run with
+    pivot p, or None if never: U(t) has reached the least pure power."""
+    pure = [k[p] for k in q.terms if sum(k) == k[p]]
+    if not pure:
+        return None
+    u0 = min(pure)
+    # ceil((u0 - k_p) / s_k) for every term with s_k > 0
+    return max([1] + [-((k[p] - u0) // s) for k in q.terms
+                      if (s := sum(k) - k[p])])
+
+
+def _monomial_in_run(state: ElementState, p: int, hi: int) -> int | None:
+    """The first t in 1..hi at which the run with pivot p from state reaches
+    a monomial state, or None."""
+    t = [_one_after(q, p) for q in (state.num, state.den)]
+    return None if None in t or max(t) > hi else max(t)
+
+
+def _ring_in_run(state: ElementState, p: int, hi: int) -> int | None:
+    """The first t in 1..hi at which the run with pivot p from state lies in
+    its stage ring, or None.  Once den is one and the other exponents are
+    nonnegative, the pivot's exponent does not decrease."""
+    if any(x < 0 for j, x in enumerate(state.exponents) if j != p):
+        return None
+    lo = _one_after(state.den, p)
+    if lo is None or lo > hi:
+        return None
+    ts = range(lo, hi + 1)
+    pivot = _pivot_exponent(state, p)
+    i = bisect_left(ts, True, key=lambda t: pivot(t) >= 0)
+    return ts[i] if i < len(ts) else None
+
+
 class AnalysisSession:
     """Caches per-element descent states along one directive source."""
 
     def __init__(self, source: DirectiveSource):
         self.source = source
         self.bases = tuple(source.bases)
-        # (pivot, untouched indices, images by position) of step n at
-        # index n - 1
-        self._steps: list[tuple[int, tuple[int, ...],
-                                tuple[Polynomial, ...]]] = []
+        # (pivot, untouched indices, directive) of step n at index n - 1
+        self._steps: list[tuple[int, tuple[int, ...], Directive]] = []
+        # the kept stages: 0 and the end of each run known so far
+        self._bounds = [0]
+        self._images: dict[Directive, tuple[Polynomial, ...]] = {}
+        # an element's states at the kept stages, by position in _bounds
         self._states: dict[RationalFunction, list[ElementState]] = {}
         # the one every unit side becomes, compared by identity
         self._one = Polynomial.one(self.bases)
 
     # -- step bookkeeping --------------------------------------------------
 
-    def _step(self, n: int) -> tuple[int, tuple[int, ...],
-                                     tuple[Polynomial, ...]]:
+    def _step(self, n: int) -> tuple[int, tuple[int, ...], Directive]:
         """The pivot, the indices neither pivot nor translated, and the
-        coordinate images of step n, cached."""
-        while len(self._steps) < n:
-            directive = self.source.directive_at(len(self._steps) + 1)
+        directive of step n, cached.  Reading a step marks the end of the
+        run before it, and a translated step as a run of its own."""
+        steps, bounds = self._steps, self._bounds
+        while len(steps) < n:
+            m = len(steps) + 1
+            directive = self.source.directive_at(m)
+            directive.check_dimension(len(self.bases))
             p = directive.pivot
             translated = {j for j, _ in directive.translations}
-            kept = tuple(j for j in range(len(self.bases))
-                         if j != p and j not in translated)
-            self._steps.append((p, kept, directive.images(self.bases)))
-        return self._steps[n - 1]
+            if bounds[-1] < m - 1 and (translated or steps[-1][0] != p):
+                bounds.append(m - 1)
+            if translated:
+                bounds.append(m)
+            steps.append((p, tuple(j for j in range(len(self.bases))
+                                   if j != p and j not in translated),
+                          directive))
+        return steps[n - 1]
 
-    def advance_state(self, state: ElementState, n: int) -> ElementState:
-        """State at stage n from the state at stage n-1, in one pass per
-        side (see the module docstring).
+    def _run_end(self, i: int, limit: int) -> int:
+        """The last stage up to limit of the run from the i-th kept stage,
+        reading no step past limit."""
+        bounds = self._bounds
+        while len(bounds) == i + 1 and len(self._steps) < limit:
+            self._step(len(self._steps) + 1)
+        return min(bounds[i + 1], limit) if len(bounds) > i + 1 else limit
 
-        A step that translates nothing moves each side's terms by exponent
-        arithmetic.  That relies on every side that is not one having
-        componentwise minimum exponents 0, as `_normalized` leaves it: the
-        step then keeps every exponent but the pivot's, so only the pivot's
-        minimum, the side's order, can move into the exponent vector.
+    def advance_state(self, state: ElementState, n: int,
+                      last: int | None = None) -> ElementState:
+        """State at stage `last` (n when None) from the state at stage n-1,
+        in one pass per side (see the module docstring).  Steps n..last
+        must lie in one run: a translated step is a run of its own.
+
+        A run that translates nothing relies on every side that is not one
+        having componentwise minimum exponents 0, as `_normalized` leaves
+        it: only the pivot's minimum, U(t), can then move into the
+        exponent vector.
 
         A side counts as one when it is the session's one, which every unit
         becomes; a one built elsewhere is moved or substituted like any
         other side, to the same state."""
-        p, kept, images = self._step(n)
-        e = _moved(state.exponents, p, kept)
+        p, kept, directive = self._step(n)
         one = self._one
         sides = (state.num, state.den)
+        if directive.translations:
+            e = _moved(state.exponents, p, kept)
+        else:
+            t = 1 if last is None else last - n + 1
+            e = list(state.exponents)
+            e[p] += t * (sum(e) - e[p])
         if state.num is one and state.den is one:
             return ElementState(tuple(e), one, one)
-        if len(kept) == len(e) - 1:
-            # a term x^k goes to x^k with k_p := |k|, so no two terms merge
-            zero = (0,) * len(e)
-            out = []
-            for sign, q in zip((1, -1), sides):
-                if q is not one:
-                    terms = q.terms
-                    degrees = list(map(sum, terms))
-                    o = min(degrees)
-                    e[p] += sign * o
-                    moved = {(*k[:p], d - o, *k[p + 1:]): c
-                             for (k, c), d in zip(terms.items(), degrees)}
-                    q = (one if zero in moved
-                         else Polynomial._make(self.bases, moved))
-                out.append(q)
-            return ElementState(tuple(e), *out)
-        # one call, so numerator and denominator share the power cache
-        done = iter(substitute_terms([q.terms.items() for q in sides
-                                      if q is not one], images, self.bases))
-        return _normalized(e, tuple(q if q is one else next(done)
-                                    for q in sides), one)
+        if directive.translations:
+            images = self._images.get(directive)
+            if images is None:
+                images = self._images[directive] = directive.images(
+                    self.bases)
+            # one call, so numerator and denominator share the power cache
+            done = iter(substitute_terms([q.terms.items() for q in sides
+                                          if q is not one], images,
+                                         self.bases))
+            return _normalized(e, tuple(q if q is one else next(done)
+                                        for q in sides), one)
+        zero = (0,) * len(e)
+        out = []
+        for sign, q in zip((1, -1), sides):
+            if q is not one:
+                terms = q.terms
+                lifted = [k[p] + t * (sum(k) - k[p]) for k in terms]
+                o = min(lifted)
+                e[p] += sign * o
+                moved = {(*k[:p], u - o, *k[p + 1:]): c
+                         for (k, c), u in zip(terms.items(), lifted)}
+                q = (one if zero in moved
+                     else Polynomial._make(self.bases, moved))
+            out.append(q)
+        return ElementState(tuple(e), *out)
 
     # -- element states ----------------------------------------------------
 
@@ -244,17 +338,102 @@ class AnalysisSession:
                            (f.numerator.terms, f.denominator.terms),
                            self._one)
 
-    def state_at(self, f: RationalFunction, n: int) -> ElementState:
+    def _kept(self, f: RationalFunction) -> list[ElementState]:
+        """f's states at the kept stages so far, at least stage 0's."""
         states = self._states.get(f)
         if states is None:
-            states = [self.initial_state(f)]
-            self._states[f] = states
-        while len(states) <= n:
-            states.append(self.advance_state(states[-1], len(states)))
-        return states[n]
+            states = self._states[f] = [self.initial_state(f)]
+        return states
+
+    def _kept_at(self, states: list[ElementState], i: int) -> ElementState:
+        """The state at the i-th kept stage, built run by run."""
+        bounds = self._bounds
+        while len(states) <= i:
+            j = len(states)
+            states.append(self.advance_state(states[-1], bounds[j - 1] + 1,
+                                             bounds[j]))
+        return states[i]
+
+    def state_at(self, f: RationalFunction, n: int) -> ElementState:
+        """f's state at stage n: a kept one, or read in closed form from
+        the kept state before it, which builds a state that is not kept."""
+        if n < 0:
+            raise ValueError(f"stage {n} out of range")
+        states = self._kept(f)
+        if n:
+            self._step(n)
+        i = bisect_right(self._bounds, n) - 1
+        a = self._bounds[i]
+        state = self._kept_at(states, i)
+        return self.advance_state(state, a + 1, n) if a < n else state
 
     def ord_at(self, f: RationalFunction, n: int) -> int:
-        return self.state_at(f, n).order()
+        if n < 0:
+            raise ValueError(f"stage {n} out of range")
+        return next(self._orders(f, n, n))
+
+    def _first(self, f: RationalFunction, last: int, holds, in_run
+               ) -> tuple[int, tuple[int, ...]] | None:
+        """(n, exponents) at the first stage n <= last whose state holds,
+        or None.  A kept state is tested as it is; in_run(state, p, hi)
+        gives the first t in 1..hi at which the run from it holds."""
+        states = self._kept(f)
+        bounds = self._bounds
+        i = 0
+        while bounds[i] <= last:
+            a = bounds[i]
+            # _kept_at, inline: a walk whose pivots alternate comes here
+            # once per stage
+            if i == len(states):
+                states.append(self.advance_state(states[-1],
+                                                 bounds[i - 1] + 1, a))
+            state = states[i]
+            if holds(state):
+                return a, state.exponents
+            if a == last:
+                break
+            b = (bounds[i + 1] if len(bounds) > i + 1
+                 else self._run_end(i, min(a + 2, last)))
+            if b > a + 1:
+                p = self._steps[a][0]
+                t = in_run(state, p, last - a)
+                b = self._run_end(i, last if t is None else a + t)
+                if t is not None and b == a + t:
+                    e = list(state.exponents)
+                    e[p] = _pivot_exponent(state, p)(t)
+                    return b, tuple(e)
+                if b == last:
+                    break
+            elif len(bounds) == i + 1:
+                # a run of one step is stepped through, even one that
+                # reaches last before its end is read
+                state = self.advance_state(state, b)
+                return (b, state.exponents) if holds(state) else None
+            i += 1
+        return None
+
+    def _orders(self, f: RationalFunction, first: int, last: int):
+        """ord_n(f) for n = first..last in turn, each stage of a run read
+        in closed form from the kept state before it."""
+        states = self._kept(f)
+        if last > 0:
+            self._step(last)
+        bounds = self._bounds
+        i = bisect_right(bounds, first) - 1
+        n = first
+        while n <= last:
+            a = bounds[i]
+            state = self._kept_at(states, i)
+            if n == a:
+                yield state.order()
+                n += 1
+            end = min(last, bounds[i + 1] - 1 if i + 1 < len(bounds)
+                      else last)
+            if n <= end:
+                pivot = _pivot_exponent(state, self._steps[a][0])
+                yield from (pivot(m - a + 1) for m in range(n, end + 1))
+                n = end + 1
+            i += 1
 
     # -- queries -----------------------------------------------------------
 
@@ -266,10 +445,8 @@ class AnalysisSession:
         """
         if f.is_zero():
             return MembershipVerdict(0, budget)
-        for n in range(budget + 1):
-            if self.state_at(f, n).in_ring():
-                return MembershipVerdict(n, budget)
-        return MembershipVerdict(None, budget)
+        found = self._first(f, budget, ElementState.in_ring, _ring_in_run)
+        return MembershipVerdict(None if found is None else found[0], budget)
 
     def value_of(self, f: RationalFunction,
                  budget: int = DEFAULT_BUDGET
@@ -279,17 +456,18 @@ class AnalysisSession:
         A whole value is an int, like every coefficient."""
         if f.is_zero():
             raise ValueError("the value of zero is undefined")
-        for n in range(budget + 1):
-            state = self.state_at(f, n)
-            if state.is_monomial():
-                nums, den = self.source.scaled_vector_at(n)
-                total: int | Infinite = 0
-                for ej, vj in zip(state.exponents, nums):
-                    if ej:
-                        total = total + ej * vj
-                # total / den, read out like one coordinate of a stage
-                return read_values((total,), den)[0], n
-        return None
+        found = self._first(f, budget, ElementState.is_monomial,
+                            _monomial_in_run)
+        if found is None:
+            return None
+        n, exponents = found
+        nums, den = self.source.scaled_vector_at(n)
+        total: int | Infinite = 0
+        for ej, vj in zip(exponents, nums):
+            if ej:
+                total = total + ej * vj
+        # total / den, read out like one coordinate of a stage
+        return read_values((total,), den)[0], n
 
     def w_approx(self, f: RationalFunction, reference: RationalFunction,
                  budget: int = DEFAULT_BUDGET) -> LimitTrace:
@@ -297,13 +475,13 @@ class AnalysisSession:
         if f.is_zero() or reference.is_zero():
             raise ValueError("approximants of zero are undefined")
         approx: list[int | Fraction] = []
-        for n in range(budget + 1):
-            ref_ord = self.ord_at(reference, n)
+        orders = self._orders(f, 0, budget)
+        for n, ref_ord in enumerate(self._orders(reference, 0, budget)):
             if ref_ord == 0:
                 raise ValueError(f"reference element has order 0 at stage "
                                  f"{n}; ratios are undefined")
             # a whole ratio is an int, as in e_approx
-            o = self.ord_at(f, n)
+            o = next(orders)
             q, r = divmod(o, ref_ord)
             approx.append(Fraction(o, ref_ord) if r else q)
         return LimitTrace("w", 0, approx)
@@ -327,8 +505,9 @@ class AnalysisSession:
         assert start is not None
         d = [0] * len(self.bases)
         approx: list[int | Fraction] = []
-        for n in range(start, budget + 1):
-            o = self.ord_at(f, n) + sum(d)
+        for n, o in zip(range(start, budget + 1),
+                        self._orders(f, start, budget)):
+            o += sum(d)
             approx.append(o)
             if n == budget:
                 break

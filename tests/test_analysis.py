@@ -16,6 +16,7 @@ from lqt import (AnalysisSession, CoordinatePrime, Directive, LiftedTrace,
                  example_names, get_example, load_config_file,
                  load_config_text, multiplicity_sequence, parse_program,
                  polynomials)
+from lqt.programs import read_values
 from conftest import el
 from helpers import (XY, XYZ, Chart, apply_directive, general_states, ord_n,
                      random_rf, record_calls, stepped_e_approx)
@@ -61,6 +62,31 @@ def test_analysis_rejects_zero_and_foreign_elements(two_var):
         two_var.e_approx(el("0", two_var))
     with pytest.raises(ValueError, match="approximants of zero"):
         two_var.w_approx(el("0", two_var), el("x", two_var))
+
+
+def test_negative_stages_are_refused():
+    """A negative stage is no index into the kept states, cached or not."""
+    session = AnalysisSession(get_example("dvr-curve").source)
+    f = el("y - x - x^2", session)
+    assert session.value_of(f, 10) == (6, 2)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match=f"stage {n} out of range"):
+            session.state_at(f, n)
+        with pytest.raises(ValueError, match=f"stage {n} out of range"):
+            session.ord_at(f, n)
+
+
+def test_negative_budgets_search_no_stage():
+    """x^2*y is a monomial of value 3 at stage 0, but a budget of -1 allows
+    no stage at all, before or after the element's states are cached."""
+    session = AnalysisSession(get_example("dvr-curve").source)
+    f, x = el("x^2*y", session), el("x", session)
+    for _ in range(2):
+        assert session.member(f, -1) == MembershipVerdict(None, -1)
+        assert session.value_of(f, -1) is None
+        assert session.w_approx(f, x, -1) == LimitTrace("w", 0, [])
+        assert session.e_approx(f, -1) == MembershipVerdict(None, -1)
+        assert session.value_of(f, 0) == (3, 0)
 
 
 # -- membership -----------------------------------------------------------------------
@@ -301,7 +327,7 @@ def test_a_walk_step_builds_each_side_once(monkeypatch):
     session = AnalysisSession(get_example("ex3.7-2d").source)
     state = session.state_at(el("(y - x + y^2)/(y - x - x^2)", session), 0)
     assert not (state.num.is_one() or state.den.is_one())
-    session.state_at(el("x", session), 1)  # builds step 1's images
+    session.state_at(el("y - x", session), 1)  # builds step 1's images
     makes = record_calls(monkeypatch, Polynomial, "_make")
     shifts = record_calls(monkeypatch, polynomials, "_shift")
     # step 1 translates y, so one image is not a monomial
@@ -327,16 +353,44 @@ def test_an_untranslated_step_substitutes_nothing(monkeypatch):
     assert substitutions == []
 
 
+def _substituted_stages(monkeypatch) -> list[int]:
+    """A list that records, in call order, the stage n of every
+    advance_state call that substitutes from now on."""
+    advances = record_calls(monkeypatch, AnalysisSession, "advance_state")
+    stages: list[int] = []
+    original = analysis.substitute_terms
+
+    def recorded(*args):
+        stages.append(advances[-1][2])
+        return original(*args)
+
+    monkeypatch.setattr(analysis, "substitute_terms", recorded)
+    return stages
+
+
 def test_a_value_substitutes_only_at_translated_steps(monkeypatch):
     session = AnalysisSession(get_example("dvr-curve").source)
     f = el("(y - x - x^2 - x^6 - x^24)*(1 + 37*x)", session)
-    session.state_at(el("x", session), 30)  # builds the steps
-    stage_of = {id(session._step(n)[2]): n for n in range(1, 31)}
-    substitutions = record_calls(monkeypatch, analysis, "substitute_terms")
+    substituted = _substituted_stages(monkeypatch)
     assert session.value_of(f, 30) == (120, 24)
-    substituted = [stage_of[id(images)] for _, images, _ in substitutions]
     # the state is a monomial from stage 24 on
     assert substituted == [1, 2, 6, 24]
+
+
+def test_a_value_keeps_one_state_per_run(monkeypatch):
+    """The series walk of dvr-curve translates at steps 1, 2, 6, 24 and
+    120 only, so value_of on the x^120 truncation keeps nine states and
+    builds the images of its one distinct translated step once."""
+    session = AnalysisSession(get_example("dvr-curve").source)
+    f = el("(y - x - x^2 - x^6 - x^24 - x^120)*(1 + 37*x)", session)
+    makes = record_calls(monkeypatch, Directive, "images")
+    substituted = _substituted_stages(monkeypatch)
+    assert session.value_of(f, 130) == (720, 120)
+    assert substituted == [1, 2, 6, 24, 120]
+    assert session._bounds == [0, 1, 2, 5, 6, 23, 24, 119, 120]
+    assert len(session._states[f]) == 9
+    assert len(makes) == 1
+    assert list(session._images) == [Directive(0, [(1, 1)])]
 
 
 def _drawn_side(draw, n: int):
@@ -388,8 +442,9 @@ def test_an_untranslated_step_matches_substitution(drawn):
     sides = tuple(one if q is None else Polynomial.one(bases) if q == "one"
                   else Polynomial(bases, q) for q in (num, den))
     state = analysis.ElementState(exponents, *sides)
-    p, kept, images = session._step(1)
+    p, kept, directive = session._step(1)
     assert len(kept) == len(bases) - 1
+    images = directive.images(bases)
     done = iter(polynomials.substitute_terms(
         [q.terms.items() for q in sides if q is not one], images, bases))
     want = analysis._normalized(analysis._moved(exponents, p, kept),
@@ -400,6 +455,216 @@ def test_an_untranslated_step_matches_substitution(drawn):
                                                  want.den)
     assert (got.num is one, got.den is one) == (want.num is one,
                                                 want.den is one)
+
+
+@st.composite
+def untranslated_runs(draw):
+    """(bases, pivot, exponents, num, den, t) for t Directive(pivot) steps.
+    A side is the session's one (None), a one built elsewhere ("one"), or
+    a normalized term map that is not a unit: with pure pivot powers added,
+    or, over three variables, with none, so that it never becomes one."""
+    bases = draw(st.sampled_from([XY, XYZ]))
+    n = len(bases)
+    p = draw(st.integers(0, n - 1))
+    others = [j for j in range(n) if j != p]
+    coefficients = st.integers(-5, 5).filter(bool)
+    sides = []
+    for _ in range(2):
+        kind = draw(st.sampled_from([None, "one", "pure", "pure", "free"]))
+        if kind in ("pure", "free"):
+            terms = _drawn_side(draw, n)
+            if kind == "free" and n == 3:
+                terms = {k: c for k, c in terms.items() if sum(k) != k[p]}
+                # one term free of each other coordinate keeps it normalized
+                for j in others:
+                    k = [0] * n
+                    k[p] = draw(st.integers(0, 6))
+                    k[j] = draw(st.integers(1, 3))
+                    terms[tuple(k)] = draw(coefficients)
+                low = min(k[p] for k in terms)
+                kind = {tuple(a - low if j == p else a
+                              for j, a in enumerate(k)): c
+                        for k, c in terms.items()}
+            else:
+                for a in draw(st.lists(st.integers(1, 9), min_size=1,
+                                       max_size=3)):
+                    k = tuple(a if j == p else 0 for j in range(n))
+                    terms[k] = draw(coefficients)
+                kind = terms
+        sides.append(kind)
+    exponents = draw(st.tuples(*[st.integers(-4, 4)] * n))
+    return bases, p, exponents, *sides, draw(st.integers(1, 200))
+
+
+@settings(deadline=None, max_examples=120)
+@given(untranslated_runs())
+# several pure powers y^5 and y^3: x^2 gives up order 2 a step until U
+# reaches the least of them, at t = 2, not the first one's t = 3
+@example((XY, 1, (0, -1), {(0, 5): 2, (0, 3): 2, (2, 0): 1}, None, 6))
+# x^3 + y becomes one at t = 3, y + z never does
+@example((XYZ, 0, (-2, 1, 0), {(3, 0, 0): 1, (0, 1, 0): -1},
+          {(0, 1, 0): 1, (2, 0, 1): 3}, 12))
+# a one built elsewhere becomes the session's one at t = 1
+@example((XY, 0, (1, 1), "one", {(4, 0): 1, (0, 2): 7}, 5))
+def test_a_run_in_closed_form_matches_its_steps(drawn):
+    """Every stage of a run read in closed form equals that many steps of
+    the general path (substitution, then normalization), including which
+    sides are the session's one; so do the orders along the run and the
+    first monomial and first ring stages the queries solve for."""
+    bases, p, exponents, num, den, last = drawn
+    session = AnalysisSession(_OneStep(bases, p))
+    one = session._one
+    sides = tuple(one if q is None else Polynomial.one(bases) if q == "one"
+                  else Polynomial(bases, q) for q in (num, den))
+    start = analysis.ElementState(exponents, *sides)
+    kept = tuple(j for j in range(len(bases)) if j != p)
+    images = Directive(p).images(bases)
+    pivot = analysis._pivot_exponent(start, p)
+    assert pivot(1) == start.order()
+    state, monomial, ring = start, None, None
+    for t in range(1, last + 1):
+        done = iter(polynomials.substitute_terms(
+            [q.terms.items() for q in (state.num, state.den) if q is not one],
+            images, bases))
+        state = analysis._normalized(
+            analysis._moved(state.exponents, p, kept),
+            tuple(q if q is one else next(done)
+                  for q in (state.num, state.den)), one)
+        got = session.advance_state(start, 1, t)
+        assert (got.exponents, got.num, got.den) == (state.exponents,
+                                                     state.num, state.den), t
+        assert (got.num is one, got.den is one) == (state.num is one,
+                                                    state.den is one), t
+        assert pivot(t) == state.exponents[p]
+        assert pivot(t + 1) == state.order()
+        if monomial is None and state.is_monomial():
+            monomial = t
+        if ring is None and state.in_ring():
+            ring = t
+    assert analysis._monomial_in_run(start, p, last) == monomial
+    assert analysis._ring_in_run(start, p, last) == ring
+
+
+def _truncation(exponents) -> str:
+    return "y - " + " - ".join(f"x^{e}" for e in exponents)
+
+
+# elements whose walks cross long runs, with the budget each is asked at
+RUN_WALKS = {
+    "dvr-curve": (130, [
+        f"({_truncation([1, 2, 6, 24, 120])})*(1 + 37*x)",
+        f"({_truncation([1, 2, 6, 24])})/x^100",
+        f"({_truncation([1, 2, 6])})*(1 - 5*x)/x^30",
+        f"({_truncation([1, 2, 6, 24])})/({_truncation([1, 2, 6])})",
+        f"x^3/({_truncation([1, 2])} + x^40)",
+    ]),
+    "ex5.3-shape": (130, [
+        f"z*({_truncation([1, 2, 4, 8, 16, 32, 64])})*(1 + 11*x)",
+        f"({_truncation([1, 2, 4, 8, 16, 32, 64])})*(1 + 3*x)",
+        f"({_truncation([1, 2, 4, 8, 16])})*(1 + 2*y)/x^40",
+        f"({_truncation([1, 2, 4])})/(x^9*z)",
+    ]),
+    "nonarch2d": (90, [
+        "y*(1 + 5*x)/x", "y*(1 + 9*x)/x^7", "y*(1 - 2*x)/x^33",
+        "y*(1 + 4*x)/x^80", "(y + x^3)*(1 + 5*x)/x^20",
+        "x^2/(y^2 + x^5)", "(y^3 + x^2*y + x^9)/(x^12*(y + x^4))",
+    ]),
+    "pivots-change": (60, [
+        "(y - x)*(1 + 2*z)/z^3", "(x^2 + y^3 + z)/(y^2 - x*z)",
+        "x^4/(z^2 + y^3)", "(y + x^3)*(z + y^2)/x^9",
+    ]),
+}
+
+
+class _PivotsChange:
+    """A walk whose runs end where the pivot changes as well as at a
+    translated step.  Its stages all hold the same values, which no
+    program could, but the session does not check them."""
+
+    bases = XYZ
+    period = [Directive(0), Directive(0), Directive(1), Directive(2),
+              Directive(2), Directive(2), Directive(0, [(1, 1)]),
+              Directive(1)]
+
+    def directive_at(self, n):
+        return self.period[(n - 1) % len(self.period)]
+
+    def scaled_vector_at(self, n):
+        return (1, 2, 3), 1
+
+
+def _run_walk_oracle(name: str):
+    """Per element of RUN_WALKS[name]: its states, value, membership stage
+    and orders at stages 0..budget by the general path, and its e_approx by
+    stepping."""
+    budget, texts = RUN_WALKS[name]
+    source = (_PivotsChange() if name == "pivots-change"
+              else get_example(name).source)
+    oracle = AnalysisSession(source)
+    answers = {}
+    for text in texts:
+        f = el(text, oracle)
+        states = general_states(oracle, f, budget)
+        value = member = None
+        for n, (e, num, den) in enumerate(states):
+            if member is None and den.is_one() and min(e) >= 0:
+                member = n
+            if value is None and num.is_one() and den.is_one():
+                nums, d = source.scaled_vector_at(n)
+                total = 0
+                for ej, vj in zip(e, nums):
+                    if ej:
+                        total = total + ej * vj
+                value = (read_values((total,), d)[0], n)
+        orders = [sum(e) + num.order() - den.order() for e, num, den in states]
+        answers[f] = (states, value, member, orders,
+                      stepped_e_approx(AnalysisSession(source), f, budget))
+    return source, budget, answers
+
+
+def _ratios(orders, reference_orders):
+    """w approximants: each ratio, an int when whole."""
+    return [o // r if o % r == 0 else F(o, r)
+            for o, r in zip(orders, reference_orders)]
+
+
+@pytest.mark.parametrize("name", list(RUN_WALKS))
+def test_kept_states_answer_like_every_stage(name):
+    """The queries of one session, asked in several orders on the same
+    elements, against every stage built by the general path: value_of then
+    the approximants, state_at inside a run first, member then value_of."""
+    source, budget, answers = _run_walk_oracle(name)
+    session = AnalysisSession(source)
+    x = el("x*y*z" if name == "pivots-change" else "x", session)
+    x_orders = [sum(e) for e, _, _ in general_states(session, x, budget)]
+    steps = budget // 3
+
+    def check(f, query):
+        states, value, member, orders, e_trace = answers[f]
+        if query == "value":
+            assert session.value_of(f, budget) == value
+        elif query == "member":
+            assert session.member(f, budget) == MembershipVerdict(member,
+                                                                  budget)
+        elif query == "w":
+            assert session.w_approx(f, x, budget).approximants == _ratios(
+                orders, x_orders)
+        elif query == "e":
+            assert session.e_approx(f, budget) == e_trace
+        else:
+            for n in range(query, budget + 1, steps):
+                got = session.state_at(f, n)
+                assert (got.exponents, got.num, got.den) == states[n], n
+                assert session.ord_at(f, n) == orders[n], n
+
+    orders_of_queries = [["value", "w", "e", "member", 0],
+                         [budget // 2 + 1, "value", "member", "e", "w", 1],
+                         ["member", "value", "w", 2, "e"]]
+    for i, f in enumerate(answers):
+        for query in orders_of_queries[i % 3]:
+            check(f, query)
+        for query in orders_of_queries[(i + 1) % 3]:
+            check(f, query)
 
 
 def test_e_approx_after_w_approx_substitutes_nothing(monkeypatch):
