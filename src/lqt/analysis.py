@@ -36,17 +36,23 @@ exponent at t + 1.  So a run costs one pass per side whatever its length,
 and the queries solve a run with integer arithmetic: the first monomial
 stage is where both sides have become one, and once den is one and the
 other exponents are nonnegative the pivot's exponent does not decrease,
-so the first stage in the ring is a bisection.  A monomial state, num and
-den both one, advances with no substitution at all: x/z on ex3.7-3d
-crosses hundreds of stages without one.
+so the first stage in the ring is a bisection.
+
+A monomial state, num and den both one, stays monomial, and each step
+moves only its exponents, by `_moved`.  A coordinate that a step neither
+pivots nor translates keeps its exponent, so a monomial state with a
+negative exponent on a coordinate that no step up to the budget touches
+is in no stage ring up to it: x/z on ex3.7-3d, whose walk never moves z,
+is answered without a step.
 
 A session keeps, for each element, its state at stage 0 and at the end of
-each run (a translated step is a run of its own), and reads every other
-stage from the kept state before it.  Where the runs end is found from
-the directives as the walk reads them, never past the stage asked for.
-On a walk whose pivots alternate every stage is kept; a series walk keeps
-the stages just before and at each translated step, and nonarch2d's walk
-is one unbounded run.
+each run (a translated step is a run of its own) up to the first
+monomial one, and reads every other stage from the kept state before it:
+a stage past a monomial state from its exponents alone.  Where the runs
+end is found from the directives as the walk reads them, never past the
+stage asked for.  On a walk whose pivots alternate every stage is kept
+until the state is monomial; a series walk keeps the stages just before
+and at each translated step, and nonarch2d's walk is one unbounded run.
 
 The iterated transforms behind ``e_approx`` differ from the element only by
 a monomial in the stage coordinates, so they reuse the element's states and
@@ -63,6 +69,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import ClassVar, Protocol
 
 from .polynomials import Polynomial, shift_terms, substitute_terms
@@ -241,6 +248,8 @@ class AnalysisSession:
         self._steps: list[tuple[int, tuple[int, ...], Directive]] = []
         # the kept stages: 0 and the end of each run known so far
         self._bounds = [0]
+        # per coordinate, the last step read that pivots or translates it
+        self._touched = [0] * len(self.bases)
         self._images: dict[Directive, tuple[Polynomial, ...]] = {}
         # an element's states at the kept stages, by position in _bounds
         self._states: dict[RationalFunction, list[ElementState]] = {}
@@ -253,7 +262,7 @@ class AnalysisSession:
         """The pivot, the indices neither pivot nor translated, and the
         directive of step n, cached.  Reading a step marks the end of the
         run before it, and a translated step as a run of its own."""
-        steps, bounds = self._steps, self._bounds
+        steps, bounds, touched = self._steps, self._bounds, self._touched
         while len(steps) < n:
             m = len(steps) + 1
             directive = self.source.directive_at(m)
@@ -264,6 +273,8 @@ class AnalysisSession:
                 bounds.append(m - 1)
             if translated:
                 bounds.append(m)
+            for j in (p, *translated):
+                touched[j] = m
             steps.append((p, tuple(j for j in range(len(self.bases))
                                    if j != p and j not in translated),
                           directive))
@@ -300,8 +311,6 @@ class AnalysisSession:
             t = 1 if last is None else last - n + 1
             e = list(state.exponents)
             e[p] += t * (sum(e) - e[p])
-        if state.num is one and state.den is one:
-            return ElementState(tuple(e), one, one)
         if directive.translations:
             images = self._images.get(directive)
             if images is None:
@@ -345,27 +354,52 @@ class AnalysisSession:
             states = self._states[f] = [self.initial_state(f)]
         return states
 
-    def _kept_at(self, states: list[ElementState], i: int) -> ElementState:
-        """The state at the i-th kept stage, built run by run."""
-        bounds = self._bounds
+    def _kept_at(self, states: list[ElementState], i: int
+                 ) -> tuple[int, ElementState]:
+        """(i, state) at the i-th kept stage, built run by run, or (j,
+        state) at an earlier kept stage j whose state is monomial: no state
+        past it is kept, and later stages are read by `_walk`."""
+        bounds, one = self._bounds, self._one
         while len(states) <= i:
+            state = states[-1]
+            if state.num is one and state.den is one:
+                return len(states) - 1, state
             j = len(states)
-            states.append(self.advance_state(states[-1], bounds[j - 1] + 1,
+            states.append(self.advance_state(state, bounds[j - 1] + 1,
                                              bounds[j]))
-        return states[i]
+        return i, states[i]
+
+    def _walk(self, e, a: int, last: int):
+        """The exponents of a monomial state at stages a..last in turn,
+        from e at stage a; each step moves them by `_moved`, and the sides
+        stay one."""
+        yield e
+        steps = self._steps
+        for n in range(a, last):
+            if n == len(steps):
+                self._step(n + 1)
+            p, kept, _ = steps[n]
+            e = _moved(e, p, kept)
+            yield e
 
     def state_at(self, f: RationalFunction, n: int) -> ElementState:
-        """f's state at stage n: a kept one, or read in closed form from
-        the kept state before it, which builds a state that is not kept."""
+        """f's state at stage n: a kept one, or read from the kept state
+        before it (in closed form, or by its exponents past a monomial
+        state), which builds a state that is not kept."""
         if n < 0:
             raise ValueError(f"stage {n} out of range")
         states = self._kept(f)
         if n:
             self._step(n)
-        i = bisect_right(self._bounds, n) - 1
-        a = self._bounds[i]
-        state = self._kept_at(states, i)
-        return self.advance_state(state, a + 1, n) if a < n else state
+        i, state = self._kept_at(states, bisect_right(self._bounds, n) - 1)
+        a, one = self._bounds[i], self._one
+        if a == n:
+            return state
+        if state.num is one and state.den is one:
+            for e in self._walk(state.exponents, a, n):
+                pass
+            return ElementState(tuple(e), one, one)
+        return self.advance_state(state, a + 1, n)
 
     def ord_at(self, f: RationalFunction, n: int) -> int:
         if n < 0:
@@ -376,14 +410,16 @@ class AnalysisSession:
                ) -> tuple[int, tuple[int, ...]] | None:
         """(n, exponents) at the first stage n <= last whose state holds,
         or None.  A kept state is tested as it is; in_run(state, p, hi)
-        gives the first t in 1..hi at which the run from it holds."""
+        gives the first t in 1..hi at which the run from it holds.  A
+        monomial state holds for value_of, so only member goes on past
+        one, by `_ring_from`."""
         states = self._kept(f)
-        bounds = self._bounds
+        bounds, one = self._bounds, self._one
         i = 0
         while bounds[i] <= last:
             a = bounds[i]
             # _kept_at, inline: a walk whose pivots alternate comes here
-            # once per stage
+            # once per stage until the state is monomial
             if i == len(states):
                 states.append(self.advance_state(states[-1],
                                                  bounds[i - 1] + 1, a))
@@ -392,6 +428,8 @@ class AnalysisSession:
                 return a, state.exponents
             if a == last:
                 break
+            if state.num is one and state.den is one:
+                return self._ring_from(state.exponents, a, last)
             b = (bounds[i + 1] if len(bounds) > i + 1
                  else self._run_end(i, min(a + 2, last)))
             if b > a + 1:
@@ -412,18 +450,42 @@ class AnalysisSession:
             i += 1
         return None
 
+    def _ring_from(self, e: tuple[int, ...], a: int, last: int
+                   ) -> tuple[int, tuple[int, ...]] | None:
+        """(n, exponents) at the first stage n in a+1..last at which the
+        monomial state with exponents e at stage a lies in its stage ring,
+        or None.  A step keeps the exponent of a coordinate it neither
+        pivots nor translates, so a negative one that no step after a up to
+        last touches answers None at once.  Steps are read only until each
+        negative exponent's coordinate is touched."""
+        steps, touched = self._steps, self._touched
+        negative = [j for j, x in enumerate(e) if x < 0]
+        while len(steps) < last and any(touched[j] <= a for j in negative):
+            self._step(len(steps) + 1)
+        if any(touched[j] <= a for j in negative):
+            return None
+        for n, e in enumerate(self._walk(e, a, last), a):
+            if min(e) >= 0:
+                return n, tuple(e)
+        return None
+
     def _orders(self, f: RationalFunction, first: int, last: int):
         """ord_n(f) for n = first..last in turn, each stage of a run read
-        in closed form from the kept state before it."""
+        in closed form from the kept state before it, and each stage past a
+        monomial state from its exponents."""
         states = self._kept(f)
         if last > 0:
             self._step(last)
-        bounds = self._bounds
+        bounds, one = self._bounds, self._one
         i = bisect_right(bounds, first) - 1
         n = first
         while n <= last:
+            i, state = self._kept_at(states, i)
             a = bounds[i]
-            state = self._kept_at(states, i)
+            if state.num is one and state.den is one:
+                yield from islice(map(sum, self._walk(state.exponents, a,
+                                                      last)), n - a, None)
+                return
             if n == a:
                 yield state.order()
                 n += 1

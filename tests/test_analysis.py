@@ -313,14 +313,15 @@ def test_walk_steps_match_the_general_path(monkeypatch):
     for n in range(31):
         state = session.state_at(f, n)
         assert (state.exponents, state.num, state.den) == oracle[n], n
-    # a monomial state advances by exponents alone
+    # x/z is monomial at stage 0 and no step moves z, so member neither
+    # advances, substitutes nor moves its exponents
     session = AnalysisSession(get_example("ex3.7-3d").source)
     substitutions = record_calls(monkeypatch, analysis, "substitute_terms")
     steps = record_calls(monkeypatch, AnalysisSession, "advance_state")
+    moves = record_calls(monkeypatch, analysis, "_moved")
     verdict = session.member(el("x/z", session), 300)
     assert verdict == MembershipVerdict(None, 300)
-    assert len(steps) == 300
-    assert substitutions == []
+    assert steps == substitutions == moves == []
 
 
 def test_a_walk_step_builds_each_side_once(monkeypatch):
@@ -572,6 +573,19 @@ RUN_WALKS = {
     "pivots-change": (60, [
         "(y - x)*(1 + 2*z)/z^3", "(x^2 + y^3 + z)/(y^2 - x*z)",
         "x^4/(z^2 + y^3)", "(y + x^3)*(z + y^2)/x^9",
+        # monomial at stage 0 with z negative until step 4 pivots z
+        "x^3/z",
+    ]),
+    # monomial tails: states read by exponents from the first monomial
+    # stage, which enter at most two stages on, or never
+    "ex3.7-2d": (60, [
+        "y^3/x^5", "(1 + 7*x)*x^4/y^9", "(y - x)^4/(x^3*y^2)",
+        "x^3/(y - x)^2", "(y - x)^3/x^5",
+    ]),
+    # and with z, which no step moves, negative
+    "ex3.7-3d": (60, [
+        "x/z", "x^2*(1 + 5*y)/z^2", "y^3/x^5", "(1 + 7*x)*x^4/y^9",
+        "(y - x)^4*(1 + z)/(x^3*y^2)", "(y - x)^2*z/x^3",
     ]),
 }
 
@@ -591,6 +605,21 @@ class _PivotsChange:
 
     def scaled_vector_at(self, n):
         return (1, 2, 3), 1
+
+
+def test_membership_reads_on_to_the_step_that_moves_a_negative_exponent():
+    """x^3/z is monomial at stage 0 on the pivots-change walk, and z first
+    moves at step 4, where x^3/z enters its stage ring.  A search reads
+    no step past its budget or past step 4, in any order of budgets."""
+    for budgets in ([3, 4], [4, 3], [60, 3, 4]):
+        session = AnalysisSession(_PivotsChange())
+        f = el("x^3/z", session)
+        read = 0
+        for budget in budgets:
+            assert session.member(f, budget) == MembershipVerdict(
+                4 if budget >= 4 else None, budget), budgets
+            read = max(read, min(budget, 4))
+            assert len(session._steps) == read, budgets
 
 
 def _run_walk_oracle(name: str):
@@ -665,6 +694,33 @@ def test_kept_states_answer_like_every_stage(name):
             check(f, query)
         for query in orders_of_queries[(i + 1) % 3]:
             check(f, query)
+
+
+def test_an_idle_negative_exponent_keeps_one_state():
+    """x/z is monomial at stage 0 on ex3.7-3d and z never moves, so the
+    queries read every stage from the stage-0 exponents and keep nothing
+    else."""
+    session = AnalysisSession(get_example("ex3.7-3d").source)
+    f, x = el("x/z", session), el("x", session)
+    assert session.member(f, 1000) == MembershipVerdict(None, 1000)
+    # ord_n(x/z) / ord_n(x) is -(2^k - 1)/2^(k-1) at n = 2k - 1 and 2k
+    assert session.w_approx(f, x, 1000).approximants[-3:] == [
+        -F(2 ** 499 - 1, 2 ** 498), -F(2 ** 500 - 1, 2 ** 499),
+        -F(2 ** 500 - 1, 2 ** 499)]
+    assert session.e_approx(f, 1000) == MembershipVerdict(None, 1000)
+    assert len(session._states[f]) == len(session._states[x]) == 1
+    assert session._touched[2] == 0
+    # stages asked for past the first monomial stage are not kept either
+    assert session.ord_at(f, 999) == -(2 ** 500 - 1)
+    assert session.state_at(f, 1000).exponents == (-(2 ** 500 - 2),
+                                                   -(2 ** 500 - 1), -1)
+    g = el("(y - x)^4/(x^3*y^2)", session)  # monomial from stage 1
+    trace = session.e_approx(g, 1000)
+    assert trace.start == 3
+    assert trace == stepped_e_approx(
+        AnalysisSession(get_example("ex3.7-3d").source), g, 1000)
+    assert len(session._states[f]) == 1
+    assert len(session._states[g]) == 2
 
 
 def test_e_approx_after_w_approx_substitutes_nothing(monkeypatch):

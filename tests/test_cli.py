@@ -860,6 +860,23 @@ def test_strict_flags_exhausted_membership(capsys):
     assert err == "undecided: 1 answer(s) under --strict\n"
 
 
+def test_an_idle_negative_exponent_ends_membership_at_once(capsys):
+    """z never pivots nor is translated on ex3.7-3d, so x/z and
+    x^3*(1 + 2*y)/z^2 lie in no stage ring, which member answers without
+    stepping through the budget."""
+    args = ["member", "--example", "ex3.7-3d", "-e", "x/z",
+            "-e", "x^3*(1 + 2*y)/z^2", "--budget", "1000"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    assert err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["union"] for r in records] == [
+        {"budget": 1000, "verdict": "NotWithinBudget"}] * 2
+    code, out, err = run_cli(capsys, *args, "--strict")
+    assert code == 4
+    assert err == "undecided: 2 answer(s) under --strict\n"
+
+
 def test_strict_passes_decided_results(capsys):
     code, out, err = run_cli(capsys, "value", "--example", "ex3.7-2d",
                              "-e", "y - x", "--strict")
