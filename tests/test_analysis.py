@@ -634,21 +634,27 @@ def _run_walk_oracle(name: str):
     for text in texts:
         f = el(text, oracle)
         states = general_states(oracle, f, budget)
-        value = member = None
-        for n, (e, num, den) in enumerate(states):
-            if member is None and den.is_one() and min(e) >= 0:
-                member = n
-            if value is None and num.is_one() and den.is_one():
-                nums, d = source.scaled_vector_at(n)
-                total = 0
-                for ej, vj in zip(e, nums):
-                    if ej:
-                        total = total + ej * vj
-                value = (read_values((total,), d)[0], n)
-        orders = [sum(e) + num.order() - den.order() for e, num, den in states]
-        answers[f] = (states, value, member, orders,
+        answers[f] = (states, *_general_answers(source, states),
                       stepped_e_approx(AnalysisSession(source), f, budget))
     return source, budget, answers
+
+
+def _general_answers(source, states):
+    """From an element's states by the general path: its value with the
+    first monomial stage, the first stage in its ring, and its orders."""
+    value = member = None
+    for n, (e, num, den) in enumerate(states):
+        if member is None and den.is_one() and min(e) >= 0:
+            member = n
+        if value is None and num.is_one() and den.is_one():
+            nums, d = source.scaled_vector_at(n)
+            total = 0
+            for ej, vj in zip(e, nums):
+                if ej:
+                    total = total + ej * vj
+            value = (read_values((total,), d)[0], n)
+    orders = [sum(e) + num.order() - den.order() for e, num, den in states]
+    return value, member, orders
 
 
 def _ratios(orders, reference_orders):
@@ -694,6 +700,114 @@ def test_kept_states_answer_like_every_stage(name):
             check(f, query)
         for query in orders_of_queries[(i + 1) % 3]:
             check(f, query)
+
+
+class _DrawnWalk:
+    """A stand-in walk: head directives, then a period repeated forever.
+    Its stage values change with the stage, so a value read at the wrong
+    stage shows; they belong to no valuation, which the session does not
+    check."""
+
+    def __init__(self, bases, head, period):
+        self.bases, self.head, self.period = bases, head, period
+
+    def directive_at(self, n):
+        if n <= len(self.head):
+            return self.head[n - 1]
+        return self.period[(n - 1 - len(self.head)) % len(self.period)]
+
+    def scaled_vector_at(self, n):
+        return tuple(n + j + 1 for j in range(len(self.bases))), 2
+
+    def __repr__(self):
+        return f"_DrawnWalk({self.bases}, {self.head}, {self.period})"
+
+
+_ATOMS = {XY: ["x", "y", "y - x", "y + x^2", "x - 2*y^3", "1 + x"],
+          XYZ: ["x", "y", "z", "y - x", "z + x*y", "x - 2*z^2", "1 + y"]}
+_QUERIES = ["member", "value_of", "w_approx", "e_approx", "state_at",
+            "ord_at"]
+
+
+@st.composite
+def _drawn_directives(draw, n: int):
+    p = draw(st.integers(0, n - 1))
+    moved = draw(st.lists(st.sampled_from([j for j in range(n) if j != p]),
+                          unique=True))
+    return Directive(p, [(j, draw(st.sampled_from([1, -1, 2, F(1, 2)])))
+                         for j in moved])
+
+
+@st.composite
+def drawn_sessions(draw):
+    """(walk, elements, queries): a drawn walk over two or three variables
+    whose period sometimes holds a long untranslated run, products of up to
+    three atoms, and up to six queries (kind, element, budget or stage)."""
+    bases = draw(st.sampled_from([XY, XYZ]))
+    directives = _drawn_directives(len(bases))
+    head = draw(st.lists(directives, max_size=3))
+    period = draw(st.lists(directives, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(period) - 1))
+        period[k:k + 1] = [Directive(period[k].pivot)] * draw(
+            st.integers(5, 25))
+    factors = st.lists(st.tuples(st.sampled_from(_ATOMS[bases]),
+                                 st.integers(-4, 4)), min_size=1, max_size=3)
+    elements = draw(st.lists(factors, min_size=1, max_size=2))
+    queries = draw(st.lists(st.tuples(st.sampled_from(_QUERIES),
+                                      st.integers(0, len(elements) - 1),
+                                      st.integers(0, 30)),
+                            min_size=1, max_size=6))
+    return _DrawnWalk(bases, head, period), elements, queries
+
+
+@settings(deadline=None, max_examples=250)
+@given(drawn_sessions())
+# runs of one and of two steps, each shorter than the stretch that the
+# closed form of its pivot would need
+@example((_DrawnWalk(XY, [], [Directive(1), Directive(0)]),
+          [[("x - 2*y^3", 1)]], [("value_of", 0, 3)]))
+@example((_DrawnWalk(XY, [], [Directive(0), Directive(0), Directive(1)]),
+          [[("y", 1), ("x", -4)]], [("member", 0, 12)]))
+def test_a_session_answers_like_the_general_path(drawn):
+    """Queries in any order on one session, each against the element's
+    states by the general path, and e_approx against stepping."""
+    walk, factors, queries = drawn
+    session, oracle = AnalysisSession(walk), AnalysisSession(walk)
+    elements = []
+    for atoms in factors:
+        f = RationalFunction.constant(1, walk.bases)
+        for atom, e in atoms:
+            f *= el(atom, oracle) ** e
+        elements.append(f)
+    reference = RationalFunction.variable(walk.bases[0], walk.bases)
+    *_, reference_orders = _general_answers(
+        walk, general_states(oracle, reference, 30))
+    answers = {}
+    for kind, k, budget in queries:
+        f = elements[k]
+        if k not in answers:
+            states = general_states(oracle, f, 30)
+            answers[k] = (states, *_general_answers(walk, states))
+        states, value, member, orders = answers[k]
+        if kind == "member":
+            assert session.member(f, budget) == MembershipVerdict(
+                member if member is not None and member <= budget else None,
+                budget)
+        elif kind == "value_of":
+            assert session.value_of(f, budget) == (
+                value if value is not None and value[1] <= budget else None)
+        elif kind == "w_approx":
+            assert session.w_approx(f, reference, budget).approximants == \
+                _ratios(orders, reference_orders)[:budget + 1]
+        elif kind == "e_approx":
+            assert session.e_approx(f, budget) == stepped_e_approx(
+                AnalysisSession(walk), f, budget)
+        elif kind == "state_at":
+            got = session.state_at(f, budget)
+            assert (got.exponents, got.num, got.den) == states[budget]
+        else:
+            assert session.ord_at(f, budget) == orders[budget]
 
 
 def test_an_idle_negative_exponent_keeps_one_state():
