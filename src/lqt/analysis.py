@@ -8,56 +8,36 @@ ElementState writes the element as
 
 where num and den are coprime, free of monomial factors, and each either
 one or not a unit at the origin.  A unit at one stage stays a unit at every
-later stage, so dropping it never changes a verdict.  One transform step
-substitutes ``x_j -> x_p * (x_j + c_j)`` into num and den; that
-substitution only ever creates monomial common factors, so stripping
-monomials into the exponent vector keeps the pair coprime without any gcd
-work.
+later stage, so dropping it never changes a verdict.  A step
+``x_j -> x_p * (x_j + c_j)`` only ever creates monomial common factors, so
+stripping monomials into e keeps the pair coprime without any gcd work.  A
+step that translates some coordinate substitutes each side that is not one,
+with the step's coordinate images built once per distinct directive.
 
-A step that translates some coordinate substitutes each side that is not
-one to a term map, with the step's coordinate images built once per
-distinct directive; the map's componentwise minimum moves into the
-exponent vector (every exponent adds to the pivot's, and a translated
-coordinate leaves only a unit), and the rest becomes the side, built once
-as a Polynomial, or the session's one when it has a constant term.  The
-initial state is normalized the same way.
-
-A maximal run of steps that translate nothing and share the pivot p is a
-monomial change of coordinates, x_j -> x_p^t * x_j after t of its steps,
-and is read in closed form from the state where it starts.  With
+A maximal run of steps that translate nothing and share the pivot p maps
+x_j -> x_p^t * x_j after t of its steps, and is read in closed form.  With
 s_k = |k| - k_p, a side's term x^k lands on the pivot exponent
-k_p + t*s_k - U(t), its other exponents unchanged, where
-U(t) = min_k (k_p + t*s_k) is the order the side gives up to the pivot's
-exponent (0 for one).  No two terms merge.  The side is one exactly when
-U(t) reaches its least pure pivot power (a term with s_k = 0), and stays
-one from then on.  The pivot's exponent is e_p + t*(|e| - e_p) + U_num(t)
-- U_den(t), the others stay fixed, and the order at t is the pivot's
-exponent at t + 1.  So a run costs one pass per side whatever its length,
-and the queries solve a run with integer arithmetic: the first monomial
-stage is where both sides have become one, and once den is one and the
-other exponents are nonnegative the pivot's exponent does not decrease,
-so the first stage in the ring is a bisection.
+k_p + t*s_k - U(t), where U(t) = min_k (k_p + t*s_k) is the order the side
+gives up (0 for one); no two terms merge, and the side is one once U(t)
+reaches its least pure pivot power.  The pivot's exponent is
+e_p + t*(|e| - e_p) + U_num(t) - U_den(t), and the order at t is the
+pivot's exponent at t + 1.  So the queries solve a run with integer
+arithmetic: the first monomial stage is where both sides have become one,
+and once den is one and the other exponents are nonnegative the pivot's
+exponent does not decrease, so the first stage in the ring is a bisection.
 
-A monomial state, num and den both one, stays monomial, and each step
-moves only its exponents, by `_moved`.  A coordinate that a step neither
-pivots nor translates keeps its exponent, so a monomial state with a
-negative exponent on a coordinate that no step up to the budget touches
-is in no stage ring up to it: x/z on ex3.7-3d, whose walk never moves z,
-is answered without a step.
-
-A session keeps, for each element, its state at stage 0 and at the end of
-each run (a translated step is a run of its own) up to the first
-monomial one, and reads every other stage from the kept state before it:
-a stage past a monomial state from its exponents alone.  Where the runs
-end is found from the directives as the walk reads them, never past the
-stage asked for.  On a walk whose pivots alternate every stage is kept
-until the state is monomial; a series walk keeps the stages just before
-and at each translated step, and nonarch2d's walk is one unbounded run.
+Every query reads an element's stages through one generator, `_runs`: the
+state at stage 0 and at the end of each run (a translated step is a run of
+its own), kept up to the first monomial one, num and den both one.  Past
+it each step moves only the exponents, so nothing more is kept.  Where a
+run ends is read from the directives only when a query asks for the next
+run.  `member` stops at a monomial state that lies in no stage ring: its
+value is negative (see DirectiveSource), or a coordinate with a negative
+exponent is moved by no step up to the budget, like z in x/z on ex3.7-3d.
 
 The iterated transforms behind ``e_approx`` differ from the element only by
 a monomial in the stage coordinates, so they reuse the element's states and
-track just that monomial's exponents: after ``w_approx`` or ``value_of`` on
-the same element, ``e_approx`` substitutes nothing.
+track just that monomial's exponents.
 
 Directive sources are duck-typed: a ValuationProgram, a SeriesDVR or a
 LiftedTrace, or anything with bases, directive_at and scaled_vector_at,
@@ -66,15 +46,18 @@ the one stage view every walk hands out.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 from typing import ClassVar, Protocol
 
 from .polynomials import Polynomial, shift_terms, substitute_terms
 from .functions import RationalFunction, _check_field
-from .programs import Directive, Infinite, ScaledVector, read_values
+from .programs import (Directive, Infinite, ScaledVector, ValuationProgram,
+                       read_values)
+from .series import SeriesDVR
 
 DEFAULT_BUDGET = 24
 STABLE_WINDOW = 5
@@ -91,6 +74,12 @@ class DirectiveSource(Protocol):
     denominator, Infinite only for the prime coordinates of a lifted walk.
     programs.read_values reads it out as values; a program's
     value_vector_at does so too.
+
+    On a ValuationProgram or a SeriesDVR, and on no other source, the
+    session takes the stage values for those of one valuation, which is
+    then nonnegative on every stage ring, since every stage's values are
+    positive: `member` stops on a monomial state of negative value.  The
+    values of a stand-in walk need not fit any valuation.
     """
 
     bases: tuple[str, ...]
@@ -189,6 +178,12 @@ def _moved(exponents, p: int, kept: tuple[int, ...]) -> list[int]:
     for j in kept:
         e[j] = exponents[j]
     return e
+
+
+def _lift(k, p: int, t: int) -> int:
+    """k_p + t*s_k, s_k = |k| - k_p: where the pivot exponent k_p lands t
+    steps into a run with pivot p, before its side gives up U(t)."""
+    return k[p] + t * (sum(k) - k[p])
 
 
 def _pivot_exponent(state: ElementState, p: int):
@@ -307,11 +302,6 @@ class AnalysisSession:
         sides = (state.num, state.den)
         if directive.translations:
             e = _moved(state.exponents, p, kept)
-        else:
-            t = 1 if last is None else last - n + 1
-            e = list(state.exponents)
-            e[p] += t * (sum(e) - e[p])
-        if directive.translations:
             images = self._images.get(directive)
             if images is None:
                 images = self._images[directive] = directive.images(
@@ -322,12 +312,15 @@ class AnalysisSession:
                                          self.bases))
             return _normalized(e, tuple(q if q is one else next(done)
                                         for q in sides), one)
+        t = 1 if last is None else last - n + 1
+        e = list(state.exponents)
+        e[p] = _lift(e, p, t)
         zero = (0,) * len(e)
         out = []
         for sign, q in zip((1, -1), sides):
             if q is not one:
                 terms = q.terms
-                lifted = [k[p] + t * (sum(k) - k[p]) for k in terms]
+                lifted = [_lift(k, p, t) for k in terms]
                 o = min(lifted)
                 e[p] += sign * o
                 moved = {(*k[:p], u - o, *k[p + 1:]): c
@@ -347,32 +340,40 @@ class AnalysisSession:
                            (f.numerator.terms, f.denominator.terms),
                            self._one)
 
-    def _kept(self, f: RationalFunction) -> list[ElementState]:
-        """f's states at the kept stages so far, at least stage 0's."""
+    def _runs(self, f: RationalFunction, last: int):
+        """(i, a, state, monomial) at each kept stage a = _bounds[i] <= last
+        in turn: f's state there, and whether it is monomial.  States are
+        built a run at a time and kept up to the first monomial one; past
+        it the exponents move across each run (by `_moved`, then in closed
+        form), and nothing is kept.  The end of a run is read only when the
+        next one is asked for."""
         states = self._states.get(f)
         if states is None:
             states = self._states[f] = [self.initial_state(f)]
-        return states
-
-    def _kept_at(self, states: list[ElementState], i: int
-                 ) -> tuple[int, ElementState]:
-        """(i, state) at the i-th kept stage, built run by run, or (j,
-        state) at an earlier kept stage j whose state is monomial: no state
-        past it is kept, and later stages are read by `_walk`."""
         bounds, one = self._bounds, self._one
-        while len(states) <= i:
-            state = states[-1]
-            if state.num is one and state.den is one:
-                return len(states) - 1, state
-            j = len(states)
-            states.append(self.advance_state(state, bounds[j - 1] + 1,
-                                             bounds[j]))
-        return i, states[i]
+        i, state = 0, states[0]
+        while bounds[i] <= last:
+            a = bounds[i]
+            monomial = state.num is one and state.den is one
+            yield i, a, state, monomial
+            self._run_end(i, last)
+            if len(bounds) == i + 1 or bounds[i + 1] > last:
+                return
+            b = bounds[i + 1]
+            if monomial:
+                p, kept, _ = self._steps[a]
+                e = _moved(state.exponents, p, kept)
+                e[p] = _lift(e, p, b - a - 1)
+                state = ElementState(tuple(e), one, one)
+            else:
+                if len(states) == i + 1:
+                    states.append(self.advance_state(state, a + 1, b))
+                state = states[i + 1]
+            i += 1
 
     def _walk(self, e, a: int, last: int):
         """The exponents of a monomial state at stages a..last in turn,
-        from e at stage a; each step moves them by `_moved`, and the sides
-        stay one."""
+        from e at stage a; each step moves them by `_moved`."""
         yield e
         steps = self._steps
         for n in range(a, last):
@@ -383,23 +384,13 @@ class AnalysisSession:
             yield e
 
     def state_at(self, f: RationalFunction, n: int) -> ElementState:
-        """f's state at stage n: a kept one, or read from the kept state
-        before it (in closed form, or by its exponents past a monomial
-        state), which builds a state that is not kept."""
+        """f's state at stage n: a kept one, or read from the last run
+        before it, which builds a state that is not kept."""
         if n < 0:
             raise ValueError(f"stage {n} out of range")
-        states = self._kept(f)
-        if n:
-            self._step(n)
-        i, state = self._kept_at(states, bisect_right(self._bounds, n) - 1)
-        a, one = self._bounds[i], self._one
-        if a == n:
-            return state
-        if state.num is one and state.den is one:
-            for e in self._walk(state.exponents, a, n):
-                pass
-            return ElementState(tuple(e), one, one)
-        return self.advance_state(state, a + 1, n)
+        for _, a, state, _ in self._runs(f, n):
+            pass
+        return state if a == n else self.advance_state(state, a + 1, n)
 
     def ord_at(self, f: RationalFunction, n: int) -> int:
         if n < 0:
@@ -409,93 +400,63 @@ class AnalysisSession:
     def _first(self, f: RationalFunction, last: int, holds, in_run
                ) -> tuple[int, tuple[int, ...]] | None:
         """(n, exponents) at the first stage n <= last whose state holds,
-        or None.  A kept state is tested as it is; in_run(state, p, hi)
-        gives the first t in 1..hi at which the run from it holds.  A
-        monomial state holds for value_of, so only member goes on past
-        one, by `_ring_from`."""
-        states = self._kept(f)
-        bounds, one = self._bounds, self._one
-        i = 0
-        while bounds[i] <= last:
-            a = bounds[i]
-            # _kept_at, inline: a walk whose pivots alternate comes here
-            # once per stage until the state is monomial
-            if i == len(states):
-                states.append(self.advance_state(states[-1],
-                                                 bounds[i - 1] + 1, a))
-            state = states[i]
+        or None.  A kept stage's state is tested as it is, and
+        in_run(state, p, hi) gives the first t in 1..hi at which the run
+        with pivot p from it holds.  A monomial state holds for value_of,
+        so only member gets to `_outside`."""
+        bounds = self._bounds
+        for i, a, state, monomial in self._runs(f, last):
             if holds(state):
                 return a, state.exponents
-            if a == last:
-                break
-            if state.num is one and state.den is one:
-                return self._ring_from(state.exponents, a, last)
-            b = (bounds[i + 1] if len(bounds) > i + 1
-                 else self._run_end(i, min(a + 2, last)))
-            if b > a + 1:
-                p = self._steps[a][0]
-                t = in_run(state, p, last - a)
-                b = self._run_end(i, last if t is None else a + t)
-                if t is not None and b == a + t:
-                    e = list(state.exponents)
-                    e[p] = _pivot_exponent(state, p)(t)
-                    return b, tuple(e)
-                if b == last:
-                    break
-            elif len(bounds) == i + 1:
-                # a run of one step is stepped through, even one that
-                # reaches last before its end is read
-                state = self.advance_state(state, b)
-                return (b, state.exponents) if holds(state) else None
-            i += 1
+            if a == last or monomial and self._outside(state.exponents, a,
+                                                       last):
+                return None
+            self._run_end(i, a + 1)
+            if bounds[i + 1:i + 2] == [a + 1]:
+                continue  # a run of one step: its end is a kept stage
+            p = self._steps[a][0]
+            t = in_run(state, p, last - a)
+            if t is not None and self._run_end(i, a + t) == a + t:
+                e = list(state.exponents)
+                e[p] = _pivot_exponent(state, p)(t)
+                return a + t, tuple(e)
         return None
 
-    def _ring_from(self, e: tuple[int, ...], a: int, last: int
-                   ) -> tuple[int, tuple[int, ...]] | None:
-        """(n, exponents) at the first stage n in a+1..last at which the
-        monomial state with exponents e at stage a lies in its stage ring,
-        or None.  A step keeps the exponent of a coordinate it neither
-        pivots nor translates, so a negative one that no step after a up to
-        last touches answers None at once.  Steps are read only until each
-        negative exponent's coordinate is touched."""
+    def _outside(self, e: tuple[int, ...], a: int, last: int) -> bool:
+        """Whether the monomial state with exponents e at stage a lies in
+        no stage ring up to last: its value is negative on a source whose
+        values are a valuation's (see DirectiveSource), or a step keeps
+        the negative exponent of a coordinate it neither pivots nor
+        translates and no step after a up to last moves it.  Steps are
+        read only until each such coordinate is moved."""
+        if isinstance(self.source, (ValuationProgram, SeriesDVR)):
+            if sum(map(mul, e, self.source.scaled_vector_at(a)[0])) < 0:
+                return True
         steps, touched = self._steps, self._touched
         negative = [j for j, x in enumerate(e) if x < 0]
         while len(steps) < last and any(touched[j] <= a for j in negative):
             self._step(len(steps) + 1)
-        if any(touched[j] <= a for j in negative):
-            return None
-        for n, e in enumerate(self._walk(e, a, last), a):
-            if min(e) >= 0:
-                return n, tuple(e)
-        return None
+        return any(touched[j] <= a for j in negative)
 
     def _orders(self, f: RationalFunction, first: int, last: int):
-        """ord_n(f) for n = first..last in turn, each stage of a run read
-        in closed form from the kept state before it, and each stage past a
-        monomial state from its exponents."""
-        states = self._kept(f)
-        if last > 0:
-            self._step(last)
-        bounds, one = self._bounds, self._one
-        i = bisect_right(bounds, first) - 1
-        n = first
-        while n <= last:
-            i, state = self._kept_at(states, i)
-            a = bounds[i]
-            if state.num is one and state.den is one:
+        """ord_n(f) for n = first..last in turn: at a kept stage from its
+        state, inside a run in closed form, and from the first monomial
+        state on from its exponents, by `_walk`."""
+        bounds = self._bounds
+        for i, a, state, monomial in self._runs(f, last):
+            if monomial:
                 yield from islice(map(sum, self._walk(state.exponents, a,
-                                                      last)), n - a, None)
+                                                      last)),
+                                  max(first - a, 0), None)
                 return
-            if n == a:
+            if a >= first:
                 yield state.order()
-                n += 1
-            end = min(last, bounds[i + 1] - 1 if i + 1 < len(bounds)
-                      else last)
+            self._run_end(i, last)
+            end = min(bounds[i + 1] - 1, last) if len(bounds) > i + 1 else last
+            n = max(first, a + 1)
             if n <= end:
                 pivot = _pivot_exponent(state, self._steps[a][0])
                 yield from (pivot(m - a + 1) for m in range(n, end + 1))
-                n = end + 1
-            i += 1
 
     # -- queries -----------------------------------------------------------
 

@@ -622,6 +622,38 @@ def test_membership_reads_on_to_the_step_that_moves_a_negative_exponent():
             assert len(session._steps) == read, budgets
 
 
+def test_membership_stops_on_a_negative_value():
+    """A monomial state's value is the same at every stage, and a program's
+    or a series walk's values are positive, so a negative value puts it in
+    no stage ring: y^3/x^5 on ex3.7-2d (value -2) and y/x^3 on dvr-curve
+    (value -2) end member at stage 0, every coordinate moving or not.  A
+    lifted walk is not taken for a valuation's: 1/x on nonarch2d reads on
+    to its budget."""
+    for name, text in [("ex3.7-2d", "y^3/x^5"), ("dvr-curve", "y/x^3")]:
+        session = AnalysisSession(get_example(name).source)
+        f = el(text, session)
+        assert session.member(f, 100000) == MembershipVerdict(None, 100000)
+        assert session.e_approx(f, 100000) == MembershipVerdict(None, 100000)
+        assert len(session._steps) == 0, name
+    session = AnalysisSession(get_example("nonarch2d").source)
+    assert session.member(el("1/x", session), 10) == MembershipVerdict(None,
+                                                                       10)
+    assert len(session._steps) == 10
+
+
+def test_a_monomial_run_is_solved_without_stepping(monkeypatch):
+    """nonarch2d's walk is one untranslated run, so a warm member of
+    y*(1 + 5*x)/x^80, monomial at stage 0, bisects the run for stage 80 and
+    neither walks nor moves its exponents a step at a time."""
+    session = AnalysisSession(get_example("nonarch2d").source)
+    assert session.member(el("y*(1 + 3*x)/x^85", session), 90).stage == 85
+    walks = record_calls(monkeypatch, AnalysisSession, "_walk")
+    moves = record_calls(monkeypatch, analysis, "_moved")
+    f = el("y*(1 + 5*x)/x^80", session)
+    assert session.member(f, 90) == MembershipVerdict(80, 90)
+    assert walks == moves == []
+
+
 def _run_walk_oracle(name: str):
     """Per element of RUN_WALKS[name]: its states, value, membership stage
     and orders at stages 0..budget by the general path, and its e_approx by

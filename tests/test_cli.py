@@ -877,6 +877,23 @@ def test_an_idle_negative_exponent_ends_membership_at_once(capsys):
     assert err == "undecided: 2 answer(s) under --strict\n"
 
 
+def test_a_negative_value_ends_membership_at_once(capsys):
+    """y^3/x^5 on ex3.7-2d has value -2, so it lies in no stage ring, and
+    member answers without stepping through the budget, though every
+    coordinate keeps being moved."""
+    args = ["member", "--example", "ex3.7-2d", "-e", "y^3/x^5",
+            "--budget", "1000"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0
+    assert err == ""
+    record = json.loads(out)
+    assert record["union"] == {"budget": 1000, "verdict": "NotWithinBudget"}
+    code, strict_out, err = run_cli(capsys, *args, "--strict")
+    assert code == 4
+    assert strict_out == out
+    assert err == "undecided: 1 answer(s) under --strict\n"
+
+
 def test_strict_passes_decided_results(capsys):
     code, out, err = run_cli(capsys, "value", "--example", "ex3.7-2d",
                              "-e", "y - x", "--strict")
