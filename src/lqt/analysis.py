@@ -476,7 +476,9 @@ class AnalysisSession:
                  ) -> tuple[int | Fraction | Infinite, int] | None:
         """Exact value of f under the source's values, with the deciding
         stage, or None when f never reduces to monomial form in budget.
-        A whole value is an int, like every coefficient."""
+        A whole value is an int, like every coefficient.  Along a lifted
+        prime an exponent of either sign on a prime coordinate gives inf or
+        -inf, and exponents of both signs give no value: a ValueError."""
         if f.is_zero():
             raise ValueError("the value of zero is undefined")
         found = self._first(f, budget, ElementState.is_monomial,
@@ -485,6 +487,11 @@ class AnalysisSession:
             return None
         n, exponents = found
         nums, den = self.source.scaled_vector_at(n)
+        if len({ej > 0 for ej, vj in zip(exponents, nums)
+                if ej and type(vj) is Infinite}) > 1:
+            raise ValueError("the element's prime coordinates carry "
+                             "exponents of both signs, so its value along "
+                             "the lifted prime is undefined")
         total: int | Infinite = 0
         for ej, vj in zip(exponents, nums):
             if ej:

@@ -5,7 +5,9 @@ print one JSON object per line by default; --format table renders the same
 data for reading.  Exact values are serialized as strings ("3/2", "inf"),
 counters as integers, so output is byte-stable across runs.  Every record
 goes through Reporter.emit except `run`'s stage lines, which cmd_run writes
-directly, each equal to the line emit would print for its record.
+directly, each equal to the line emit would print for its record.  The five
+element commands build their records, one per -e, in _each_element, which
+adds each record's undecided answers to Reporter.undecided for --strict.
 
 Exit codes: 0 success, 2 usage or config errors, 3 consistency failures
 (a stage that contradicts its program, or cross-checks that disagree),
@@ -141,40 +143,53 @@ def cmd_run(example: Example, args, rep: Reporter) -> None:
                   f"values: {' '.join(values)}\n")
 
 
+def _each_element(example: Example, args, rep: Reporter, schema: str,
+                  answer, **fields) -> None:
+    """One record per -e element: its schema, element, example and the
+    command's constant `fields`, completed by answer(f, line), which
+    returns how many of its answers stayed undecided."""
+    for expr in args.elements:
+        f = _parse_element(expr, example)
+        line = {"schema": schema, "element": expr, "example": example.name,
+                **fields}
+        rep.undecided += answer(f, line)
+        rep.emit(line)
+
+
+def _fields(result, *names) -> dict:
+    """The named fields of a result object, None ones left out: an exact
+    value (Fraction or Infinite) as enc writes it, and an int counter, text
+    or flag as it is."""
+    values = {name: getattr(result, name) for name in names}
+    return {name: enc(v) if isinstance(v, (Fraction, Infinite)) else v
+            for name, v in values.items() if v is not None}
+
+
 def cmd_member(example: Example, args, rep: Reporter) -> None:
     mode = args.mode
     if mode in ("pullback", "both") and not example.has_pullback:
         raise ValueError(f"example {example.name} has no pullback side; "
                          f"--mode {mode} does not apply")
-    for expr in args.elements:
-        f = _parse_element(expr, example)
-        line: dict = {"schema": "member", "element": expr,
-                      "example": example.name, "mode": mode,
-                      "budget": args.budget}
+
+    def answer(f, line: dict) -> int:
         union = pull = None
         if mode in ("union", "both"):
             union = example.session.member(f, args.budget)
-            line["union"] = _member_dict(union)
-            if not union.decided:
-                rep.undecided += 1
+            line["union"] = ({"verdict": "In", "stage": union.stage}
+                             if union.decided else
+                             {"verdict": "NotWithinBudget",
+                              "budget": union.budget})
         if mode in ("pullback", "both"):
             pull = member_pullback(f, example.prime, example.quotient,
                                    args.budget)
-            line["pullback"] = {"status": pull.status, "detail": pull.detail}
-            if not pull.decided:
-                rep.undecided += 1
+            line["pullback"] = _fields(pull, "status", "detail")
         if mode == "both":
-            agreement = _agreement(union, pull)
-            line["agreement"] = agreement
-            if agreement == "disagree":
-                rep.disagreements += 1
-        rep.emit(line)
+            line["agreement"] = _agreement(union, pull)
+            rep.disagreements += line["agreement"] == "disagree"
+        return sum(not v.decided for v in (union, pull) if v is not None)
 
-
-def _member_dict(v: MembershipVerdict) -> dict:
-    if v.decided:
-        return {"verdict": "In", "stage": v.stage}
-    return {"verdict": "NotWithinBudget", "budget": v.budget}
+    _each_element(example, args, rep, "member", answer, mode=mode,
+                  budget=args.budget)
 
 
 def _agreement(union: MembershipVerdict, pull) -> str:
@@ -195,26 +210,12 @@ def cmd_classify(example: Example, args, rep: Reporter) -> None:
     key = ("quotient_multiplicity" if example.kind == "pullback"
            else "multiplicity")
     rep.emit({"schema": "classify", "example": example.name,
-              "kind": example.kind, key: _mult_dict(outcome),
-              "shannon": _shannon_dict(shannon)})
+              "kind": example.kind,
+              key: _fields(outcome, "kind", "detail", "limit"),
+              "shannon": _fields(shannon, "kind", "reason", "witness",
+                                 "union_is_pullback")})
     if outcome.kind == "Undecided" or shannon.kind == "Unknown":
         rep.undecided += 1
-
-
-def _mult_dict(outcome) -> dict:
-    d = {"kind": outcome.kind, "detail": outcome.detail}
-    if outcome.limit is not None:
-        d["limit"] = enc(outcome.limit)
-    return d
-
-
-def _shannon_dict(shannon) -> dict:
-    d = {"kind": shannon.kind, "reason": shannon.reason}
-    if shannon.witness is not None:
-        d["witness"] = shannon.witness
-    if shannon.union_is_pullback is not None:
-        d["union_is_pullback"] = shannon.union_is_pullback
-    return d
 
 
 def cmd_multiplicity(example: Example, args, rep: Reporter) -> None:
@@ -231,87 +232,65 @@ def cmd_multiplicity(example: Example, args, rep: Reporter) -> None:
 
 
 def cmd_value(example: Example, args, rep: Reporter) -> None:
-    for expr in args.elements:
-        f = _parse_element(expr, example)
+    def answer(f, line: dict) -> int:
         res = example.session.value_of(f, args.budget)
-        line = {"schema": "value", "element": expr, "example": example.name,
-                "budget": args.budget}
-        if res is None:
-            line.update({"value": None, "stage": None, "decided": False})
-            rep.undecided += 1
-        else:
-            value, stage = res
-            line.update({"value": enc(value), "stage": stage,
-                         "decided": True})
-        rep.emit(line)
+        value, stage = res or (None, None)
+        line.update(value=enc(value), stage=stage, decided=res is not None)
+        return res is None
+
+    _each_element(example, args, rep, "value", answer, budget=args.budget)
 
 
 def cmd_wapprox(example: Example, args, rep: Reporter) -> None:
     ref_expr = args.reference or example.ambient[0]
     ref = _parse_element(ref_expr, example)
-    for expr in args.elements:
-        f = _parse_element(expr, example)
-        trace = example.session.w_approx(f, ref, args.budget)
-        rep.emit(_trace_dict(trace, {"schema": "wapprox", "element": expr,
-                                     "reference": ref_expr,
-                                     "example": example.name,
-                                     "budget": args.budget}))
-        if not trace.stabilized:
-            rep.undecided += 1
+    _each_element(example, args, rep, "wapprox",
+                  lambda f, line: _add_trace(
+                      example.session.w_approx(f, ref, args.budget), line),
+                  reference=ref_expr, budget=args.budget)
 
 
 def cmd_eapprox(example: Example, args, rep: Reporter) -> None:
-    for expr in args.elements:
-        f = _parse_element(expr, example)
+    def answer(f, line: dict) -> int:
         result = example.session.e_approx(f, args.budget)
-        line = {"schema": "eapprox", "element": expr,
-                "example": example.name, "budget": args.budget}
         if isinstance(result, MembershipVerdict):
-            line.update({"verdict": "NotWithinBudget",
-                         "note": "the element never entered the union, so "
-                                 "there is nothing to transform"})
-            rep.undecided += 1
-        else:
-            line = _trace_dict(result, line)
-            if not result.stabilized:
-                rep.undecided += 1
-        rep.emit(line)
+            line.update(verdict="NotWithinBudget",
+                        note="the element never entered the union, so "
+                             "there is nothing to transform")
+            return 1
+        return _add_trace(result, line)
+
+    _each_element(example, args, rep, "eapprox", answer, budget=args.budget)
 
 
-def _trace_dict(trace: LimitTrace, line: dict) -> dict:
-    line.update({
-        "start": trace.start,
-        "approximants": [enc(a) for a in trace.approximants],
-        "stabilized": trace.stabilized,
-        "last": enc(trace.last),
-    })
-    return line
+def _add_trace(trace: LimitTrace, line: dict) -> int:
+    """Write a trace's approximants into line; 1 if they never settled."""
+    line.update(start=trace.start,
+                approximants=[enc(a) for a in trace.approximants],
+                stabilized=trace.stabilized, last=enc(trace.last))
+    return not trace.stabilized
 
 
 def cmd_composite(example: Example, args, rep: Reporter) -> None:
     if not example.has_pullback:
         raise ValueError(f"example {example.name} has no prime/quotient pair; "
                          f"composite values do not apply")
-    for expr in args.elements:
-        f = _parse_element(expr, example)
+
+    def answer(f, line: dict) -> int:
         cv = composite_value(f, example.prime, example.quotient, args.budget)
-        line = {"schema": "composite", "element": expr,
-                "example": example.name,
-                "prime_order": cv.prime_order,
-                "residue_value": enc(cv.residue_value),
-                "decided": cv.decided}
-        if not cv.decided:
-            rep.undecided += 1
+        line.update(prime_order=cv.prime_order,
+                    residue_value=enc(cv.residue_value), decided=cv.decided)
         if args.diagnostic:
             local = member_RP(f, example.prime)
             diag = {"member_rp": local}
             if local:
                 diag["residue"] = str(residue(f, example.prime))
-            verdict = member_pullback(f, example.prime, example.quotient,
-                                      args.budget)
-            diag["pullback"] = verdict.status
+            diag["pullback"] = member_pullback(
+                f, example.prime, example.quotient, args.budget).status
             line["diagnostic"] = diag
-        rep.emit(line)
+        return not cv.decided
+
+    _each_element(example, args, rep, "composite", answer)
 
 
 # -- argument plumbing ---------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from lqt import (AnalysisSession, CoordinatePrime, Directive, LiftedTrace,
-                 LimitTrace, MembershipVerdict, POS_INF, Polynomial,
+                 LimitTrace, MembershipVerdict, NEG_INF, POS_INF, Polynomial,
                  RationalFunction,
                  SeriesDVR, ShannonClass, analysis, classify_shannon,
                  example_names, get_example, load_config_file,
@@ -161,6 +161,21 @@ def test_value_with_infinite_coordinate(nonarch):
     assert value_and_stage(nonarch, "y") == (POS_INF, 0)
     assert value_and_stage(nonarch, "x*y") == (POS_INF, 0)
     assert value_and_stage(nonarch, "x") == (1, 0)
+
+
+def test_value_with_prime_exponents_of_both_signs_is_undefined():
+    """Along the prime (y, z) an element's value is inf or -inf by the sign
+    of its prime exponents; with both signs it has none, and value_of says
+    so before it would add inf to -inf."""
+    session = load_config_text("[vars]\nx y z\n[pullback]\nprime = [y, z]\n"
+                               "[values]\nx = 1\n[period]\npivot=x\n",
+                               "two-prime").session
+    for text in ("y/z", "x*z^2/y^3"):
+        with pytest.raises(ValueError, match="exponents of both signs"):
+            session.value_of(el(text, session))
+    assert session.value_of(el("y*z/x", session)) == (POS_INF, 0)
+    assert session.value_of(el("1/(y*z)", session)) == (NEG_INF, 0)
+    assert session.value_of(el("x^2", session)) == (2, 0)
 
 
 def test_whole_series_value_is_an_int():
