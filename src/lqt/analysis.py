@@ -393,6 +393,7 @@ class AnalysisSession:
         return state if a == n else self.advance_state(state, a + 1, n)
 
     def ord_at(self, f: RationalFunction, n: int) -> int:
+        """ord_n(f), the order of f at the origin of stage n."""
         if n < 0:
             raise ValueError(f"stage {n} out of range")
         return next(self._orders(f, n, n))

@@ -132,12 +132,6 @@ class RationalFunction:
         return RationalFunction._make(self.numerator ** n,
                                       self.denominator ** n)
 
-    def scale(self, c: Fraction | int) -> RationalFunction:
-        if c == 0:
-            return RationalFunction._make(Polynomial.zero(self.variables),
-                                          Polynomial.one(self.variables))
-        return RationalFunction._make(self.numerator.scale(c), self.denominator)
-
     def substitute(self, images: Mapping[str, RationalFunction]) -> RationalFunction:
         """Substitute rational functions a_v/b_v for all variables (the
         field embedding of a birational step).

@@ -217,11 +217,6 @@ class Polynomial:
         e[i] = 1
         return cls._make(vs, {tuple(e): 1})
 
-    @classmethod
-    def monomial(cls, exps: Exponents, variables: Iterable[str],
-                 coeff: Fraction | int = 1) -> Polynomial:
-        return cls(variables, {tuple(exps): coeff})
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -238,13 +233,6 @@ class Polynomial:
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def constant_term(self) -> Coefficient:
-        return self.terms.get((0,) * len(self.variables), 0)
-
-    def is_unit_at_origin(self) -> bool:
-        """True iff the constant term is nonzero (unit of the local ring)."""
-        return self.constant_term() != 0
 
     def order(self) -> int:
         """Minimal total degree of a term (order of vanishing at the origin)."""

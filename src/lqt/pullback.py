@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Union
 
 from .analysis import DEFAULT_BUDGET, AnalysisSession
@@ -172,6 +173,7 @@ def member_pullback(f: RationalFunction, prime: CoordinatePrime,
 
 # -- composite values --------------------------------------------------------
 
+@total_ordering
 @dataclass(frozen=True, slots=True)
 class CompositeValue:
     """Lexicographic value (prime order, residue value).

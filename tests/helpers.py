@@ -140,7 +140,7 @@ def general_states(session, f: RationalFunction,
             e = tuple(a + sign * b for a, b in zip(e, m))
             p = Polynomial(bases, {tuple(a - b for a, b in zip(k, m)): c
                                    for k, c in p.terms.items()})
-            sides.append(one if p.constant_term() else p)
+            sides.append(one if is_unit_at_origin(p) else p)
         return (e, *sides)
 
     states = [normalized((0,) * len(bases), f.numerator, f.denominator)]
@@ -234,6 +234,12 @@ def two_loop_next_values(step, values, stage: int, bases: tuple[str, ...]):
 
 # -- orders and splits at the origin ------------------------------------------
 
+def is_unit_at_origin(p: Polynomial) -> bool:
+    """Whether p has a nonzero constant term, so is a unit of the local
+    ring at the origin."""
+    return (0,) * len(p.variables) in p.terms
+
+
 def ord_at_origin(f: RationalFunction) -> int:
     """Order of vanishing at the origin: minimal total degree of the
     numerator minus minimal total degree of the denominator."""
@@ -262,7 +268,7 @@ def monomial_unit_parts(
         f.variables,
         {tuple(i - j for i, j in zip(e, ed)): c
          for e, c in f.denominator.terms.items()})
-    if not (u.is_unit_at_origin() and v.is_unit_at_origin()):
+    if not (is_unit_at_origin(u) and is_unit_at_origin(v)):
         return None
     return tuple(i - j for i, j in zip(en, ed)), u, v
 
@@ -334,7 +340,7 @@ def ord_n(f: RationalFunction, chart: Chart) -> int:
 def in_ring(f: RationalFunction, chart: Chart) -> bool:
     """Whether f lies in the local ring at the chart origin."""
     g = express_in_chart(f, chart)
-    return g.denominator.is_unit_at_origin()
+    return is_unit_at_origin(g.denominator)
 
 
 def monomial_unit_split(

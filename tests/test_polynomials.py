@@ -19,8 +19,8 @@ import sympy as sp
 from lqt import (Directive, Polynomial, RationalFunction, exact_div,
                  poly_gcd, polynomials)
 from lqt.polynomials import cofactors, pow_terms, substitute_terms
-from helpers import (XY, XYZ, divides, random_poly, record_calls, rename,
-                     to_sympy, to_sympy_rf)
+from helpers import (XY, XYZ, divides, is_unit_at_origin, random_poly,
+                     record_calls, rename, to_sympy, to_sympy_rf)
 
 
 # -- construction and normalization -----------------------------------------
@@ -38,7 +38,7 @@ def test_mismatched_exponent_width_rejected():
 
 def test_equality_and_hash_by_value():
     a = Polynomial(XY, {(1, 1): Fraction(2)})
-    b = Polynomial.monomial((1, 1), XY, 2)
+    b = Polynomial(XY, {(1, 1): 2})
     assert a == b
     assert hash(a) == hash(b)
 
@@ -113,9 +113,9 @@ def test_zero_has_no_leading_term():
 
 
 def test_unit_at_origin():
-    assert Polynomial(XY, {(0, 0): 2, (1, 0): 1}).is_unit_at_origin()
-    assert not Polynomial.variable("x", XY).is_unit_at_origin()
-    assert not Polynomial.zero(XY).is_unit_at_origin()
+    assert is_unit_at_origin(Polynomial(XY, {(0, 0): 2, (1, 0): 1}))
+    assert not is_unit_at_origin(Polynomial.variable("x", XY))
+    assert not is_unit_at_origin(Polynomial.zero(XY))
 
 
 # -- substitution -------------------------------------------------------------
@@ -161,7 +161,7 @@ def _walk_step_images(rng: random.Random) -> list[tuple[Polynomial, ...]]:
 def _image_of_each_shape(rng: random.Random) -> list[Polynomial]:
     c = Fraction(rng.choice([-3, -2, 2, 3]), rng.randint(1, 2))
     return [
-        Polynomial.monomial(tuple(rng.randint(0, 2) for _ in XYZ), XYZ, c),
+        Polynomial(XYZ, {tuple(rng.randint(0, 2) for _ in XYZ): c}),
         Polynomial.constant(c, XYZ),
         Polynomial.one(XYZ),
         Polynomial.zero(XYZ),

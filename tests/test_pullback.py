@@ -1,6 +1,8 @@
 """Tests for pulling a quotient valuation back through a coordinate prime:
 localization, residues, composite values, and lifted transform sequences."""
 
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -242,6 +244,31 @@ def test_composite_values_order_lexicographically():
     assert repr(undecided) == "(2, ?)"
     with pytest.raises(ValueError, match="partially known"):
         undecided.sort_key()
+
+
+ORDERS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def test_composite_values_have_a_full_order():
+    """All four order comparisons agree with the lexicographic key, so
+    sorted, min and max work; a partially known value refuses each."""
+    values = [CompositeValue(k, r) for k in (-1, 0, 2)
+              for r in (F(-1, 2), 0, 3)]
+    for a, b in itertools.product(values, repeat=2):
+        for compare in ORDERS:
+            assert compare(a, b) == compare(a.sort_key(), b.sort_key())
+    shuffled = values[::-1]
+    random.Random(5).shuffle(shuffled)
+    assert sorted(shuffled) == values
+    assert (min(shuffled), max(shuffled)) == (values[0], values[-1])
+    undecided = CompositeValue(2, None)
+    for a, b in [(undecided, values[0]), (values[0], undecided),
+                 (undecided, undecided)]:
+        for compare in ORDERS:
+            with pytest.raises(ValueError, match="partially known"):
+                compare(a, b)
+    with pytest.raises(ValueError, match="partially known"):
+        sorted([values[0], undecided])
 
 
 def test_composite_value_input_checks(prime_z, geometric_quotient):
