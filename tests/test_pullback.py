@@ -246,25 +246,23 @@ def test_composite_values_order_lexicographically():
         undecided.sort_key()
 
 
-ORDERS = (operator.lt, operator.le, operator.gt, operator.ge)
-
-
 def test_composite_values_have_a_full_order():
     """All four order comparisons agree with the lexicographic key, so
     sorted, min and max work; a partially known value refuses each."""
+    orders = (operator.lt, operator.le, operator.gt, operator.ge)
     values = [CompositeValue(k, r) for k in (-1, 0, 2)
               for r in (F(-1, 2), 0, 3)]
     for a, b in itertools.product(values, repeat=2):
-        for compare in ORDERS:
+        for compare in orders:
             assert compare(a, b) == compare(a.sort_key(), b.sort_key())
-    shuffled = values[::-1]
+    shuffled = values[:]
     random.Random(5).shuffle(shuffled)
     assert sorted(shuffled) == values
     assert (min(shuffled), max(shuffled)) == (values[0], values[-1])
     undecided = CompositeValue(2, None)
     for a, b in [(undecided, values[0]), (values[0], undecided),
                  (undecided, undecided)]:
-        for compare in ORDERS:
+        for compare in orders:
             with pytest.raises(ValueError, match="partially known"):
                 compare(a, b)
     with pytest.raises(ValueError, match="partially known"):
